@@ -174,9 +174,9 @@ gpusim::KernelWork SphSimulation::xmass()
         const double hi = particles_.h[i];
         double xm = particles_.m[i] * kern.w(0.0, hi); // self contribution
         const Vec3 xi = particles_.pos(i);
-        for (const auto* jp = neighbors_.begin(i); jp != neighbors_.end(i); ++jp) {
-            const std::uint32_t j = *jp;
-            const double r = box_.min_image(xi, particles_.pos(j)).norm();
+        for (std::size_t p = neighbors_.offsets[i]; p < neighbors_.offsets[i + 1]; ++p) {
+            const std::uint32_t j = neighbors_.list[p];
+            const double r = neighbors_.displacement(p, xi, particles_.pos(j)).norm();
             xm += particles_.m[j] * kern.w(r, hi);
         }
         particles_.xmass[i] = xm;
@@ -196,9 +196,9 @@ gpusim::KernelWork SphSimulation::normalization_gradh()
         const double hi = particles_.h[i];
         double dsum = particles_.m[i] * kern.dw_dh(0.0, hi);
         const Vec3 xi = particles_.pos(i);
-        for (const auto* jp = neighbors_.begin(i); jp != neighbors_.end(i); ++jp) {
-            const std::uint32_t j = *jp;
-            const double r = box_.min_image(xi, particles_.pos(j)).norm();
+        for (std::size_t p = neighbors_.offsets[i]; p < neighbors_.offsets[i + 1]; ++p) {
+            const std::uint32_t j = neighbors_.list[p];
+            const double r = neighbors_.displacement(p, xi, particles_.pos(j)).norm();
             dsum += particles_.m[j] * kern.dw_dh(r, hi);
         }
         // Omega_i = 1 + (h / 3 rho) * sum_j m_j dW/dh
@@ -230,17 +230,33 @@ gpusim::KernelWork SphSimulation::iad_velocity_div_curl()
 {
     const KernelTable& kern = kernel_;
     const std::size_t n = particles_.size();
+    std::vector<double> volume(n); // m_j / rho_j
+    for (std::size_t j = 0; j < n; ++j) {
+        volume[j] = particles_.m[j] / std::max(particles_.rho[j], 1e-30);
+    }
+    // x_j - x_i and W(|x_j - x_i|, h_i) of each neighbour, from the first
+    // loop for the second (grown to the longest list, at most ngmax).
+    std::vector<Vec3> disp;
+    std::vector<double> wgt;
     for (std::size_t i = 0; i < n; ++i) {
         const double hi = particles_.h[i];
         const Vec3 xi = particles_.pos(i);
         const Vec3 vi = particles_.vel(i);
+        const std::size_t first = neighbors_.offsets[i];
+        const std::size_t count = neighbors_.count(i);
+        if (disp.size() < count) {
+            disp.resize(count);
+            wgt.resize(count);
+        }
 
         Sym3 tau;
-        for (const auto* jp = neighbors_.begin(i); jp != neighbors_.end(i); ++jp) {
-            const std::uint32_t j = *jp;
-            const Vec3 d = box_.min_image(particles_.pos(j), xi);
+        for (std::size_t k = 0; k < count; ++k) {
+            const std::uint32_t j = neighbors_.list[first + k];
+            const Vec3 d = neighbors_.reverse_displacement(first + k, xi, particles_.pos(j));
             const double w = kern.w(d.norm(), hi);
-            const double vj = particles_.m[j] / std::max(particles_.rho[j], 1e-30);
+            disp[k] = d;
+            wgt[k] = w;
+            const double vj = volume[j];
             tau.xx += vj * d.x * d.x * w;
             tau.xy += vj * d.x * d.y * w;
             tau.xz += vj * d.x * d.z * w;
@@ -254,11 +270,11 @@ gpusim::KernelWork SphSimulation::iad_velocity_div_curl()
         // IAD first-order velocity gradient estimate.
         double gxx = 0, gxy = 0, gxz = 0, gyx = 0, gyy = 0, gyz = 0, gzx = 0, gzy = 0,
                gzz = 0;
-        for (const auto* jp = neighbors_.begin(i); jp != neighbors_.end(i); ++jp) {
-            const std::uint32_t j = *jp;
-            const Vec3 d = box_.min_image(particles_.pos(j), xi);
-            const double w = kern.w(d.norm(), hi);
-            const double vj = particles_.m[j] / std::max(particles_.rho[j], 1e-30);
+        for (std::size_t k = 0; k < count; ++k) {
+            const std::uint32_t j = neighbors_.list[first + k];
+            const Vec3 d = disp[k];
+            const double w = wgt[k];
+            const double vj = volume[j];
             const Vec3 grad = cinv.mul(d) * w; // IAD gradient direction
             const Vec3 dv = particles_.vel(j) - vi;
             gxx += vj * dv.x * grad.x;
@@ -313,28 +329,31 @@ gpusim::KernelWork SphSimulation::momentum_energy()
 {
     const KernelTable& kern = kernel_;
     const std::size_t n = particles_.size();
+    std::vector<double> p_term(n); // p / (Omega rho^2)
+    for (std::size_t j = 0; j < n; ++j) {
+        const double rho_j = std::max(particles_.rho[j], 1e-30);
+        p_term[j] = particles_.p[j] / (particles_.gradh[j] * rho_j * rho_j);
+    }
     for (std::size_t i = 0; i < n; ++i) {
         const double hi = particles_.h[i];
         const Vec3 xi = particles_.pos(i);
         const Vec3 vi = particles_.vel(i);
         const double rho_i = std::max(particles_.rho[i], 1e-30);
-        const double pres_i = particles_.p[i];
-        const double pi_term = pres_i / (particles_.gradh[i] * rho_i * rho_i);
+        const double pi_term = p_term[i];
 
         Vec3 acc{0.0, 0.0, 0.0};
         double du_press = 0.0;
         double du_av = 0.0;
         double vsig_max = particles_.c[i];
 
-        for (const auto* jp = neighbors_.begin(i); jp != neighbors_.end(i); ++jp) {
-            const std::uint32_t j = *jp;
-            const Vec3 d = box_.min_image(xi, particles_.pos(j)); // x_i - x_j
+        for (std::size_t p = neighbors_.offsets[i]; p < neighbors_.offsets[i + 1]; ++p) {
+            const std::uint32_t j = neighbors_.list[p];
+            const Vec3 d = neighbors_.displacement(p, xi, particles_.pos(j)); // x_i - x_j
             const double r = d.norm();
             if (r <= 0.0) continue;
             const double hj = particles_.h[j];
             const double rho_j = std::max(particles_.rho[j], 1e-30);
-            const double pj_term =
-                particles_.p[j] / (particles_.gradh[j] * rho_j * rho_j);
+            const double pj_term = p_term[j];
 
             // Symmetrized kernel gradient keeps momentum exchange
             // antisymmetric (pairwise conservation).
