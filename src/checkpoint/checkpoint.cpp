@@ -17,7 +17,8 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr const char* kDataHeader = "greensph-checkpoint 1\n";
+const std::string kDataHeader =
+    "greensph-checkpoint " + std::to_string(kFormatVersion) + "\n";
 
 std::string data_file_name(int step)
 {

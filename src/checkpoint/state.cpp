@@ -1,7 +1,6 @@
 #include "checkpoint/state.hpp"
 
-#include "util/checksum.hpp"
-
+#include <charconv>
 #include <cstring>
 
 namespace gsph::checkpoint {
@@ -13,11 +12,10 @@ bool plain_byte(unsigned char c)
     return c > 0x20 && c < 0x7F && c != '%' && c != '=';
 }
 
-std::string encode_str(std::string_view value)
+constexpr const char* kHex = "0123456789abcdef";
+
+void append_str(std::string& out, std::string_view value)
 {
-    static const char* kHex = "0123456789abcdef";
-    std::string out;
-    out.reserve(value.size());
     for (const char ch : value) {
         const auto byte = static_cast<unsigned char>(ch);
         if (plain_byte(byte) || byte == ' ') {
@@ -30,7 +28,28 @@ std::string encode_str(std::string_view value)
             out.push_back(kHex[byte & 0xF]);
         }
     }
-    return out;
+}
+
+void append_f64(std::string& out, double value)
+{
+    std::uint64_t bits = 0;
+    static_assert(sizeof(bits) == sizeof(value));
+    std::memcpy(&bits, &value, sizeof(bits));
+    char buf[17];
+    buf[0] = 'x';
+    for (int i = 16; i >= 1; --i) {
+        buf[i] = kHex[bits & 0xFu];
+        bits >>= 4;
+    }
+    out.append(buf, sizeof(buf));
+}
+
+template <typename Int>
+void append_int(std::string& out, Int value)
+{
+    char buf[24];
+    const auto result = std::to_chars(buf, buf + sizeof(buf), value);
+    out.append(buf, result.ptr);
 }
 
 int hex_nibble(char c)
@@ -61,10 +80,9 @@ std::vector<std::string_view> split_spaces(std::string_view text)
 
 std::string encode_f64(double value)
 {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(value));
-    std::memcpy(&bits, &value, sizeof(bits));
-    return "x" + util::hex64(bits);
+    std::string out;
+    append_f64(out, value);
+    return out;
 }
 
 double decode_f64(std::string_view text)
@@ -85,58 +103,77 @@ double decode_f64(std::string_view text)
     return value;
 }
 
-void StateWriter::put_raw(std::string_view key, std::string_view encoded)
+void StateWriter::begin_line(std::string_view key)
 {
     out_.append(key);
     out_.push_back('=');
-    out_.append(encoded);
-    out_.push_back('\n');
 }
 
 void StateWriter::put_f64(std::string_view key, double value)
 {
-    put_raw(key, encode_f64(value));
+    begin_line(key);
+    append_f64(out_, value);
+    out_.push_back('\n');
 }
 
 void StateWriter::put_i64(std::string_view key, std::int64_t value)
 {
-    put_raw(key, std::to_string(value));
+    begin_line(key);
+    append_int(out_, value);
+    out_.push_back('\n');
 }
 
 void StateWriter::put_u64(std::string_view key, std::uint64_t value)
 {
-    put_raw(key, std::to_string(value));
+    begin_line(key);
+    append_int(out_, value);
+    out_.push_back('\n');
 }
 
 void StateWriter::put_bool(std::string_view key, bool value)
 {
-    put_raw(key, value ? "1" : "0");
+    begin_line(key);
+    out_.push_back(value ? '1' : '0');
+    out_.push_back('\n');
 }
 
 void StateWriter::put_str(std::string_view key, std::string_view value)
 {
-    put_raw(key, encode_str(value));
+    begin_line(key);
+    append_str(out_, value);
+    out_.push_back('\n');
 }
 
 void StateWriter::put_f64_vec(std::string_view key, const std::vector<double>& values)
 {
-    std::string encoded;
+    begin_line(key);
     for (std::size_t i = 0; i < values.size(); ++i) {
-        if (i) encoded.push_back(' ');
-        encoded += encode_f64(values[i]);
+        if (i) out_.push_back(' ');
+        append_f64(out_, values[i]);
     }
-    put_raw(key, encoded);
+    out_.push_back('\n');
+}
+
+void StateWriter::put_i64_vec(std::string_view key,
+                              const std::vector<std::int64_t>& values)
+{
+    begin_line(key);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        if (i) out_.push_back(' ');
+        append_int(out_, values[i]);
+    }
+    out_.push_back('\n');
 }
 
 void StateWriter::put_u64_vec(std::string_view key,
                               const std::vector<std::uint64_t>& values)
 {
-    std::string encoded;
+    begin_line(key);
     for (std::size_t i = 0; i < values.size(); ++i) {
-        if (i) encoded.push_back(' ');
-        encoded += std::to_string(values[i]);
+        if (i) out_.push_back(' ');
+        append_int(out_, values[i]);
     }
-    put_raw(key, encoded);
+    out_.push_back('\n');
 }
 
 StateReader::StateReader(std::string_view section, std::string_view payload)
@@ -282,6 +319,22 @@ std::vector<std::uint64_t> StateReader::get_u64_vec(std::string_view key) const
         } catch (const std::exception&) {
             fail(key, "malformed unsigned integer '" + std::string(item) + "'");
         }
+    }
+    return out;
+}
+
+std::vector<std::int64_t> StateReader::get_i64_vec(std::string_view key) const
+{
+    std::vector<std::int64_t> out;
+    const std::string& text = raw(key);
+    if (text.empty()) return out;
+    for (const std::string_view item : split_spaces(text)) {
+        std::int64_t value = 0;
+        const auto [ptr, ec] = std::from_chars(item.data(), item.data() + item.size(), value);
+        if (ec != std::errc() || ptr != item.data() + item.size()) {
+            fail(key, "malformed integer '" + std::string(item) + "'");
+        }
+        out.push_back(value);
     }
     return out;
 }

@@ -17,7 +17,7 @@
 ///   * bool     -> `0` / `1`
 ///   * string   -> percent-encoded (bytes outside printable ASCII, plus
 ///                 `%`, `=` and newline, become `%XX`)
-///   * f64/u64 vectors -> space-separated scalar encodings on one line
+///   * f64/i64/u64 vectors -> space-separated scalar encodings on one line
 
 #include <cstdint>
 #include <stdexcept>
@@ -45,13 +45,15 @@ public:
     void put_bool(std::string_view key, bool value);
     void put_str(std::string_view key, std::string_view value);
     void put_f64_vec(std::string_view key, const std::vector<double>& values);
+    void put_i64_vec(std::string_view key, const std::vector<std::int64_t>& values);
     void put_u64_vec(std::string_view key, const std::vector<std::uint64_t>& values);
 
     /// The serialized section payload.
     const std::string& str() const { return out_; }
 
 private:
-    void put_raw(std::string_view key, std::string_view encoded);
+    /// Appends `key=`; each put_* then encodes its value straight into out_.
+    void begin_line(std::string_view key);
     std::string out_;
 };
 
@@ -70,6 +72,7 @@ public:
     bool get_bool(std::string_view key) const;
     std::string get_str(std::string_view key) const;
     std::vector<double> get_f64_vec(std::string_view key) const;
+    std::vector<std::int64_t> get_i64_vec(std::string_view key) const;
     std::vector<std::uint64_t> get_u64_vec(std::string_view key) const;
 
     /// All keys starting with `prefix`, in file order.  Used to restore

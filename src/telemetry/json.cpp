@@ -18,39 +18,10 @@ constexpr int kMaxDepth = 128;
                                 std::to_string(offset));
 }
 
-void append_number(std::string& out, double v)
-{
-    if (!std::isfinite(v)) { // NaN/Inf are not representable in JSON
-        out += "null";
-        return;
-    }
-    // Integers dominate telemetry dumps (counters, call counts); print them
-    // without an exponent or trailing ".0" so downstream tools see ints.
-    if (v == std::floor(v) && std::fabs(v) < 1e15) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.0f", v);
-        out += buf;
-        return;
-    }
-    char buf[32];
-    const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-    if (ec == std::errc()) {
-        out.append(buf, ptr);
-    }
-    else {
-        std::snprintf(buf, sizeof(buf), "%.17g", v);
-        out += buf;
-    }
-}
-
-} // namespace
-
-namespace {
-
 /// Length of the valid UTF-8 sequence starting at s[i], or 0 when the bytes
 /// are not well-formed UTF-8 (truncated sequence, bad continuation byte,
 /// overlong encoding, surrogate, or a code point past U+10FFFF).
-std::size_t utf8_sequence_length(const std::string& s, std::size_t i)
+std::size_t utf8_sequence_length(std::string_view s, std::size_t i)
 {
     const auto byte = [&](std::size_t k) -> unsigned {
         return static_cast<unsigned char>(s[k]);
@@ -85,11 +56,50 @@ std::size_t utf8_sequence_length(const std::string& s, std::size_t i)
 
 } // namespace
 
-std::string json_escape(const std::string& s)
+void append_json_number(std::string& out, double v)
 {
-    std::string out;
-    out.reserve(s.size());
+    if (!std::isfinite(v)) { // NaN/Inf are not representable in JSON
+        out += "null";
+        return;
+    }
+    char buf[32];
+    // Integers dominate telemetry dumps (counters, call counts); print them
+    // without an exponent or trailing ".0" so downstream tools see ints.
+    // Below 1e15 they convert to int64 exactly; -0.0 keeps its sign, as
+    // "%.0f" printed it.
+    if (v == std::floor(v) && std::fabs(v) < 1e15) {
+        char* first = buf;
+        if (v == 0.0 && std::signbit(v)) *first++ = '-';
+        const auto result =
+            std::to_chars(first, buf + sizeof(buf), static_cast<long long>(v));
+        out.append(buf, result.ptr);
+        return;
+    }
+    const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+    if (ec == std::errc()) {
+        out.append(buf, ptr);
+    }
+    else {
+        std::snprintf(buf, sizeof(buf), "%.17g", v);
+        out += buf;
+    }
+}
+
+void append_json_escaped(std::string& out, std::string_view s)
+{
+    const auto needs_escape = [](unsigned char byte) {
+        return byte < 0x20 || byte >= 0x80 || byte == '"' || byte == '\\';
+    };
     for (std::size_t i = 0; i < s.size();) {
+        // Plain ASCII runs are copied in one append.
+        std::size_t run = i;
+        while (run < s.size() && !needs_escape(static_cast<unsigned char>(s[run]))) {
+            ++run;
+        }
+        out.append(s, i, run - i);
+        i = run;
+        if (i == s.size()) break;
+
         const char c = s[i];
         switch (c) {
             case '"': out += "\\\""; ++i; continue;
@@ -109,11 +119,6 @@ std::string json_escape(const std::string& s)
             ++i;
             continue;
         }
-        if (byte < 0x80) {
-            out += c;
-            ++i;
-            continue;
-        }
         // Multi-byte input: pass well-formed UTF-8 through untouched, and
         // replace anything else with U+FFFD.  Emitting the raw bytes (the old
         // behaviour) produced output that strict JSON consumers (trace
@@ -127,6 +132,13 @@ std::string json_escape(const std::string& s)
             ++i;
         }
     }
+}
+
+std::string json_escape(const std::string& s)
+{
+    std::string out;
+    out.reserve(s.size());
+    append_json_escaped(out, s);
     return out;
 }
 
@@ -210,10 +222,10 @@ void Json::dump_to(std::string& out, int indent, int depth) const
     switch (type_) {
         case Type::kNull: out += "null"; return;
         case Type::kBool: out += bool_ ? "true" : "false"; return;
-        case Type::kNumber: append_number(out, number_); return;
+        case Type::kNumber: append_json_number(out, number_); return;
         case Type::kString:
             out += '"';
-            out += json_escape(string_);
+            append_json_escaped(out, string_);
             out += '"';
             return;
         case Type::kArray: {
@@ -241,7 +253,7 @@ void Json::dump_to(std::string& out, int indent, int depth) const
                 if (i) out += ',';
                 newline(depth + 1);
                 out += '"';
-                out += json_escape(object_[i].first);
+                append_json_escaped(out, object_[i].first);
                 out += pretty ? "\": " : "\":";
                 object_[i].second.dump_to(out, indent, depth + 1);
             }

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -96,6 +97,16 @@ private:
     std::vector<Json> array_;
     std::vector<std::pair<std::string, Json>> object_;
 };
+
+/// The scalar encoders Json::dump uses, for writers that emit JSON text
+/// directly (SpanTracer::to_chrome_json) and must match dump() byte for byte.
+///
+/// Appends `v`: integers below 1e15 in plain decimal ("-0" for -0.0), other
+/// finite values in shortest round-trip form, NaN and infinities as null.
+void append_json_number(std::string& out, double v);
+/// Appends `s` escaped for embedding in JSON (without surrounding quotes);
+/// bytes that are not well-formed UTF-8 become \ufffd.
+void append_json_escaped(std::string& out, std::string_view s);
 
 /// Escape a string for embedding in JSON (without surrounding quotes).
 std::string json_escape(const std::string& s);

@@ -106,31 +106,7 @@ void RunTracer::save_state(checkpoint::StateWriter& writer) const
     for (const bool open : step_open_) open_flags.push_back(open ? 1 : 0);
     writer.put_u64_vec("step_open", open_flags);
     writer.put_f64_vec("last_time_s", last_time_s_);
-
-    const std::vector<TraceEvent>& events = tracer_.events();
-    writer.put_u64("events", events.size());
-    for (std::size_t i = 0; i < events.size(); ++i) {
-        const TraceEvent& e = events[i];
-        const std::string prefix = "ev." + std::to_string(i) + ".";
-        writer.put_str(prefix + "name", e.name);
-        writer.put_str(prefix + "cat", e.category);
-        writer.put_str(prefix + "ph", std::string(1, e.phase));
-        writer.put_f64(prefix + "t", e.time_s);
-        writer.put_i64(prefix + "pid", e.pid);
-        writer.put_i64(prefix + "tid", e.tid);
-        writer.put_f64(prefix + "cv", e.counter_value);
-        writer.put_str(prefix + "md", e.metadata);
-    }
-
-    const auto open = tracer_.open_span_map();
-    writer.put_u64("open_spans", open.size());
-    std::size_t i = 0;
-    for (const auto& [key, depth] : open) {
-        const std::string prefix = "open." + std::to_string(i++) + ".";
-        writer.put_i64(prefix + "pid", key.first);
-        writer.put_i64(prefix + "tid", key.second);
-        writer.put_i64(prefix + "depth", depth);
-    }
+    tracer_.save_state(writer);
 }
 
 void RunTracer::restore_state(const checkpoint::StateReader& reader)
@@ -147,35 +123,7 @@ void RunTracer::restore_state(const checkpoint::StateReader& reader)
         step_open_[r] = open_flags[r] != 0;
     }
     last_time_s_ = last_times;
-
-    std::vector<TraceEvent> events(reader.get_u64("events"));
-    for (std::size_t i = 0; i < events.size(); ++i) {
-        const std::string prefix = "ev." + std::to_string(i) + ".";
-        TraceEvent& e = events[i];
-        e.name = reader.get_str(prefix + "name");
-        e.category = reader.get_str(prefix + "cat");
-        const std::string phase = reader.get_str(prefix + "ph");
-        if (phase.size() != 1) {
-            throw checkpoint::CheckpointError("runtracer: malformed phase for " +
-                                              prefix);
-        }
-        e.phase = phase[0];
-        e.time_s = reader.get_f64(prefix + "t");
-        e.pid = static_cast<int>(reader.get_i64(prefix + "pid"));
-        e.tid = static_cast<int>(reader.get_i64(prefix + "tid"));
-        e.counter_value = reader.get_f64(prefix + "cv");
-        e.metadata = reader.get_str(prefix + "md");
-    }
-
-    std::map<std::pair<int, int>, int> open;
-    const std::uint64_t n_open = reader.get_u64("open_spans");
-    for (std::uint64_t i = 0; i < n_open; ++i) {
-        const std::string prefix = "open." + std::to_string(i) + ".";
-        const int pid = static_cast<int>(reader.get_i64(prefix + "pid"));
-        const int tid = static_cast<int>(reader.get_i64(prefix + "tid"));
-        open[{pid, tid}] = static_cast<int>(reader.get_i64(prefix + "depth"));
-    }
-    tracer_.restore(std::move(events), std::move(open));
+    tracer_.restore_state(reader);
 }
 
 } // namespace gsph::telemetry

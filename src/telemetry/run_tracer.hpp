@@ -47,9 +47,10 @@ public:
         return tracer_.write_file(path);
     }
 
-    /// Checkpoint the full tracer contents (every recorded event, open-span
-    /// depths, step bookkeeping) so a resumed run's --trace-json covers the
-    /// whole run, not just the steps after the resume point.
+    /// Checkpoint the step bookkeeping plus the full tracer contents
+    /// (SpanTracer::save_state: every recorded event, args included, and the
+    /// open-span depths) so a resumed run's --trace-json covers the whole
+    /// run, not just the steps after the resume point.
     void save_state(checkpoint::StateWriter& writer) const;
     void restore_state(const checkpoint::StateReader& reader);
 

@@ -17,14 +17,12 @@
 /// Thread safety: recording calls may arrive from ThreadPool workers.  Each
 /// recording thread appends to its own span buffer (created on first use),
 /// so events from one thread stay contiguous and in program order; the
-/// buffers are merged in thread-registration order when the trace is read
-/// (events()/to_json()/event_count() — the "flush").  Single-threaded
-/// recording therefore produces exactly the legacy event order.  Open-span
-/// accounting is shared across threads, so a span may legally begin on one
-/// thread and end on another; Perfetto orders events by timestamp, not by
-/// array position, so cross-thread traces stay well-formed.
-
-#include "telemetry/json.hpp"
+/// buffers are read in thread-registration order (events(), to_chrome_json(),
+/// save_state()).  Single-threaded recording therefore produces exactly the
+/// legacy event order.  Open-span accounting is shared across threads, so a
+/// span may legally begin on one thread and end on another; Perfetto orders
+/// events by timestamp, not by array position, so cross-thread traces stay
+/// well-formed.
 
 #include <cstddef>
 #include <map>
@@ -33,6 +31,11 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+namespace gsph::checkpoint {
+class StateReader;
+class StateWriter;
+} // namespace gsph::checkpoint
 
 namespace gsph::telemetry {
 
@@ -64,7 +67,8 @@ public:
     void counter(int pid, const std::string& name, double t_s, double value);
 
     /// Zero-duration marker.
-    void instant(int pid, int tid, const std::string& name, double t_s);
+    void instant(int pid, int tid, const std::string& name, double t_s,
+                 std::vector<std::pair<std::string, std::string>> args = {});
 
     /// Perfetto display names ("rank 0", "gpu timeline", ...).
     void set_process_name(int pid, const std::string& name);
@@ -74,27 +78,32 @@ public:
     int open_spans(int pid, int tid) const;
 
     std::size_t event_count() const;
-    /// Merged view of every thread's buffer; the reference stays valid
-    /// until the next recording call or clear().
-    const std::vector<TraceEvent>& events() const;
+    /// Copy of every thread's buffer, merged in registration order.
+    std::vector<TraceEvent> events() const;
 
-    /// Chrome trace-event JSON: an array of event objects, ts in us.
-    Json to_json() const;
-    std::string to_chrome_json() const { return to_json().dump(); }
+    /// Chrome trace-event JSON: an array of event objects, ts in us.  Each
+    /// event is appended to one string with the number and string encoders
+    /// of Json::dump, so the text is what dump() would give for the same
+    /// events (a repeated args key keeps its first position, last value).
+    std::string to_chrome_json() const;
 
     /// Write the Chrome trace JSON to `path` (atomic temp+rename
     /// replacement); false on I/O failure.
     bool write_file(const std::string& path) const;
 
-    /// Per-(pid, tid) open-span depths; with events(), the complete
-    /// checkpointable state of the tracer.
-    std::map<std::pair<int, int>, int> open_span_map() const;
-
-    /// Overwrite this tracer with previously recorded state (checkpoint
-    /// restore).  All events land in one buffer, which reproduces the merged
-    /// order events() returned when they were saved.
-    void restore(std::vector<TraceEvent> events,
-                 std::map<std::pair<int, int>, int> open);
+    /// Checkpoint every recorded event and the open-span depths, by column.
+    /// Strings go into a table (`strings`, `str.<i>`) and the columns hold
+    /// indices into it.  One entry per event: `ev.ph`, `ev.name`, `ev.cat`,
+    /// `ev.pid`, `ev.tid`, `ev.nargs`.  One per run of events with a
+    /// bit-equal timestamp: `ev.t` and its run length `ev.trun`.  One per
+    /// 'C' event: `ev.cv`; one per 'M' event: `ev.md`.  Then the key/value
+    /// pairs of every event's args (`ev.args`) and the (pid, tid, depth)
+    /// triples of the open-span depths (`open`).
+    void save_state(checkpoint::StateWriter& writer) const;
+    /// Replace this tracer's contents with a save_state() payload.  All
+    /// events land in one buffer, in the order they were saved.  Throws
+    /// CheckpointError on a malformed payload.
+    void restore_state(const checkpoint::StateReader& reader);
 
     void clear();
 
@@ -105,14 +114,12 @@ private:
 
     /// Appends `event` to the calling thread's buffer (locked).
     void record(TraceEvent event);
-    /// Merge per-thread buffers into merged_ (caller holds mutex_).
-    void flush_locked() const;
+    /// Events in all buffers (caller holds mutex_).
+    std::size_t count_locked() const;
 
     mutable std::mutex mutex_;
-    mutable std::vector<std::unique_ptr<ThreadBuffer>> buffers_; ///< registration order
-    mutable std::map<std::thread::id, ThreadBuffer*> by_thread_;
-    mutable std::vector<TraceEvent> merged_;  ///< rebuilt on demand
-    mutable bool merged_dirty_ = false;
+    std::vector<std::unique_ptr<ThreadBuffer>> buffers_; ///< registration order
+    std::map<std::thread::id, ThreadBuffer*> by_thread_;
     std::map<std::pair<int, int>, int> open_; ///< (pid,tid) -> open span depth
 };
 

@@ -136,22 +136,28 @@ TEST(CheckpointIo, TruncatedDataFileRejected)
 
 TEST(CheckpointIo, VersionSkewRejected)
 {
-    TempDir dir;
-    CheckpointWriter writer(dir.path(), "h");
-    writer.write(4, sample_sections());
+    // Both directions: a newer writer's layout, and the previous version's
+    // (whose tracer section is laid out per event, not per column).
+    for (const int version : {kFormatVersion - 1, kFormatVersion + 1}) {
+        TempDir dir;
+        CheckpointWriter writer(dir.path(), "h");
+        writer.write(4, sample_sections());
 
-    const std::string manifest_path = dir.path() + "/" + kManifestName;
-    telemetry::Json manifest = telemetry::Json::parse(slurp(manifest_path));
-    manifest["format_version"] = kFormatVersion + 1;
-    ASSERT_TRUE(util::atomic_write_file(manifest_path, manifest.dump(2) + "\n"));
+        const std::string manifest_path = dir.path() + "/" + kManifestName;
+        telemetry::Json manifest = telemetry::Json::parse(slurp(manifest_path));
+        manifest["format_version"] = version;
+        ASSERT_TRUE(util::atomic_write_file(manifest_path, manifest.dump(2) + "\n"));
 
-    try {
-        read_latest(dir.path());
-        FAIL() << "expected CheckpointError";
-    }
-    catch (const CheckpointError& e) {
-        EXPECT_NE(std::string(e.what()).find("format version"), std::string::npos)
-            << e.what();
+        try {
+            read_latest(dir.path());
+            FAIL() << "expected CheckpointError for version " << version;
+        }
+        catch (const CheckpointError& e) {
+            EXPECT_NE(std::string(e.what()).find("format version " +
+                                                 std::to_string(version)),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 

@@ -12,6 +12,7 @@
 #include "sim/driver.hpp"
 #include "sim/system.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/run_tracer.hpp"
 #include "telemetry/sampler.hpp"
 
 #include <gtest/gtest.h>
@@ -386,6 +387,55 @@ TEST(CheckpointResumeSampler, LivePlaneStateResumesBitIdentically)
         EXPECT_EQ(got.sampler, want.sampler);
         EXPECT_EQ(got.anomaly, want.anomaly);
         EXPECT_EQ(got.digests, want.digests);
+    }
+}
+
+// ---- run tracer across a checkpoint/resume boundary ------------------------
+
+TEST(CheckpointResumeTracer, ResumedRunReproducesTheTrace)
+{
+    // The resumed run's Chrome trace holds the steps before the checkpoint
+    // (restored from the tracer's section) and the steps after it (traced
+    // live), byte-identical to the trace of the run never interrupted.
+    for (const int threads : {1, 4}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        sim::RunConfig base;
+        base.n_ranks = 2;
+        base.n_threads = threads;
+        base.setup_s = 2.0;
+
+        const auto traced_run = [&](const sim::RunConfig& c) {
+            telemetry::RunTracer tracer(base.n_ranks);
+            sim::RunHooks hooks;
+            tracer.attach(hooks);
+            auto policy = core::make_mandyn_policy(core::reference_a100_turbulence_table());
+            checkpoint::StateRegistry registry;
+            registry.add(
+                "policy", [&](checkpoint::StateWriter& w) { policy->save_state(w); },
+                [&](const checkpoint::StateReader& r) { policy->restore_state(r); });
+            registry.add(
+                "runtracer", [&](checkpoint::StateWriter& w) { tracer.save_state(w); },
+                [&](const checkpoint::StateReader& r) { tracer.restore_state(r); });
+            sim::RunConfig run = c;
+            run.checkpoint_participants = &registry;
+            core::run_with_policy(sim::mini_hpc(), trace(), run, *policy, hooks);
+            return tracer.tracer().to_chrome_json();
+        };
+
+        const std::string reference = traced_run(base);
+
+        TempDir dir;
+        sim::RunConfig checkpointed = base;
+        checkpointed.checkpoint_every = 2;
+        checkpointed.checkpoint_dir = dir.path();
+        checkpointed.config_hash = "test";
+        EXPECT_EQ(traced_run(checkpointed), reference);
+
+        const checkpoint::Snapshot snap = checkpoint::read_latest(dir.path());
+        ASSERT_EQ(snap.step, 4);
+        sim::RunConfig resumed = base;
+        resumed.resume = &snap;
+        EXPECT_EQ(traced_run(resumed), reference);
     }
 }
 

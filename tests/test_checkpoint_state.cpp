@@ -62,6 +62,8 @@ TEST(CheckpointState, ScalarRoundTrip)
     w.put_bool("on", true);
     w.put_bool("off", false);
     w.put_str("name", "hello world");
+    EXPECT_EQ(w.str(), "energy=xbfd5555555555555\ncount=-42\nbig=18446744073709551615\n"
+                       "on=1\noff=0\nname=hello world\n");
 
     const StateReader r("test", w.str());
     EXPECT_EQ(double_to_bits(r.get_f64("energy")), double_to_bits(-1.0 / 3.0));
@@ -94,6 +96,12 @@ TEST(CheckpointState, VectorRoundTrip)
     w.put_f64_vec("f_empty", {});
     w.put_u64_vec("u", {0, 1, 0xffffffffffffffffULL});
     w.put_u64_vec("u_empty", {});
+    w.put_i64_vec("i", {0, -1, std::numeric_limits<std::int64_t>::min(),
+                        std::numeric_limits<std::int64_t>::max()});
+    w.put_i64_vec("i_empty", {});
+    EXPECT_EQ(w.str(), "f=x3ff8000000000000 x8000000000000000 x7ff80000deadbeef\n"
+                       "f_empty=\nu=0 1 18446744073709551615\nu_empty=\n"
+                       "i=0 -1 -9223372036854775808 9223372036854775807\ni_empty=\n");
 
     const StateReader r("test", w.str());
     const auto f = r.get_f64_vec("f");
@@ -105,6 +113,10 @@ TEST(CheckpointState, VectorRoundTrip)
     EXPECT_EQ(r.get_u64_vec("u"),
               (std::vector<std::uint64_t>{0, 1, 0xffffffffffffffffULL}));
     EXPECT_TRUE(r.get_u64_vec("u_empty").empty());
+    EXPECT_EQ(r.get_i64_vec("i"),
+              (std::vector<std::int64_t>{0, -1, std::numeric_limits<std::int64_t>::min(),
+                                         std::numeric_limits<std::int64_t>::max()}));
+    EXPECT_TRUE(r.get_i64_vec("i_empty").empty());
 }
 
 TEST(CheckpointState, MissingKeyNamesSectionAndKey)
@@ -126,8 +138,11 @@ TEST(CheckpointState, MalformedPayloadRejected)
     EXPECT_THROW(StateReader("s", "no_equals_sign\n"), CheckpointError);
     EXPECT_THROW(StateReader("s", "dup=1\ndup=2\n"), CheckpointError);
 
-    const StateReader r("s", "i=12x\nu=-3\nb=2\nf=1.0\n");
+    const StateReader r("s", "i=12x\nu=-3\nb=2\nf=1.0\niv=1 +2\niw=1  2\nix=9223372036854775808\n");
     EXPECT_THROW(r.get_i64("i"), CheckpointError);  // trailing bytes
+    EXPECT_THROW(r.get_i64_vec("iv"), CheckpointError); // sign not written by put_i64_vec
+    EXPECT_THROW(r.get_i64_vec("iw"), CheckpointError); // empty item
+    EXPECT_THROW(r.get_i64_vec("ix"), CheckpointError); // past int64
     EXPECT_THROW(r.get_u64("u"), CheckpointError);  // negative for unsigned
     EXPECT_THROW(r.get_bool("b"), CheckpointError); // not 0/1
     EXPECT_THROW(r.get_f64("f"), CheckpointError);  // not hex-encoded

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 namespace gsph::telemetry {
 namespace {
@@ -31,6 +33,22 @@ TEST(Json, IntegralDoublesDumpWithoutExponent)
     EXPECT_EQ(Json(1410.0).dump(), "1410");
     EXPECT_EQ(Json(0.0).dump(), "0");
     EXPECT_EQ(Json(-250000.0).dump(), "-250000");
+    EXPECT_EQ(Json(-0.0).dump(), "-0");
+    // Below 1e15 an integral value prints as "%.0f" does; from 1e15 on it
+    // takes the shortest round-trip form.
+    std::vector<double> integral = {999999999999999.0, -999999999999999.0};
+    for (double v = 1.0; v < 1e15; v *= 3.0) {
+        integral.push_back(std::floor(v));
+        integral.push_back(-std::floor(v) - 7.0);
+    }
+    for (const double v : integral) {
+        ASSERT_EQ(v, std::floor(v)) << v;
+        char expected[64];
+        std::snprintf(expected, sizeof(expected), "%.0f", v);
+        EXPECT_EQ(Json(v).dump(), expected);
+    }
+    EXPECT_EQ(Json(1e15).dump(), "1e+15");
+    EXPECT_EQ(Json(-4503599627370496.0).dump(), "-4503599627370496");
 }
 
 TEST(Json, NonFiniteDumpsAsNull)

@@ -1,5 +1,6 @@
 #include "telemetry/run_tracer.hpp"
 
+#include "checkpoint/state.hpp"
 #include "sim/driver.hpp"
 #include "sim/workload.hpp"
 #include "telemetry/json.hpp"
@@ -9,11 +10,78 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 namespace gsph::telemetry {
 namespace {
+
+/// The renderer SpanTracer used before it wrote events directly: build a
+/// Json array of event objects, then dump it.  Kept as the reference that
+/// to_chrome_json() must match byte for byte.
+std::string reference_chrome_json(const std::vector<TraceEvent>& events)
+{
+    Json array = Json::array();
+    for (const TraceEvent& e : events) {
+        Json obj = Json::object();
+        obj["name"] = e.name;
+        if (!e.category.empty()) obj["cat"] = e.category;
+        obj["ph"] = std::string(1, e.phase);
+        obj["ts"] = e.time_s * 1e6; // trace-event format: microseconds
+        obj["pid"] = e.pid;
+        obj["tid"] = e.tid;
+        if (e.phase == 'C') {
+            Json args = Json::object();
+            args["value"] = e.counter_value;
+            obj["args"] = std::move(args);
+        }
+        else if (e.phase == 'M') {
+            Json args = Json::object();
+            args["name"] = e.metadata;
+            obj["args"] = std::move(args);
+        }
+        else if (e.phase == 'i') {
+            obj["s"] = "t"; // thread-scoped instant
+        }
+        if (!e.args.empty() && e.phase != 'C' && e.phase != 'M') {
+            Json args = Json::object();
+            for (const auto& [key, value] : e.args) args[key] = value;
+            obj["args"] = std::move(args);
+        }
+        array.push_back(std::move(obj));
+    }
+    return array.dump();
+}
+
+/// Every event kind, both category cases, a repeated args key, strings that
+/// need escaping and numbers on each branch of the number encoder.
+void record_awkward_events(SpanTracer& tracer)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    tracer.set_process_name(0, "rank \"0\" \\ main");
+    tracer.set_thread_name(0, 0, "gpu\ttimeline\x01\x1f");
+    tracer.set_process_name(-1, std::string("nul\0byte", 8));
+    tracer.begin(0, 0, "step 0", 0.0, "step");
+    tracer.begin(0, 0, "Density", -0.0, "", // equal to 0.0, but not bit-equal
+                 {{"trace_id", "abc"}, {"k", "line\nbreak"}, {"trace_id", "def"}});
+    tracer.counter(0, "neg_zero", 1.0, -0.0);
+    tracer.counter(0, "nan", 1.0, nan);
+    tracer.counter(0, "inf", 1.0, -inf);
+    tracer.counter(0, "huge", 1.0, 2.5e15);
+    tracer.counter(0, "int", 1.0, 1410.0);
+    tracer.counter(0, "frac", 1.0, 0.1);
+    tracer.counter(0, "below_cutover", 1.0, -999999999999999.0);
+    tracer.instant(0, 0, "bad utf8 \xff\xfe \xe2\x9c end", 1e-7,
+                   {{"utf8", "\xcf\x80 \xe2\x9c\x93"}, {"bad", "\xc0\xaf"}});
+    tracer.instant(0, 1, "plain", 3e9, {});
+    tracer.end(0, 0, inf);
+    tracer.begin(3, 2, "nan span", nan, "cat\\x");
+    tracer.end(3, 2, 1e300);
+    tracer.end(0, 0, 2.0);
+}
 
 TEST(SpanTracer, NestedSpansBalance)
 {
@@ -83,6 +151,99 @@ TEST(SpanTracer, ChromeJsonShape)
     EXPECT_DOUBLE_EQ(counter.at("args").at("value").as_number(), 1410.0);
 
     EXPECT_EQ(doc.at(5).at("ph").as_string(), "i");
+}
+
+TEST(SpanTracer, ChromeJsonMatchesDomRendererByteForByte)
+{
+    SpanTracer empty;
+    EXPECT_EQ(empty.to_chrome_json(), "[]");
+    EXPECT_EQ(empty.to_chrome_json(), reference_chrome_json(empty.events()));
+
+    SpanTracer tracer;
+    record_awkward_events(tracer);
+    const std::string json = tracer.to_chrome_json();
+    EXPECT_EQ(json, reference_chrome_json(tracer.events()));
+    // The repeated key keeps its first position and its last value.
+    EXPECT_NE(json.find("\"args\":{\"trace_id\":\"def\",\"k\":\"line\\nbreak\"}"),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"ts\":-0,"), std::string::npos) << json;
+    EXPECT_EQ(Json::parse(json).size(), tracer.event_count());
+}
+
+TEST(SpanTracer, CheckpointRoundTripsEveryField)
+{
+    SpanTracer tracer;
+    record_awkward_events(tracer);
+    tracer.begin(5, 0, "left open", 4.0, "step", {{"why", "checkpointed mid-span"}});
+    checkpoint::StateWriter writer;
+    tracer.save_state(writer);
+
+    SpanTracer restored;
+    restored.begin(9, 9, "discarded by the restore", 0.0);
+    restored.restore_state(checkpoint::StateReader("runtracer", writer.str()));
+    EXPECT_EQ(restored.to_chrome_json(), tracer.to_chrome_json());
+    EXPECT_EQ(restored.event_count(), tracer.event_count());
+    EXPECT_EQ(restored.open_spans(5, 0), 1);
+    EXPECT_EQ(restored.open_spans(3, 2), 0);
+    EXPECT_EQ(restored.open_spans(9, 9), 0);
+    restored.end(5, 0, 5.0);
+    EXPECT_THROW(restored.end(5, 0, 6.0), std::logic_error);
+
+    // Saving the restored tracer gives the same section back.
+    checkpoint::StateWriter again;
+    SpanTracer second;
+    second.restore_state(checkpoint::StateReader("runtracer", writer.str()));
+    second.save_state(again);
+    EXPECT_EQ(again.str(), writer.str());
+}
+
+TEST(SpanTracer, RestoreRejectsMalformedColumns)
+{
+    const std::string valid = "strings=2\nstr.0=a\nstr.1=\nev.ph=BC\nev.name=0 0\n"
+                              "ev.cat=1 1\nev.pid=0 0\nev.tid=0 0\n"
+                              "ev.t=x0000000000000000\nev.trun=2\n"
+                              "ev.cv=x3ff0000000000000\nev.md=\nev.nargs=1 0\n"
+                              "ev.args=0 1\nopen=0 0 1\n";
+    SpanTracer tracer;
+    tracer.restore_state(checkpoint::StateReader("runtracer", valid));
+    EXPECT_EQ(tracer.to_chrome_json(),
+              "[{\"name\":\"a\",\"ph\":\"B\",\"ts\":0,\"pid\":0,\"tid\":0,"
+              "\"args\":{\"a\":\"\"}},{\"name\":\"a\",\"ph\":\"C\",\"ts\":0,"
+              "\"pid\":0,\"tid\":0,\"args\":{\"value\":1}}]");
+    EXPECT_EQ(tracer.open_spans(0, 0), 1);
+
+    const auto with = [&](const std::string& line, const std::string& replacement) {
+        std::string payload = valid;
+        const std::size_t at = payload.find(line);
+        EXPECT_NE(at, std::string::npos) << line;
+        return payload.replace(at, line.size(), replacement);
+    };
+    const std::vector<std::string> broken = {
+        with("ev.ph=BC\n", "ev.ph=BQ\n"),               // unknown phase
+        with("ev.name=0 0\n", "ev.name=0 2\n"),         // past the string table
+        with("ev.pid=0 0\n", "ev.pid=0\n"),             // column too short
+        with("ev.cat=1 1\n", "ev.cat=1 1 1\n"),         // column too long
+        with("ev.tid=0 0\n", "ev.tid=0 4294967296\n"),  // not an int
+        with("ev.trun=2\n", "ev.trun=3\n"),             // runs past the events
+        with("ev.trun=2\n", "ev.trun=1\n"),             // runs short of the events
+        with("ev.t=x0000000000000000\nev.trun=2\n",
+             "ev.t=x0000000000000000 x0000000000000000\nev.trun=0 2\n"), // empty run
+        with("ev.t=x0000000000000000\n", "ev.t=\n"),    // run without a time
+        with("ev.cv=x3ff0000000000000\n", "ev.cv=\n"),  // counter without a value
+        with("ev.md=\n", "ev.md=0\n"),                  // metadata without an 'M' event
+        with("ev.args=0 1\n", "ev.args=0\n"),           // fewer pairs than counted
+        with("ev.args=0 1\n", "ev.args=0 1 1 0\n"),     // more pairs than counted
+        with("open=0 0 1\n", "open=0 0\n"),             // not triples
+        with("open=0 0 1\n", "open=0 0 -1\n"),          // negative depth
+        with("str.1=\n", ""),                           // string table entry missing
+    };
+    for (const std::string& payload : broken) {
+        SpanTracer victim;
+        EXPECT_THROW(victim.restore_state(checkpoint::StateReader("runtracer", payload)),
+                     checkpoint::CheckpointError)
+            << payload;
+    }
 }
 
 TEST(SpanTracer, ClearDropsEventsAndOpenSpans)
@@ -155,6 +316,30 @@ TEST_F(RunTracerIntegration, TracesEveryRankAndStep)
     EXPECT_EQ(doc.size(), tracer.tracer().event_count());
 }
 
+TEST(RunTracer, CheckpointKeepsSpanArgs)
+{
+    // Args recorded through the tracer (distributed-trace ids, say) must
+    // survive a checkpoint: the resumed --trace-json has to show them too.
+    RunTracer tracer(2);
+    tracer.tracer().begin(1, 0, "policy.fetch", 0.25, "service",
+                          {{"trace_id", "4bf92f3577b34da6a3ce929d0e0e4736"}});
+    tracer.tracer().instant(1, 0, "artifact applied", 0.5, {{"key", "k1"}, {"n", "2"}});
+    checkpoint::StateWriter writer;
+    tracer.save_state(writer);
+
+    RunTracer restored(2);
+    restored.restore_state(checkpoint::StateReader("runtracer", writer.str()));
+    const std::string json = restored.tracer().to_chrome_json();
+    EXPECT_EQ(json, tracer.tracer().to_chrome_json());
+    EXPECT_NE(json.find("\"trace_id\":\"4bf92f3577b34da6a3ce929d0e0e4736\""),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"s\":\"t\",\"args\":{\"key\":\"k1\",\"n\":\"2\"}"),
+              std::string::npos)
+        << json;
+    EXPECT_EQ(restored.tracer().open_spans(1, 0), 1);
+}
+
 TEST_F(RunTracerIntegration, CounterSeriesReplaysTimeSeries)
 {
     RunTracer tracer(1);
@@ -218,7 +403,7 @@ TEST(SpanTracerThreadSafety, ConcurrentRecordingLosesNoEvents)
         EXPECT_EQ(tracer.open_spans(static_cast<int>(i), 0), 0);
     }
     // The merged view serializes cleanly.
-    EXPECT_EQ(tracer.to_json().size(), kN * 3);
+    EXPECT_EQ(Json::parse(tracer.to_chrome_json()).size(), kN * 3);
 }
 
 TEST(SpanTracerThreadSafety, SingleThreadedOrderMatchesLegacy)

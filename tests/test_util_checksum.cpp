@@ -6,14 +6,35 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 namespace gsph::util {
 namespace {
+
+/// The bytewise table-driven CRC-32 that crc32() computed before it read
+/// eight bytes per step; kept as the reference it must match.
+std::uint32_t reference_crc32(std::string_view data)
+{
+    std::uint32_t table[256];
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t c = i;
+        for (int k = 0; k < 8; ++k) {
+            c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+        }
+        table[i] = c;
+    }
+    std::uint32_t crc = 0xFFFFFFFFu;
+    for (const char ch : data) {
+        crc = table[(crc ^ static_cast<unsigned char>(ch)) & 0xFFu] ^ (crc >> 8);
+    }
+    return crc ^ 0xFFFFFFFFu;
+}
 
 TEST(Checksum, Crc32KnownVectors)
 {
@@ -25,6 +46,28 @@ TEST(Checksum, Crc32KnownVectors)
     // Embedded NUL bytes are data, not terminators.
     const std::string with_nul("a\0b", 3);
     EXPECT_NE(crc32(with_nul), crc32("ab"));
+}
+
+TEST(Checksum, Crc32MatchesBytewiseReference)
+{
+    // Every length up to 64 and one ~1 MB buffer, each from start offsets 0
+    // to 7: every tail length after the 8-byte steps, at every alignment.
+    std::string bytes((1u << 20) + 13 + 8, '\0');
+    std::uint64_t state = 0x9E3779B97F4A7C15ULL;
+    for (char& c : bytes) {
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        c = static_cast<char>(state >> 56);
+    }
+    const std::string_view all(bytes);
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (std::size_t length = 0; length <= 64; ++length) {
+            const std::string_view piece = all.substr(offset, length);
+            EXPECT_EQ(crc32(piece), reference_crc32(piece))
+                << "offset " << offset << " length " << length;
+        }
+        const std::string_view big = all.substr(offset, bytes.size() - 8);
+        EXPECT_EQ(crc32(big), reference_crc32(big)) << "offset " << offset;
+    }
 }
 
 TEST(Checksum, Fnv1a64KnownVectors)

@@ -648,7 +648,7 @@ telemetry::Json merge_request_trace(const telemetry::SpanTracer& client,
                                     const std::string& daemon_json,
                                     double client_post_begin_us)
 {
-    telemetry::Json merged = client.to_json();
+    telemetry::Json merged = telemetry::Json::parse(client.to_chrome_json());
     const telemetry::Json daemon = telemetry::Json::parse(daemon_json);
     double daemon_min_us = 0.0;
     bool seen = false;
