@@ -1,6 +1,7 @@
 /// google-benchmark microbenchmarks of the device-model substrate: kernel
 /// pricing, locked/governed execution, governor stepping and the
 /// instrumented-driver overhead per simulated function call.
+/// Locked execution is timed under power caps of four depths.
 
 #include "gpusim/device.hpp"
 #include "gpusim/roofline.hpp"
@@ -37,16 +38,24 @@ void BM_PriceKernel(benchmark::State& state)
 }
 BENCHMARK(BM_PriceKernel);
 
-void BM_ExecuteLocked(benchmark::State& state)
+/// Locked-clock execution under a power cap of each depth: none, TDP (the
+/// requested clock fits), 45% of TDP (the fleet benchmark's budget share)
+/// and idle + 21 W (throttled to near the minimum clock).
+void BM_ExecuteLockedCapped(benchmark::State& state)
 {
     gpusim::GpuDevice dev(gpusim::a100_sxm4_80g());
+    const double tdp = dev.default_power_limit_w();
+    const double limits_w[] = {0.0, tdp, 0.45 * tdp, dev.spec().idle_w + 21.0};
+    const char* labels[] = {"uncapped", "TDP", "45% TDP", "idle + 21 W"};
+    dev.set_power_limit_w(limits_w[state.range(0)]);
     const auto work = sample_work();
     for (auto _ : state) {
         const auto r = dev.execute(work);
         benchmark::DoNotOptimize(r.energy_j);
     }
+    state.SetLabel(labels[state.range(0)]);
 }
-BENCHMARK(BM_ExecuteLocked);
+BENCHMARK(BM_ExecuteLockedCapped)->DenseRange(0, 3);
 
 void BM_ExecuteGoverned(benchmark::State& state)
 {

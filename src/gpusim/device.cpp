@@ -27,10 +27,18 @@ telemetry::Counter& kernel_batches_counter()
     return c;
 }
 
+GpuDeviceSpec validated(GpuDeviceSpec spec)
+{
+    spec.validate();
+    return spec;
+}
+
 } // namespace
 
+// PowerModel and DvfsGovernor keep a pointer to the member spec_, which is
+// validated before the governor quantizes its first clock on it.
 GpuDevice::GpuDevice(GpuDeviceSpec spec, int index)
-    : spec_(std::move(spec)),
+    : spec_(validated(std::move(spec))),
       index_(index),
       power_model_(spec_),
       governor_(spec_),
@@ -38,11 +46,6 @@ GpuDevice::GpuDevice(GpuDeviceSpec spec, int index)
       mem_clock_mhz_(spec_.memory_clock_mhz),
       current_clock_mhz_(spec_.min_compute_mhz)
 {
-    spec_.validate();
-    // PowerModel/DvfsGovernor hold a pointer into spec_, which now lives in
-    // this object; re-bind them to the member copy.
-    power_model_ = PowerModel(spec_);
-    governor_ = DvfsGovernor(spec_);
 }
 
 void GpuDevice::set_clock_policy(ClockPolicy policy)
@@ -59,8 +62,8 @@ void GpuDevice::set_clock_policy(ClockPolicy policy)
 
 void GpuDevice::set_application_clocks(double mem_mhz, double compute_mhz)
 {
-    if (compute_mhz <= 0.0) {
-        throw std::invalid_argument("set_application_clocks: non-positive clock");
+    if (!(compute_mhz > 0.0)) {
+        throw std::invalid_argument("set_application_clocks: non-positive or NaN clock");
     }
     app_clock_mhz_ = spec_.quantize_clock(compute_mhz);
     mem_clock_mhz_ = mem_mhz > 0.0 ? mem_mhz : spec_.memory_clock_mhz;
@@ -80,19 +83,32 @@ double GpuDevice::default_power_limit_w() const
     return spec_.idle_w + spec_.sm_dynamic_w + spec_.issue_w + spec_.mem_dynamic_w;
 }
 
-double GpuDevice::throttle_for_power(const KernelWork& work, double requested_mhz,
-                                     bool governor_managed) const
+// Inline, so that an uncapped kernel pays only the first test.
+inline double GpuDevice::throttle_for_power(const KernelWork& work, double requested_mhz,
+                                            bool governor_managed) const
 {
     if (power_limit_w_ <= 0.0) return requested_mhz;
     const double mem_scale = mem_clock_mhz_ / spec_.memory_clock_mhz;
-    double f = spec_.quantize_clock(requested_mhz);
-    while (f > spec_.min_compute_mhz) {
+    const auto fits = [&](int k) {
+        const double f = spec_.clock_at(k);
         const KernelTiming t = price_kernel(spec_, work, f, mem_scale);
-        const PowerBreakdown p = power_model_.busy_power(t, f, governor_managed);
-        if (p.total_w <= power_limit_w_) break;
-        f = spec_.quantize_clock(f - spec_.clock_step_mhz);
+        return power_model_.busy_power(t, f, governor_managed).total_w <= power_limit_w_;
+    };
+    int hi = spec_.clock_index(requested_mhz);
+    if (hi == 0 || fits(hi)) return spec_.clock_at(hi);
+    // Bisect the grid below the requested clock: `hi` does not fit, `lo`
+    // fits or is the minimum clock, the fallback that is never probed.
+    int lo = 0;
+    while (hi - lo > 1) {
+        const int mid = lo + (hi - lo) / 2;
+        if (fits(mid)) {
+            lo = mid;
+        }
+        else {
+            hi = mid;
+        }
     }
-    return f;
+    return spec_.clock_at(lo);
 }
 
 void GpuDevice::reset_application_clocks()

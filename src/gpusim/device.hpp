@@ -103,8 +103,10 @@ private:
     /// Move the effective compute clock, counting distinct transitions into
     /// the telemetry registry ("governor.transitions").
     void transition_to(double mhz);
-    /// Highest clock <= `requested_mhz` whose busy power for `work` fits
-    /// under the power limit (requested clock when uncapped).
+    /// Highest grid clock <= quantize_clock(`requested_mhz`) whose busy power
+    /// for `work` fits under the power limit, or the minimum clock if none
+    /// does (the requested clock itself when uncapped).  Found by bisection,
+    /// which relies on busy power never falling as the clock rises.
     double throttle_for_power(const KernelWork& work, double requested_mhz,
                               bool governor_managed) const;
     void record(double time, double clock_mhz, double power_w);

@@ -9,6 +9,13 @@
 
 namespace gsph::gpusim {
 
+namespace {
+
+/// Largest clock grid validate() accepts.
+constexpr double kMaxClocks = 65536;
+
+} // namespace
+
 double GpuDeviceSpec::flops_per_cycle() const
 {
     return peak_fp64_flops / units::mhz_to_hz(max_compute_mhz);
@@ -16,16 +23,25 @@ double GpuDeviceSpec::flops_per_cycle() const
 
 double GpuDeviceSpec::quantize_clock(double mhz) const
 {
+    return clock_at(clock_index(mhz));
+}
+
+int GpuDeviceSpec::clock_index(double mhz) const
+{
     const double clamped = std::clamp(mhz, min_compute_mhz, max_compute_mhz);
-    const double steps = std::round((clamped - min_compute_mhz) / clock_step_mhz);
-    return std::min(max_compute_mhz, min_compute_mhz + steps * clock_step_mhz);
+    return static_cast<int>(std::round((clamped - min_compute_mhz) / clock_step_mhz));
+}
+
+double GpuDeviceSpec::clock_at(int k) const
+{
+    return std::min(max_compute_mhz, min_compute_mhz + k * clock_step_mhz);
 }
 
 std::vector<double> GpuDeviceSpec::supported_clocks() const
 {
     std::vector<double> clocks;
-    for (double f = max_compute_mhz; f >= min_compute_mhz - 1e-9; f -= clock_step_mhz) {
-        clocks.push_back(f);
+    for (int k = clock_index(max_compute_mhz); k >= 0; --k) {
+        clocks.push_back(clock_at(k));
     }
     return clocks;
 }
@@ -45,6 +61,9 @@ void GpuDeviceSpec::validate() const
     if (name.empty()) fail("empty name");
     if (min_compute_mhz <= 0 || max_compute_mhz <= min_compute_mhz) fail("bad clock range");
     if (clock_step_mhz <= 0) fail("bad clock step");
+    // The grid has round((max - min) / step) + 1 clocks; NaN fails here too.
+    if (!(std::round((max_compute_mhz - min_compute_mhz) / clock_step_mhz) < kMaxClocks))
+        fail("clock grid has more than 65536 clocks");
     if (default_app_clock_mhz < min_compute_mhz || default_app_clock_mhz > max_compute_mhz)
         fail("default app clock outside range");
     if (peak_fp64_flops <= 0 || dram_bw_bytes <= 0) fail("bad throughput");

@@ -41,7 +41,9 @@ struct GpuDeviceSpec {
     // --- clocks (MHz, NVML convention) ---
     double max_compute_mhz = 1410;
     double min_compute_mhz = 210;
-    double clock_step_mhz = 15;     ///< supported clocks are quantized to this
+    /// Supported clocks are min_compute_mhz + k * clock_step_mhz, capped at
+    /// max_compute_mhz (see clock_at); validate() accepts at most 65,536.
+    double clock_step_mhz = 15;
     double default_app_clock_mhz = 1410; ///< Table I "GPU compute frequency"
     double memory_clock_mhz = 1593;
 
@@ -91,9 +93,18 @@ struct GpuDeviceSpec {
 
     // --- derived helpers ---
     double flops_per_cycle() const; ///< peak_fp64_flops / max clock (Hz)
-    /// Quantize a clock request to the supported grid, clamped to range.
+    /// Quantize a clock request to the supported grid, clamped to range:
+    /// clock_at(clock_index(mhz)).
     double quantize_clock(double mhz) const;
-    /// Supported compute clocks, descending (NVML enumeration order).
+    /// Grid index of quantize_clock(mhz): its number of steps above the
+    /// minimum clock.  Like quantize_clock, it needs a spec that passes
+    /// validate() and a clock that is not NaN.
+    int clock_index(double mhz) const;
+    /// Grid clock `k` steps above the minimum, capped at the maximum clock.
+    double clock_at(int k) const;
+    /// Supported compute clocks, descending (NVML enumeration order): the
+    /// grid clock_at(k) for k = clock_index(max_compute_mhz) down to 0, so
+    /// quantize_clock returns each of them unchanged.
     std::vector<double> supported_clocks() const;
     /// Relative dynamic-power factor at clock f vs max clock: f̂ (V(f̂)/V(1))².
     double dynamic_power_factor(double mhz) const;

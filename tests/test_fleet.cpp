@@ -284,6 +284,26 @@ void expect_identical(const fleet::FleetResult& a, const fleet::FleetResult& b)
     }
 }
 
+/// The uniform policy end to end: every node capped at an equal share of a
+/// binding budget, so every kernel runs at a throttled clock.
+TEST(FleetRun, UniformCapCompletesSlowerAndBitIdenticalAcrossThreads)
+{
+    auto cfg = small_fleet(fleet::FleetPolicy::kUniformCap);
+    const fleet::PowerCoordinator probe(fleet::FleetPolicy::kUncapped, 0.0, cfg.system,
+                                        cfg.n_nodes);
+    cfg.budget_w = 0.45 * cfg.n_nodes * probe.node_tdp_w();
+
+    cfg.n_threads = 1;
+    const auto serial = fleet::run_fleet(cfg);
+    EXPECT_FALSE(serial.paused);
+    EXPECT_EQ(serial.jobs_completed, 6);
+    const auto uncapped = fleet::run_fleet(small_fleet(fleet::FleetPolicy::kUncapped));
+    EXPECT_GT(serial.makespan_s, uncapped.makespan_s);
+
+    cfg.n_threads = 4;
+    expect_identical(serial, fleet::run_fleet(cfg));
+}
+
 /// The ISSUE's scale gate: 256 nodes / 1024 GPUs under the negotiated
 /// policy (power caps, per-kernel clocks, backfill contention) must be
 /// bit-identical for any thread count.

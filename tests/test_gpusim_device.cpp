@@ -67,6 +67,14 @@ TEST(Device, InvalidClockThrows)
 {
     GpuDevice dev(a100_sxm4_80g());
     EXPECT_THROW(dev.set_application_clocks(1593.0, 0.0), std::invalid_argument);
+    EXPECT_THROW(dev.set_application_clocks(1593.0, std::nan("")), std::invalid_argument);
+}
+
+TEST(Device, RejectsUnboundedClockGrid)
+{
+    GpuDeviceSpec spec = a100_sxm4_80g();
+    spec.clock_step_mhz = 1e-13; // f - step == f
+    EXPECT_THROW(GpuDevice{spec}, std::invalid_argument);
 }
 
 TEST(Device, IdleAccumulatesIdleEnergy)

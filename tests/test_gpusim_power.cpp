@@ -1,5 +1,6 @@
 #include "gpusim/power_model.hpp"
 #include "gpusim/roofline.hpp"
+#include "gpusim_random.hpp"
 
 #include <gtest/gtest.h>
 
@@ -44,6 +45,34 @@ TEST(PowerModel, MonotoneInClock)
         const double p = pm.busy_power(full_activity(), f, false).total_w;
         EXPECT_GT(p, prev);
         prev = p;
+    }
+}
+
+TEST(PowerModel, PricedKernelMonotoneInClock)
+{
+    // A priced kernel's compute activity rises as the clock falls, yet its
+    // busy power must never fall as the clock rises: GpuDevice's power-cap
+    // throttle bisects the clock grid on that.
+    util::Rng rng(0x3013);
+    for (const GpuDeviceSpec& spec : test::catalog_specs()) {
+        const PowerModel pm(spec);
+        const int top = spec.clock_index(spec.max_compute_mhz);
+        for (int i = 0; i < 300; ++i) {
+            const KernelWork work = test::random_kernel(rng);
+            const double mem_scale = i % 3 == 0 ? 1.0 : rng.uniform(0.5, 1.5);
+            for (const bool governed : {false, true}) {
+                double prev = 0.0;
+                for (int k = 0; k <= top; ++k) {
+                    const double f = spec.clock_at(k);
+                    const double p =
+                        pm.busy_power(price_kernel(spec, work, f, mem_scale), f, governed)
+                            .total_w;
+                    ASSERT_GE(p, prev) << spec.name << " at " << f << " MHz, kernel " << i
+                                       << (governed ? ", governed" : ", locked");
+                    prev = p;
+                }
+            }
+        }
     }
 }
 

@@ -1,8 +1,11 @@
 #include "gpusim/device_spec.hpp"
+#include "gpusim_random.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 namespace gsph::gpusim {
 namespace {
@@ -55,6 +58,62 @@ TEST(DeviceSpec, SupportedClocksDescendingAndOnGrid)
     for (std::size_t i = 1; i < clocks.size(); ++i) {
         EXPECT_DOUBLE_EQ(clocks[i - 1] - clocks[i], 15.0);
     }
+}
+
+TEST(DeviceSpec, CatalogSupportedClocksCountDownFromMax)
+{
+    // The catalog ranges are whole numbers of steps, so the grid is the
+    // NVML-style countdown from the maximum clock.
+    for (const GpuDeviceSpec& spec : test::catalog_specs()) {
+        std::vector<double> countdown;
+        for (double f = spec.max_compute_mhz; f >= spec.min_compute_mhz - 1e-9;
+             f -= spec.clock_step_mhz) {
+            countdown.push_back(f);
+        }
+        EXPECT_EQ(spec.supported_clocks(), countdown) << spec.name;
+    }
+}
+
+TEST(DeviceSpec, SupportedClocksAreTheQuantizeGrid)
+{
+    // 1210 MHz is 80.67 steps of 15: quantize_clock counts up from the
+    // minimum (200, 215, ..., 1400) and caps at 1410.  Every advertised clock
+    // must be one a request for it locks, and every clock quantize_clock
+    // returns must be advertised.
+    GpuDeviceSpec spec = a100_sxm4_80g();
+    spec.min_compute_mhz = 200.0;
+    const std::vector<double> clocks = spec.supported_clocks();
+    ASSERT_EQ(clocks.size(), 82u);
+    EXPECT_EQ(clocks[0], 1410.0);
+    EXPECT_EQ(clocks[1], 1400.0);
+    EXPECT_EQ(clocks[2], 1385.0);
+    EXPECT_EQ(clocks.back(), 200.0);
+    for (std::size_t i = 0; i < clocks.size(); ++i) {
+        EXPECT_EQ(spec.quantize_clock(clocks[i]), clocks[i]) << clocks[i];
+    }
+    EXPECT_TRUE(std::is_sorted(clocks.rbegin(), clocks.rend()));
+    for (double f = 150.0; f <= 1460.0; f += 0.25) {
+        const double q = spec.quantize_clock(f);
+        EXPECT_NE(std::find(clocks.begin(), clocks.end(), q), clocks.end()) << f;
+    }
+}
+
+TEST(DeviceSpec, ValidationBoundsTheClockGrid)
+{
+    // A step below the clocks' resolution (f - step == f) made an unbounded
+    // grid; 65,536 clocks is the most validate() accepts.
+    GpuDeviceSpec spec = a100_sxm4_80g();
+    spec.clock_step_mhz = 1e-13;
+    EXPECT_THROW(spec.validate(), std::invalid_argument);
+
+    spec.clock_step_mhz = 1.0 / 64.0;
+    spec.max_compute_mhz = spec.min_compute_mhz + 65535 * spec.clock_step_mhz;
+    spec.default_app_clock_mhz = spec.max_compute_mhz;
+    EXPECT_NO_THROW(spec.validate());
+    EXPECT_EQ(spec.supported_clocks().size(), 65536u);
+    spec.max_compute_mhz += spec.clock_step_mhz;
+    spec.default_app_clock_mhz = spec.max_compute_mhz;
+    EXPECT_THROW(spec.validate(), std::invalid_argument);
 }
 
 TEST(DeviceSpec, DynamicPowerFactorBounds)

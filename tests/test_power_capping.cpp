@@ -2,9 +2,14 @@
 /// management limit surface, and the policy-level behaviour.
 
 #include "core/policy.hpp"
+#include "gpusim/device.hpp"
+#include "gpusim_random.hpp"
 #include "nvmlsim/nvml.hpp"
 
 #include <gtest/gtest.h>
+
+#include <array>
+#include <vector>
 
 namespace gsph {
 namespace {
@@ -76,6 +81,68 @@ TEST(PowerCapDevice, WorksUnderGovernorToo)
     dev.set_power_limit_w(175.0);
     const auto r = dev.execute(hot_kernel());
     EXPECT_LE(r.mean_power_w, 175.0 * 1.02);
+}
+
+/// The descending walk throttle_for_power made before it bisected, kept as
+/// the reference: from the requested clock down the grid, one probe per
+/// step, to the first clock whose busy power fits (or the minimum clock).
+double walk_reference(const gpusim::GpuDeviceSpec& spec, const gpusim::KernelWork& work,
+                      double requested_mhz, double mem_scale, double limit_w)
+{
+    const gpusim::PowerModel pm(spec);
+    double f = spec.quantize_clock(requested_mhz);
+    while (f > spec.min_compute_mhz) {
+        const gpusim::KernelTiming t = gpusim::price_kernel(spec, work, f, mem_scale);
+        if (pm.busy_power(t, f, false).total_w <= limit_w) break;
+        f = spec.quantize_clock(f - spec.clock_step_mhz);
+    }
+    return f;
+}
+
+TEST(PowerCapDevice, SearchPicksTheWalksClock)
+{
+    std::vector<gpusim::GpuDeviceSpec> specs = gpusim::test::catalog_specs();
+    gpusim::GpuDeviceSpec off_grid = gpusim::a100_sxm4_80g();
+    off_grid.name = "off-grid";
+    off_grid.min_compute_mhz = 200.0; // 1210 MHz range: 80.67 steps of 15
+    specs.push_back(off_grid);
+    constexpr std::array<double, 4> kMemScales = {0.5, 0.8, 1.0, 1.25};
+
+    util::Rng rng(0x7417);
+    for (const gpusim::GpuDeviceSpec& spec : specs) {
+        gpusim::GpuDevice dev(spec);
+        const double tdp = dev.default_power_limit_w();
+        int fits_requested = 0, bisected = 0, at_minimum = 0;
+        for (int i = 0; i < 4000; ++i) {
+            const gpusim::KernelWork work = gpusim::test::random_kernel(rng);
+            // From below the busy power at the minimum clock to above TDP,
+            // and requests below the minimum, above the maximum and between
+            // grid clocks.
+            const double limit_w = rng.uniform(0.8 * spec.idle_w, 1.1 * tdp);
+            const double requested =
+                rng.uniform(spec.min_compute_mhz - 100.0, spec.max_compute_mhz + 100.0);
+            const double mem_scale = kMemScales[rng.uniform_index(kMemScales.size())];
+            dev.set_power_limit_w(limit_w);
+            dev.set_application_clocks(mem_scale * spec.memory_clock_mhz, requested);
+
+            const double app = dev.application_clock_mhz();
+            const double expected =
+                walk_reference(spec, work, app,
+                               dev.memory_clock_mhz() / spec.memory_clock_mhz, limit_w);
+            ASSERT_EQ(dev.execute(work).mean_clock_mhz, expected)
+                << spec.name << " case " << i << ": requested " << requested
+                << " MHz, limit " << limit_w << " W, memory scale " << mem_scale
+                << ", flops " << work.flops << ", bytes " << work.dram_bytes
+                << ", launches " << work.launches;
+            if (expected == app) ++fits_requested;
+            else if (expected == spec.min_compute_mhz) ++at_minimum;
+            else ++bisected;
+        }
+        // Every branch of the search is taken many times.
+        EXPECT_GT(fits_requested, 400) << spec.name;
+        EXPECT_GT(bisected, 400) << spec.name;
+        EXPECT_GT(at_minimum, 400) << spec.name;
+    }
 }
 
 class PowerLimitNvml : public ::testing::Test {
