@@ -1,24 +1,19 @@
-/// Host-side thread scaling of the parallel execution engine.
+/// Host-side thread scaling of the driver's rank execution phase, the one
+/// place the simulator runs a thread pool.
 ///
-/// Two subjects, each measured at 1 thread (the exact legacy serial path)
-/// and at N threads:
-///   - an 8-rank instrumented run under the native-DVFS governor (the
-///     per-tick governor work makes rank execution genuinely CPU-bound),
-///   - a 7-frequency KernelTuner sweep of one heavy SPH kernel.
-/// Both produce bit-identical results at every thread count, so the only
-/// thing that changes is wall-clock time.  Speedup requires physical
-/// cores: on a single-core host the threads=N series collapses onto
-/// threads=1 (plus a small pool overhead).
+/// An instrumented run under the native-DVFS governor (the per-tick
+/// governor work makes each rank's execute CPU-bound) at 8 and 256 ranks,
+/// each at 1 thread (inline, no pool) and at hardware concurrency.  Results
+/// are bit-identical at every thread count, so the only thing that changes
+/// is wall-clock time.  At 8 ranks the pool costs more than it saves; at
+/// 256 ranks it wins on a multi-core host.  On a single-core host the two
+/// thread counts coincide.
 
-#include "core/policy.hpp"
 #include "sim/driver.hpp"
 #include "sim/workload.hpp"
-#include "tuning/kernel_tuner.hpp"
 #include "util/thread_pool.hpp"
 
 #include <benchmark/benchmark.h>
-
-#include <thread>
 
 namespace {
 
@@ -37,12 +32,13 @@ const sim::WorkloadTrace& shared_trace()
     return trace;
 }
 
+/// Args: {ranks, threads}.
 void BM_RunInstrumented(benchmark::State& state)
 {
     const auto& trace = shared_trace();
     sim::RunConfig cfg;
-    cfg.n_ranks = 8;
-    cfg.n_threads = static_cast<int>(state.range(0));
+    cfg.n_ranks = static_cast<int>(state.range(0));
+    cfg.n_threads = static_cast<int>(state.range(1));
     cfg.setup_s = 0.0;
     cfg.teardown_s = 0.0;
     cfg.bind_nvml = false; // no NVML hooks; keeps concurrent runs legal
@@ -55,30 +51,6 @@ void BM_RunInstrumented(benchmark::State& state)
     }
 }
 
-void BM_TunerSweep(benchmark::State& state)
-{
-    const auto& trace = shared_trace();
-    const auto spec = sim::mini_hpc().gpu;
-    const auto band = tuning::paper_frequency_band(spec);
-    // The heaviest per-step kernel: MomentumEnergy.
-    gpusim::KernelWork kernel;
-    for (const auto& fr : trace.steps.front().functions) {
-        if (fr.fn == sph::SphFunction::kMomentumEnergy) {
-            kernel = gpusim::scaled(fr.work, trace.work_scale());
-            break;
-        }
-    }
-    tuning::KernelTuner tuner(spec, /*iterations=*/7,
-                              static_cast<int>(state.range(0)));
-    for (auto _ : state) {
-        auto result = tuner.tune_kernel(
-            "MomentumEnergy",
-            [&kernel](gpusim::GpuDevice& dev) { dev.execute(kernel); },
-            kernel.threads, {{"core_freq_mhz", band}});
-        benchmark::DoNotOptimize(result);
-    }
-}
-
 int max_threads()
 {
     return util::ThreadPool::resolve_threads(0);
@@ -86,7 +58,11 @@ int max_threads()
 
 } // namespace
 
-BENCHMARK(BM_RunInstrumented)->Arg(1)->Arg(max_threads())->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TunerSweep)->Arg(1)->Arg(max_threads())->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RunInstrumented)
+    ->Args({8, 1})
+    ->Args({8, max_threads()})
+    ->Args({256, 1})
+    ->Args({256, max_threads()})
+    ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -5,7 +5,7 @@
 /// A checkpoint is two files in the checkpoint directory:
 ///
 ///   * `checkpoint-<step>.gsc` — the data file: a one-line format header
-///     (`greensph-checkpoint 2`) followed by named sections, each introduced
+///     (`greensph-checkpoint 3`) followed by named sections, each introduced
 ///     by `section <name> <bytes> <crc32>` and carrying exactly `<bytes>`
 ///     of StateWriter payload.
 ///   * `MANIFEST.json` — schema `greensph.checkpoint/v1`: format version,
@@ -33,7 +33,9 @@ namespace gsph::checkpoint {
 
 /// On-disk format version; bump on any incompatible layout change.
 /// Version 2 stores the span tracer's events by column (SpanTracer::save_state).
-inline constexpr int kFormatVersion = 2;
+/// Version 3: the run config hash no longer covers the thread count, so a
+/// version-2 run checkpoint would fail its hash check anyway.
+inline constexpr int kFormatVersion = 3;
 inline constexpr const char* kManifestSchema = "greensph.checkpoint/v1";
 inline constexpr const char* kManifestName = "MANIFEST.json";
 

@@ -281,11 +281,10 @@ void OnlineManDynPolicy::before(int rank, gpusim::GpuDevice& dev, sph::SphFuncti
     FunctionLearner& learner = learners_[static_cast<std::size_t>(fn)];
 
     if (rank == 0) {
-        // Latch the follower target before any rank-0 state mutates this
-        // call.  Rank 0's before-hook runs ahead of every follower's in
-        // both the serial and the pooled driver, while rank 0's *after*
-        // hook does not — computing the estimate here (and only here) keeps
-        // follower decisions bit-identical across thread counts.
+        // Latch the follower target once per call.  The driver runs every
+        // before-hook of a call, rank 0's first, ahead of every after-hook,
+        // so all followers apply the estimate rank 0 saw; latching it here
+        // saves each follower a best_edp_clock() scan.
         learner.follower_mhz = learner.converged       ? learner.chosen_mhz
                                : learner.any_samples() ? learner.best_edp_clock()
                                                        : learner.clocks.back();
@@ -299,9 +298,7 @@ void OnlineManDynPolicy::before(int rank, gpusim::GpuDevice& dev, sph::SphFuncti
         // Non-measurement ranks follow the latched best estimate to bound
         // the exploration cost of large jobs.  During warmup no candidate
         // has samples yet and the latch holds the top clock — not the
-        // bottom of the band.  Followers must not read converged/chosen
-        // directly: rank 0's after-hook can flip them mid-call on the
-        // serial path but not on the pooled path.
+        // bottom of the band.
         target = learner.follower_mhz;
     }
 

@@ -82,7 +82,7 @@ struct FunctionLearner {
     double chosen_mhz = 0.0;
 
     /// Clock ranks > 0 apply this call, latched by rank 0 at the top of its
-    /// before-hook so every thread interleaving sees the same value.
+    /// before-hook (which runs ahead of every follower's).  Checkpointed.
     double follower_mhz = 0.0;
 
     /// Model-strategy stage machine (kIdle throughout for kExhaustive).

@@ -19,9 +19,10 @@
 ///     clock.verify_mismatches, clock.degraded_ranks) so degradation is
 ///     observable in --metrics-json rather than inferred from energy plots.
 ///
-/// Per-rank state is unsynchronized by design: the driver serializes
-/// before/after hooks in rank order (see RunConfig::n_threads), the same
-/// contract FrequencyController relies on.
+/// Per-rank state is unsynchronized by design: the driver fires every
+/// before/after hook on its own thread, in rank order, at any thread count
+/// (see RunConfig::n_threads), the same contract FrequencyController relies
+/// on.
 
 #include "core/clock_backend.hpp"
 

@@ -108,9 +108,10 @@ struct FaultSpec {
 };
 
 /// Thread-safe: the facades call decide()/transform_energy() under the
-/// injector's mutex, and the driver serializes hook-driven management calls
-/// in rank order, so fault sequences are deterministic for a fixed
-/// (spec, seed) regardless of --threads.
+/// injector's mutex.  Hook-driven management calls all come from the
+/// driver's thread, in one rank order at every thread count, so fault
+/// sequences are deterministic for a fixed (spec, seed) regardless of
+/// --threads.
 class FaultInjector {
 public:
     explicit FaultInjector(FaultSpec spec, std::uint64_t seed = 42);

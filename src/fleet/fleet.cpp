@@ -7,7 +7,6 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/tracectx.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -126,12 +125,8 @@ FleetResult run_fleet(const FleetConfig& config)
                             : core::reference_a100_turbulence_table();
     const bool per_kernel_clocks = config.policy == FleetPolicy::kNegotiated;
 
-    const int pool_threads = util::ThreadPool::resolve_threads(config.n_threads);
-    std::optional<util::ThreadPool> pool;
-    if (pool_threads > 1) pool.emplace(pool_threads);
-
     // Deterministic fleet trace identity: derived from the config hash, so
-    // re-runs (and every --threads N) produce the same trace/span ids.
+    // re-runs produce the same trace/span ids.
     telemetry::SpanTracer* tracer = config.tracer;
     const telemetry::TraceContext fleet_ctx =
         telemetry::TraceContext::origin("fleet|" + config.config_hash);
@@ -452,55 +447,35 @@ FleetResult run_fleet(const FleetConfig& config)
             }
         }
 
-        // (4) one workload step per running job, parallel over (job, node)
-        // work items.  Each item drives only its own node's devices and
-        // writes no shared floats, so the result is identical for any pool
-        // size; the merge below runs serially in fixed order.
-        struct Item {
-            std::size_t job;
-            int slot;
-        };
-        std::vector<Item> items;
-        for (std::size_t r = 0; r < running.size(); ++r) {
-            for (int slot = 0; slot < static_cast<int>(running[r].nodes.size());
-                 ++slot) {
-                items.push_back({r, slot});
-            }
-        }
-        auto body = [&](std::size_t it) {
-            RunningJob& rj = running[items[it].job];
-            const int slot = items[it].slot;
-            sim::Node& node = *nodes[static_cast<std::size_t>(rj.nodes
-                                         [static_cast<std::size_t>(slot)])];
+        // (4) one workload step per running job, (job, node) in order.
+        for (RunningJob& rj : running) {
             const sim::StepRecord& step =
                 config.trace.steps[static_cast<std::size_t>(rj.steps_done) %
                                    config.trace.steps.size()];
             const double scale = config.trace.work_scale() * rj.spec.work_scale;
-            int call = 0;
-            for (const sim::FunctionRecord& fr : step.functions) {
-                for (int g = 0; g < node.gpu_count(); ++g) {
-                    gpusim::GpuDevice& dev = node.gpu(g);
-                    if (per_kernel_clocks) {
-                        dev.set_application_clocks(
-                            config.system.gpu.memory_clock_mhz,
-                            clock_table.get(fr.fn));
+            for (int slot = 0; slot < static_cast<int>(rj.nodes.size()); ++slot) {
+                sim::Node& node = *nodes[static_cast<std::size_t>(
+                    rj.nodes[static_cast<std::size_t>(slot)])];
+                int call = 0;
+                for (const sim::FunctionRecord& fr : step.functions) {
+                    for (int g = 0; g < node.gpu_count(); ++g) {
+                        gpusim::GpuDevice& dev = node.gpu(g);
+                        if (per_kernel_clocks) {
+                            dev.set_application_clocks(
+                                config.system.gpu.memory_clock_mhz,
+                                clock_table.get(fr.fn));
+                        }
+                        const int rank_key = rj.spec.id * 65536 + slot * gpn + g;
+                        const double jit = sim::work_jitter(
+                            config.rank_jitter, rank_key, rj.steps_done, call);
+                        dev.execute(gpusim::scaled(fr.work, scale * jit));
                     }
-                    const int rank_key = rj.spec.id * 65536 + slot * gpn + g;
-                    const double jit = sim::work_jitter(config.rank_jitter,
-                                                        rank_key, rj.steps_done,
-                                                        call);
-                    dev.execute(gpusim::scaled(fr.work, scale * jit));
+                    ++call;
                 }
-                ++call;
             }
-        };
-        if (pool) {
-            pool->parallel_for(items.size(), body);
-        } else {
-            for (std::size_t i = 0; i < items.size(); ++i) body(i);
         }
 
-        // (5) serial merge: intra-job barrier, sampler catch-up, demand.
+        // (5) merge: intra-job barrier, sampler catch-up, demand.
         for (RunningJob& rj : running) {
             double t_end = rj.t_s;
             for (int i : rj.nodes) {

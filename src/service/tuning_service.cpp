@@ -524,7 +524,6 @@ std::string TuningService::run_sweep(const TuneRequest& request,
 
     tuning::SweepOptions options;
     options.frequencies = request.resolved_band();
-    options.n_threads = 1; // sharding is the shared pool's job, inner serial
     options.strategy = request.strategy;
     options.iterations = request.iterations;
     options.model = request.model;

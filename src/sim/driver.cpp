@@ -266,14 +266,15 @@ RunResult run_instrumented(const SystemSpec& system, const WorkloadTrace& trace,
         ckpt_writer.emplace(config.checkpoint_dir, config.config_hash);
     }
 
-    // Parallel execution engine: rank work items between the collective
-    // barriers are independent (each drives its own GpuDevice), so they can
-    // run on a thread pool.  Per-rank results land in rank-indexed slots
-    // and are reduced in rank order, which keeps every floating-point
-    // accumulation in the exact serial order: results are bit-identical to
-    // n_threads == 1.  Hooks always fire on this (the driving) thread, in
-    // rank order — before-hooks ahead of the parallel region, after-hooks
-    // behind it — so hook consumers need no internal locking.
+    // One phased loop per function call, at every thread count: all
+    // before-hooks in rank order, then every rank executes, then all
+    // after-hooks in rank order.  Hooks fire on this (the driving) thread, so
+    // hook consumers need no locking, and they see the same order for any
+    // n_threads.  Rank executions between the hooks are independent (each
+    // drives its own GpuDevice), so with more than one thread they run on a
+    // pool into rank-indexed slots and are merged in rank order afterwards;
+    // every floating-point accumulation keeps the serial order, so results
+    // are bit-identical to n_threads == 1.
     const int pool_threads =
         std::min(util::ThreadPool::resolve_threads(config.n_threads), config.n_ranks);
     std::optional<util::ThreadPool> pool;
@@ -306,35 +307,30 @@ RunResult run_instrumented(const SystemSpec& system, const WorkloadTrace& trace,
                 agg[fi].clock_time_product += res.mean_clock_mhz * duration;
                 ++agg[fi].calls;
             };
-            if (pool) {
+            if (hooks.before_function) {
                 for (int r = 0; r < config.n_ranks; ++r) {
-                    if (hooks.before_function) {
-                        hooks.before_function(r, cluster.rank_gpu(r), fr.fn);
-                    }
+                    hooks.before_function(r, cluster.rank_gpu(r), fr.fn);
                 }
+            }
+            if (pool) {
                 pool->parallel_for(static_cast<std::size_t>(config.n_ranks),
                                    [&](std::size_t r) {
                                        execute_rank(static_cast<int>(r));
                                    });
-                for (int r = 0; r < config.n_ranks; ++r) {
-                    merge_rank(r);
-                    if (hooks.after_function) {
-                        hooks.after_function(r, cluster.rank_gpu(r), fr.fn,
-                                             rank_results[static_cast<std::size_t>(r)]);
-                    }
-                }
+                for (int r = 0; r < config.n_ranks; ++r) merge_rank(r);
             }
             else {
+                // Merging right behind each execute keeps the result in
+                // cache; a separate merge pass measured slower.
                 for (int r = 0; r < config.n_ranks; ++r) {
-                    if (hooks.before_function) {
-                        hooks.before_function(r, cluster.rank_gpu(r), fr.fn);
-                    }
                     execute_rank(r);
                     merge_rank(r);
-                    if (hooks.after_function) {
-                        hooks.after_function(r, cluster.rank_gpu(r), fr.fn,
-                                             rank_results[static_cast<std::size_t>(r)]);
-                    }
+                }
+            }
+            if (hooks.after_function) {
+                for (int r = 0; r < config.n_ranks; ++r) {
+                    hooks.after_function(r, cluster.rank_gpu(r), fr.fn,
+                                         rank_results[static_cast<std::size_t>(r)]);
                 }
             }
 

@@ -29,17 +29,14 @@ namespace gsph::sim {
 struct RunConfig {
     int n_ranks = 1;
     int n_steps = -1; ///< -1: use the trace's step count
-    /// Host threads executing rank work items concurrently (util::ThreadPool).
-    /// <= 0: hardware concurrency; 1: the exact legacy serial path.  Results
-    /// are bit-identical across thread counts: per-rank contributions are
-    /// reduced in rank order, and hooks fire on the driving thread in rank
-    /// order (all before-hooks, concurrent execution, all after-hooks per
-    /// function call), so hook consumers need no synchronization.  Note the
-    /// serial path interleaves rank 0's after-hook before the follower
-    /// ranks' before-hooks of the same call while the pooled path does not;
-    /// hooks carrying cross-rank state within one call must latch it in
-    /// rank 0's before-hook (which runs first on both paths) the way
-    /// OnlineManDyn latches its follower clock.
+    /// Host threads executing the ranks of one function call concurrently
+    /// (util::ThreadPool).  <= 0: hardware concurrency; 1: inline, no pool.
+    /// Only rank execution is threaded.  Every function call runs all
+    /// before-hooks in rank order, then executes every rank, then runs all
+    /// after-hooks in rank order, all hooks on the driving thread, so hook
+    /// consumers need no synchronization and see one order at every thread
+    /// count.  Per-rank contributions are reduced in rank order, so results
+    /// and hook output are bit-identical across thread counts.
     int n_threads = 0;
     /// Job launch + application initialization before the loop (GPUs idle);
     /// Slurm accounts for it, PMT does not (paper §IV-A).

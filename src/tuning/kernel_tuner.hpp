@@ -19,6 +19,7 @@
 
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -83,12 +84,9 @@ public:
 
     /// `spec`: the device model the sweep runs on; `iterations`: launches
     /// per configuration (KernelTuner benchmarks each configuration several
-    /// times and averages); `n_threads`: host threads pricing configurations
-    /// concurrently (<= 0: hardware concurrency, 1: serial).  Every
-    /// configuration runs on its own fresh device, so results are
-    /// independent of scheduling and identical across thread counts.
-    explicit KernelTuner(gpusim::GpuDeviceSpec spec, int iterations = 7,
-                         int n_threads = 1);
+    /// times and averages).  Every configuration runs on its own fresh
+    /// device, in sweep order, on the calling thread.
+    explicit KernelTuner(gpusim::GpuDeviceSpec spec, int iterations = 7);
 
     /// Brute-force search over the cartesian product of `params`.  The only
     /// recognized parameter is "core_freq_mhz", applied through
@@ -96,7 +94,8 @@ public:
     /// reproduction only tunes the clock, matching the paper's usage); any
     /// other key throws std::invalid_argument naming the key, instead of
     /// silently pricing identical configurations.  `result.configs` keeps
-    /// sweep (cartesian-product) order regardless of n_threads.
+    /// sweep (cartesian-product) order; an empty `params` map prices one
+    /// configuration at the device's default clock.
     TuneResult tune_kernel(const std::string& kernel_name, const Launcher& launcher,
                            std::int64_t problem_size,
                            const std::map<std::string, std::vector<double>>& params);
@@ -117,16 +116,17 @@ public:
                                  const ModelSweepOptions& options = {});
 
     const gpusim::GpuDeviceSpec& spec() const { return spec_; }
-    int n_threads() const { return n_threads_; }
     int iterations() const { return iterations_; }
 
 private:
-    TuneConfig price_clock(const Launcher& launcher, double core_mhz,
+    /// One configuration on a fresh device: a warm-up launch, then
+    /// `iterations` measured ones.  `core_mhz` locks the application clock
+    /// (nullopt: the device's default clock).
+    TuneConfig price_clock(const Launcher& launcher, std::optional<double> core_mhz,
                            int iterations) const;
 
     gpusim::GpuDeviceSpec spec_;
     int iterations_;
-    int n_threads_;
 };
 
 /// The paper's frequency band: 1005..1410 MHz in 7 steps (A100); "we have
@@ -151,8 +151,8 @@ struct SweepCandidate {
 /// Everything sweep_sph_functions needs besides the trace and device.
 struct SweepOptions {
     std::vector<double> frequencies; ///< empty: paper_frequency_band(spec)
-    /// Host threads sweeping functions concurrently (<= 0: hardware
-    /// concurrency, 1: serial); inner tuners stay serial either way.
+    /// No effect: functions are swept in order on the calling thread.  Kept
+    /// until the callers that still assign it stop doing so.
     int n_threads = 1;
     SweepStrategy strategy = SweepStrategy::kExhaustive;
     int iterations = 7; ///< measured launches per full-rate configuration
@@ -161,12 +161,12 @@ struct SweepOptions {
 
 /// The trace -> kernels-under-test distillation behind sweep_sph_functions,
 /// exposed so the tuning service can shard per-function sweeps across its
-/// own pool.  Returns candidates in function order; functions with no
+/// request pool.  Returns candidates in function order; functions with no
 /// recorded work are skipped.  Throws on an empty trace.
 std::vector<SweepCandidate> sweep_candidates(const sim::WorkloadTrace& trace);
 
-/// Sweep a single candidate (serial inner tuner).  Deterministic in
-/// (candidate, spec, options): safe to run concurrently across candidates.
+/// Sweep a single candidate.  Deterministic in (candidate, spec, options):
+/// safe to run concurrently across candidates.
 FunctionSweepEntry sweep_one_function(const SweepCandidate& candidate,
                                       const gpusim::GpuDeviceSpec& spec,
                                       const SweepOptions& options);
@@ -175,17 +175,10 @@ FunctionSweepEntry sweep_one_function(const SweepCandidate& candidate,
 /// `options.frequencies` (empty: paper band), with the per-step work of
 /// that function as the kernel under test, scaled to the trace's
 /// particles-per-GPU.  Returns the per-function sweep results (Fig. 2) in
-/// function order.  `options.n_threads` sweeps the functions concurrently;
-/// each function's inner tuner stays serial to avoid oversubscription, and
-/// results are identical across thread counts.
+/// function order, swept one after another on the calling thread.
 std::vector<FunctionSweepEntry> sweep_sph_functions(const sim::WorkloadTrace& trace,
                                                     const gpusim::GpuDeviceSpec& spec,
-                                                    const SweepOptions& options);
-
-/// Back-compat convenience overload (exhaustive strategy).
-std::vector<FunctionSweepEntry> sweep_sph_functions(
-    const sim::WorkloadTrace& trace, const gpusim::GpuDeviceSpec& spec,
-    std::vector<double> frequencies = {}, int n_threads = 1);
+                                                    const SweepOptions& options = {});
 
 /// Reduce a sweep to the ManDyn clock table (best EDP per function).
 core::FrequencyTable table_from_sweep(const std::vector<FunctionSweepEntry>& sweep,

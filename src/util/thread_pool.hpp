@@ -2,10 +2,10 @@
 /// \file thread_pool.hpp
 /// \brief Fixed-size worker pool with an exception-propagating parallel_for.
 ///
-/// The simulator's hot loops (the driver's per-step rank loop, the
-/// KernelTuner frequency sweep) are embarrassingly parallel: every work item
-/// owns its state and the caller merges results in a fixed order.  This pool
-/// provides exactly that shape:
+/// Its users (the driver's rank execution phase, the tuning service's
+/// per-function sweep shards, whole-run bench sweeps) are embarrassingly
+/// parallel: every work item owns its state and the caller merges results
+/// in a fixed order.  This pool provides exactly that shape:
 ///
 ///   - a fixed number of worker threads created once (no per-call spawn);
 ///   - parallel_for(n, body): the calling thread participates, indices are
@@ -15,9 +15,8 @@
 ///   - submit(f): a future-returning escape hatch for irregular tasks.
 ///
 /// A pool of size 1 has no workers at all: parallel_for degenerates to a
-/// plain inline loop, byte-for-byte the legacy serial path.  Determinism is
-/// the caller's job (and easy): run items concurrently, reduce in index
-/// order.
+/// plain inline loop.  Determinism is the caller's job (and easy): run
+/// items concurrently, reduce in index order.
 
 #include <atomic>
 #include <condition_variable>

@@ -137,7 +137,7 @@ TEST(CheckpointIo, TruncatedDataFileRejected)
 TEST(CheckpointIo, VersionSkewRejected)
 {
     // Both directions: a newer writer's layout, and the previous version's
-    // (whose tracer section is laid out per event, not per column).
+    // (whose run config hash still covered the thread count).
     for (const int version : {kFormatVersion - 1, kFormatVersion + 1}) {
         TempDir dir;
         CheckpointWriter writer(dir.path(), "h");

@@ -268,9 +268,9 @@ class OnlineTunerDeterminism : public testing::TestWithParam<TuneStrategy> {};
 
 TEST_P(OnlineTunerDeterminism, RunBitIdenticalAcrossThreadCounts)
 {
-    // The follower-clock latch makes both strategies independent of the
-    // serial-vs-pooled hook interleaving; mismatch here means a hook read
-    // rank-0 state that mutates mid-call.
+    // The driver fires hooks in one order at every thread count, so both
+    // strategies must reproduce the inline run exactly with the pooled
+    // execute phase; a mismatch means a hook depends on thread scheduling.
     OnlineTunerConfig cfg = config_with_band();
     cfg.strategy = GetParam();
     sim::RunConfig rc;

@@ -3,7 +3,8 @@
 /// committed, resume from the checkpoint directory, and require the resumed
 /// run's summary JSON to be byte-identical to an uninterrupted run's once
 /// the provenance object is stripped.  Also drives every CLI-level
-/// rejection path: torn data files, version skew, config-hash mismatch.
+/// rejection path: torn data files, version skew, config-hash mismatch;
+/// and checks that --threads changes no output file of a run.
 ///
 /// GSPH_CLI_PATH is injected by CMake as $<TARGET_FILE:greensph_cli>.
 
@@ -202,6 +203,60 @@ INSTANTIATE_TEST_SUITE_P(
                     KillCase{1, 2, "online", "", "model"},
                     KillCase{4, 2, "online", "", "model"}),
     case_name);
+
+/// The summary minus provenance.argv (the command line itself), dumped.
+std::string summary_without_argv(const std::string& path)
+{
+    const std::string text = slurp(path);
+    EXPECT_FALSE(text.empty()) << "missing summary " << path;
+    if (text.empty()) return {};
+    telemetry::Json doc = telemetry::Json::parse(text);
+    telemetry::Json stripped = telemetry::Json::object();
+    for (const auto& [name, value] : doc.members()) {
+        if (name != "provenance") {
+            stripped[name] = value;
+            continue;
+        }
+        telemetry::Json provenance = telemetry::Json::object();
+        for (const auto& [key, field] : value.members()) {
+            if (key != "argv") provenance[key] = field;
+        }
+        stripped[name] = std::move(provenance);
+    }
+    return stripped.dump();
+}
+
+/// --threads changes no output byte: the run trace id derives from a config
+/// hash that leaves the thread count out, and the driver fires hooks in one
+/// order at every thread count, so traces, ledgers and summaries match.
+TEST(CliThreads, RunOutputsIdenticalAcrossThreadCounts)
+{
+    for (const char* policy : {"mandyn", "online"}) {
+        TempDir dir;
+        auto run = [&](int threads) {
+            const std::string tag = dir.path() + "/t" + std::to_string(threads);
+            EXPECT_TRUE(exited_zero(run_cli(
+                {"run", "--system", "minihpc", "--workload", "turbulence",
+                 "--policy", policy, "--ranks", "4", "--steps", "6", "--nside", "6",
+                 "--threads", std::to_string(threads), "--trace-json",
+                 tag + ".trace.json", "--ledger", tag + ".ledger.jsonl",
+                 "--summary-json", tag + ".summary.json", "--log-level", "off"})))
+                << policy << " --threads " << threads;
+            return tag;
+        };
+        const std::string one = run(1);
+        const std::string four = run(4);
+        const std::string trace = slurp(one + ".trace.json");
+        ASSERT_FALSE(trace.empty()) << policy;
+        EXPECT_EQ(trace, slurp(four + ".trace.json")) << policy;
+        const std::string ledger = slurp(one + ".ledger.jsonl");
+        ASSERT_FALSE(ledger.empty()) << policy;
+        EXPECT_EQ(ledger, slurp(four + ".ledger.jsonl")) << policy;
+        EXPECT_EQ(summary_without_argv(one + ".summary.json"),
+                  summary_without_argv(four + ".summary.json"))
+            << policy;
+    }
+}
 
 /// Produce a real killed-run checkpoint directory for the rejection tests.
 void make_killed_checkpoint(const TempDir& dir, const std::string& ckpt_dir)

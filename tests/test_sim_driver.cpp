@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <algorithm>
+#include <string>
+#include <vector>
 
 namespace gsph::sim {
 namespace {
@@ -136,23 +138,62 @@ TEST_F(DriverFixture, PmtMatchesGroundTruthWithinSamplingError)
 
 TEST_F(DriverFixture, HooksFireInOrder)
 {
-    int before = 0, after = 0;
-    bool order_ok = true;
-    RunHooks hooks;
-    hooks.before_function = [&](int, gpusim::GpuDevice&, sph::SphFunction) {
-        if (before != after) order_ok = false;
-        ++before;
+    // One order at every thread count: within each function call, every
+    // rank's before-hook fires, in rank order, before the first after-hook;
+    // the after-hooks then fire in rank order.
+    struct Event {
+        char kind; ///< 'B' before, 'A' after, 'S' end of step
+        int rank;
+        sph::SphFunction fn;
     };
-    hooks.after_function = [&](int, gpusim::GpuDevice&, sph::SphFunction,
-                               const gpusim::KernelResult&) { ++after; };
-    int steps = 0;
-    hooks.after_step = [&](int) { ++steps; };
-    run_instrumented(mini_hpc(), trace(), base_config(), hooks);
-    const int expected = 4 * 2 * static_cast<int>(sph::function_order(false).size());
-    EXPECT_EQ(before, expected);
-    EXPECT_EQ(after, expected);
-    EXPECT_EQ(steps, 4);
-    EXPECT_TRUE(order_ok);
+    for (const int threads : {1, 4}) {
+        SCOPED_TRACE("n_threads " + std::to_string(threads));
+        auto cfg = base_config();
+        cfg.n_threads = threads;
+        std::vector<Event> log;
+        RunHooks hooks;
+        hooks.before_function = [&](int rank, gpusim::GpuDevice&, sph::SphFunction fn) {
+            log.push_back({'B', rank, fn});
+        };
+        hooks.after_function = [&](int rank, gpusim::GpuDevice&, sph::SphFunction fn,
+                                   const gpusim::KernelResult&) {
+            log.push_back({'A', rank, fn});
+        };
+        hooks.after_step = [&](int) { log.push_back({'S', -1, {}}); };
+        run_instrumented(mini_hpc(), trace(), cfg, hooks);
+
+        const auto count = [&](char kind) {
+            return std::count_if(log.begin(), log.end(),
+                                 [kind](const Event& e) { return e.kind == kind; });
+        };
+        const long expected =
+            4L * cfg.n_ranks * static_cast<long>(sph::function_order(false).size());
+        EXPECT_EQ(count('B'), expected);
+        EXPECT_EQ(count('A'), expected);
+        EXPECT_EQ(count('S'), 4);
+
+        const std::size_t n = static_cast<std::size_t>(cfg.n_ranks);
+        std::size_t i = 0;
+        while (i < log.size()) {
+            if (log[i].kind == 'S') {
+                ++i;
+                continue;
+            }
+            ASSERT_LE(i + 2 * n, log.size()) << "truncated call at event " << i;
+            const sph::SphFunction fn = log[i].fn;
+            for (std::size_t r = 0; r < n; ++r) {
+                const Event& before = log[i + r];
+                const Event& after = log[i + n + r];
+                EXPECT_EQ(before.kind, 'B') << "event " << i + r;
+                EXPECT_EQ(before.rank, static_cast<int>(r)) << "event " << i + r;
+                EXPECT_EQ(before.fn, fn) << "event " << i + r;
+                EXPECT_EQ(after.kind, 'A') << "event " << i + n + r;
+                EXPECT_EQ(after.rank, static_cast<int>(r)) << "event " << i + n + r;
+                EXPECT_EQ(after.fn, fn) << "event " << i + n + r;
+            }
+            i += 2 * n;
+        }
+    }
 }
 
 TEST_F(DriverFixture, StaticClockAppliesEverywhere)

@@ -8,6 +8,7 @@
 /// format-clean.
 
 #include "core/frequency_table.hpp"
+#include "core/online_tuner.hpp"
 #include "core/policy.hpp"
 #include "checkpoint/state.hpp"
 #include "sim/driver.hpp"
@@ -22,6 +23,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -57,7 +59,7 @@ const TunedManDyn& tuned()
 {
     static const TunedManDyn t = [] {
         const auto spec = sim::mini_hpc().gpu;
-        const auto sweep = tuning::sweep_sph_functions(trace(), spec, {}, 1);
+        const auto sweep = tuning::sweep_sph_functions(trace(), spec);
         TunedManDyn out;
         out.table = tuning::table_from_sweep(sweep, spec.default_app_clock_mhz);
         out.audit = tuning::audit_info_from_sweep(sweep);
@@ -232,26 +234,40 @@ TEST(AttributionLedger, EveryFrequencyChangeHasExactlyOneAuditedDecision)
 
 TEST(AttributionLedger, JsonlBitIdenticalAcrossThreadCounts)
 {
-    const std::string path1 = temp_path("t1");
-    const std::string path4 = temp_path("t4");
-    {
+    // ManDyn at 2 ranks, and OnlineManDyn at 4: its followers' decision
+    // records carry learner state (calls_seen, converged) that rank 0's
+    // after-hook updates, so they match only if the driver fires hooks in
+    // one order at every thread count.
+    auto jsonl = [](bool online, int ranks, int threads) {
         MetricsRegistry::global().reset();
-        AttributionLedger ledger(2);
-        run_with_ledger(ledger, 2, /*threads=*/1);
-        ASSERT_TRUE(ledger.write_jsonl(path1));
+        AttributionLedger ledger(ranks);
+        sim::RunHooks hooks;
+        ledger.attach(hooks);
+        std::unique_ptr<core::FrequencyPolicy> policy;
+        if (online) {
+            core::OnlineTunerConfig config;
+            config.candidate_clocks =
+                tuning::paper_frequency_band(sim::mini_hpc().gpu);
+            policy = core::make_online_mandyn_policy(config);
+        }
+        else {
+            policy = core::make_mandyn_policy(tuned().table, tuned().audit);
+        }
+        core::run_with_policy(sim::mini_hpc(), trace(), cfg(ranks, threads),
+                              *policy, hooks);
+        const std::string path = temp_path("threads");
+        EXPECT_TRUE(ledger.write_jsonl(path));
+        const std::string text = slurp(path);
+        std::remove(path.c_str());
+        return text;
+    };
+    for (const bool online : {false, true}) {
+        const int ranks = online ? 4 : 2;
+        const std::string serial = jsonl(online, ranks, /*threads=*/1);
+        ASSERT_FALSE(serial.empty());
+        EXPECT_EQ(serial, jsonl(online, ranks, /*threads=*/4))
+            << (online ? "OnlineManDyn" : "ManDyn");
     }
-    {
-        MetricsRegistry::global().reset();
-        AttributionLedger ledger(2);
-        run_with_ledger(ledger, 2, /*threads=*/4);
-        ASSERT_TRUE(ledger.write_jsonl(path4));
-    }
-    const std::string serial = slurp(path1);
-    const std::string parallel = slurp(path4);
-    ASSERT_FALSE(serial.empty());
-    EXPECT_EQ(serial, parallel);
-    std::remove(path1.c_str());
-    std::remove(path4.c_str());
 }
 
 TEST(AttributionLedger, CheckpointRoundTripIsBitExact)

@@ -50,11 +50,33 @@ TEST(KernelTuner, SweepsAllRequestedFrequencies)
         "k", [&w](gpusim::GpuDevice& dev) { dev.execute(w); }, w.threads,
         {{"core_freq_mhz", {1005.0, 1200.0, 1410.0}}});
     ASSERT_EQ(result.configs.size(), 3u);
-    for (const auto& c : result.configs) {
+    const double band[] = {1005.0, 1200.0, 1410.0};
+    for (std::size_t i = 0; i < result.configs.size(); ++i) {
+        const auto& c = result.configs[i];
+        EXPECT_EQ(c.params.at("core_freq_mhz"), band[i]) << "sweep order";
         EXPECT_GT(c.time_s, 0.0);
         EXPECT_GT(c.energy_j, 0.0);
         EXPECT_NEAR(c.edp, c.time_s * c.energy_j, 1e-12);
     }
+    EXPECT_EQ(result.launches, 3 * (1 + 3));
+}
+
+TEST(KernelTuner, EmptyParamsPricesTheDefaultClock)
+{
+    const auto spec = gpusim::a100_pcie_40g();
+    KernelTuner tuner(spec, 3);
+    const auto w = compute_kernel();
+    const auto launcher = [&w](gpusim::GpuDevice& dev) { dev.execute(w); };
+    const auto unset = tuner.tune_kernel("k", launcher, w.threads, {});
+    ASSERT_EQ(unset.configs.size(), 1u);
+    EXPECT_TRUE(unset.configs[0].params.empty());
+    EXPECT_EQ(unset.launches, 1 + 3);
+
+    const auto pinned = tuner.tune_kernel(
+        "k", launcher, w.threads, {{"core_freq_mhz", {spec.default_app_clock_mhz}}});
+    ASSERT_EQ(pinned.configs.size(), 1u);
+    EXPECT_EQ(unset.configs[0].time_s, pinned.configs[0].time_s);
+    EXPECT_EQ(unset.configs[0].energy_j, pinned.configs[0].energy_j);
 }
 
 TEST(KernelTuner, RejectsUnknownParameterNamingTheKey)
@@ -145,8 +167,21 @@ TEST(PaperBand, ScalesToAmdRange)
 
 TEST(FunctionSweep, ProducesFig2Shape)
 {
-    const auto sweep = sweep_sph_functions(turb_trace(), gpusim::a100_pcie_40g());
+    const auto spec = gpusim::a100_pcie_40g();
+    const auto sweep = sweep_sph_functions(turb_trace(), spec);
     ASSERT_FALSE(sweep.empty());
+
+    // Entries in function order, each entry's configs in band order.
+    const auto band = paper_frequency_band(spec);
+    for (std::size_t i = 0; i < sweep.size(); ++i) {
+        if (i > 0) {
+            EXPECT_LT(sweep[i - 1].fn, sweep[i].fn) << "function order";
+        }
+        ASSERT_EQ(sweep[i].result.configs.size(), band.size());
+        for (std::size_t c = 0; c < band.size(); ++c) {
+            EXPECT_EQ(sweep[i].result.configs[c].params.at("core_freq_mhz"), band[c]);
+        }
+    }
 
     double me_clock = 0.0, xmass_clock = 0.0;
     for (const auto& e : sweep) {

@@ -21,11 +21,10 @@
 ///       --jobs jobs (FCFS + conservative backfill), one cluster-wide
 ///       --budget-w power budget apportioned per --fleet-policy
 ///       uncapped|uniform|negotiated, Slurm-style per-job energy accounting
-///       and an sacct table at the end.  Supports --threads (bit-identical
-///       results for any value), --metrics-port (fleet.* gauges),
-///       --checkpoint-every/--checkpoint-dir/--resume (round granularity)
-///       and --fault-spec kill-at-step:step=N (a fleet round counts as one
-///       step).
+///       and an sacct table at the end.  Supports --metrics-port (fleet.*
+///       gauges), --checkpoint-every/--checkpoint-dir/--resume (round
+///       granularity) and --fault-spec kill-at-step:step=N (a fleet round
+///       counts as one step).
 ///
 /// Options (with defaults):
 ///   --system cscs|lumi|minihpc        (minihpc)
@@ -33,8 +32,10 @@
 ///   --policy baseline|static:<mhz>|dvfs|mandyn|online   (baseline)
 ///   --ranks N                         (1)
 ///   --steps N                         (10)
-///   --threads N        host worker threads; 0 = hardware concurrency,
-///                      1 = serial; results are identical either way  (0)
+///   --threads N        run: threads executing ranks; tuned: request
+///                      workers; 0 = hardware concurrency, 1 = inline;
+///                      output is identical either way; tune and fleet
+///                      ignore it                             (0)
 ///   --nside N          real-physics resolution           (10)
 ///   --particles-per-gpu X             (91125000 = 450^3)
 ///   --objective time|energy|edp|ed2p  tuning objective   (edp)
@@ -309,6 +310,9 @@ std::string durable_fault_spec(const Options& opt)
     return durable.any() ? durable.describe() : std::string();
 }
 
+/// Canonical config echo for the run command: the options that decide its
+/// output.  --threads is left out because it changes no output byte, so the
+/// config hash and every id derived from it are the same at any --threads.
 telemetry::Json config_echo(const Options& opt)
 {
     telemetry::Json config = telemetry::Json::object();
@@ -317,7 +321,6 @@ telemetry::Json config_echo(const Options& opt)
     config["policy"] = opt.policy;
     config["ranks"] = opt.ranks;
     config["steps"] = opt.steps;
-    config["threads"] = opt.threads;
     config["nside"] = opt.nside;
     config["particles_per_gpu"] = opt.particles_per_gpu;
     // The durable rendering keeps the echo (and hence the config hash and
@@ -788,7 +791,6 @@ int cmd_tune(const Options& opt)
     if (!opt.submit_url.empty()) return tune_submit(opt, system, trace);
 
     tuning::SweepOptions sweep_options;
-    sweep_options.n_threads = opt.threads;
     sweep_options.strategy = tuning::sweep_strategy_from_string(opt.tune_strategy);
     const auto sweep = tuning::sweep_sph_functions(trace, system.gpu, sweep_options);
     const auto objective = objective_from(opt.objective);
@@ -926,7 +928,6 @@ int cmd_run(Options opt, const std::vector<std::string>& argv)
             std::cout << "Tuning per-function clocks for " << system.gpu.name
                       << "...\n";
             tuning::SweepOptions sweep_options;
-            sweep_options.n_threads = opt.threads;
             sweep_options.strategy =
                 tuning::sweep_strategy_from_string(opt.tune_strategy);
             const auto sweep =
@@ -1172,9 +1173,8 @@ int cmd_run(Options opt, const std::vector<std::string>& argv)
 }
 
 /// Canonical config echo for the fleet command — the identity its config
-/// hash (and hence its checkpoints) commit to.  Thread count is excluded:
-/// fleet results are bit-identical for any --threads, so a resume may use a
-/// different pool size.
+/// hash (and hence its checkpoints) commit to.  Like config_echo, it leaves
+/// out --threads, which changes no output.
 telemetry::Json fleet_config_echo(const Options& opt)
 {
     telemetry::Json config = telemetry::Json::object();
@@ -1352,7 +1352,6 @@ int cmd_fleet(Options opt, const std::vector<std::string>& argv)
     cfg.jobs = fleet::generate_jobs(mix);
     cfg.policy = fleet::fleet_policy_from_string(opt.fleet_policy);
     cfg.budget_w = opt.budget_w;
-    cfg.n_threads = opt.threads;
     cfg.checkpoint_every = opt.checkpoint_every;
     cfg.checkpoint_dir = opt.checkpoint_dir;
     cfg.config_hash = config_hash;
