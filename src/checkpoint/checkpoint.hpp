@@ -5,7 +5,7 @@
 /// A checkpoint is two files in the checkpoint directory:
 ///
 ///   * `checkpoint-<step>.gsc` — the data file: a one-line format header
-///     (`greensph-checkpoint 3`) followed by named sections, each introduced
+///     (`greensph-checkpoint 4`) followed by named sections, each introduced
 ///     by `section <name> <bytes> <crc32>` and carrying exactly `<bytes>`
 ///     of StateWriter payload.
 ///   * `MANIFEST.json` — schema `greensph.checkpoint/v1`: format version,
@@ -35,7 +35,9 @@ namespace gsph::checkpoint {
 /// Version 2 stores the span tracer's events by column (SpanTracer::save_state).
 /// Version 3: the run config hash no longer covers the thread count, so a
 /// version-2 run checkpoint would fail its hash check anyway.
-inline constexpr int kFormatVersion = 3;
+/// Version 4: the CLI's `cli` sections hold exactly the run-defining options
+/// as flag text, and a run's config hash always covers its tune strategy.
+inline constexpr int kFormatVersion = 4;
 inline constexpr const char* kManifestSchema = "greensph.checkpoint/v1";
 inline constexpr const char* kManifestName = "MANIFEST.json";
 

@@ -546,62 +546,48 @@ void OnlineManDynPolicy::restore_state(const checkpoint::StateReader& reader)
             static_cast<int>(reader.get_i64(prefix + "active_candidate"));
         learner.converged = reader.get_bool(prefix + "converged");
         learner.chosen_mhz = reader.get_f64(prefix + "chosen_mhz");
-        // Model/latch fields are absent from checkpoints written before the
-        // model strategy existed; reconstruct the latch the way rank 0
-        // would and leave the stage machine idle.
-        learner.follower_mhz =
-            reader.has(prefix + "follower_mhz")
-                ? reader.get_f64(prefix + "follower_mhz")
-                : (learner.converged       ? learner.chosen_mhz
-                   : learner.any_samples() ? learner.best_edp_clock()
-                                           : learner.clocks.back());
-        if (reader.has(prefix + "stage")) {
-            const std::int64_t stage = reader.get_i64(prefix + "stage");
-            if (stage < 0 ||
-                stage > static_cast<int>(FunctionLearner::Stage::kSweep)) {
+        learner.follower_mhz = reader.get_f64(prefix + "follower_mhz");
+        const std::int64_t stage = reader.get_i64(prefix + "stage");
+        if (stage < 0 || stage > static_cast<int>(FunctionLearner::Stage::kSweep)) {
+            throw checkpoint::CheckpointError("OnlineManDyn: stage " +
+                                              std::to_string(stage) + " for function " +
+                                              std::to_string(f) + " out of range");
+        }
+        learner.stage = static_cast<FunctionLearner::Stage>(stage);
+        learner.probe_set.clear();
+        for (const std::uint64_t idx : reader.get_u64_vec(prefix + "probe_set")) {
+            if (idx >= learner.clocks.size()) {
                 throw checkpoint::CheckpointError(
-                    "OnlineManDyn: stage " + std::to_string(stage) +
+                    "OnlineManDyn: probe index " + std::to_string(idx) +
                     " for function " + std::to_string(f) + " out of range");
             }
-            learner.stage = static_cast<FunctionLearner::Stage>(stage);
-            learner.probe_set.clear();
-            for (const std::uint64_t idx :
-                 reader.get_u64_vec(prefix + "probe_set")) {
-                if (idx >= learner.clocks.size()) {
-                    throw checkpoint::CheckpointError(
-                        "OnlineManDyn: probe index " + std::to_string(idx) +
-                        " for function " + std::to_string(f) + " out of range");
-                }
-                learner.probe_set.push_back(static_cast<int>(idx));
-            }
-            learner.seeded = reader.get_bool(prefix + "seeded");
-            learner.seed_anchor =
-                static_cast<int>(reader.get_i64(prefix + "seed_anchor"));
-            if (learner.seed_anchor >= sph::kSphFunctionCount) {
-                throw checkpoint::CheckpointError(
-                    "OnlineManDyn: seed anchor " +
-                    std::to_string(learner.seed_anchor) + " for function " +
-                    std::to_string(f) + " out of range");
-            }
-            learner.await_since =
-                static_cast<int>(reader.get_i64(prefix + "await_since"));
-            learner.intensity = reader.get_f64(prefix + "intensity");
-            learner.fit.valid = reader.get_bool(prefix + "fit_valid");
-            learner.fit.t_inv = reader.get_f64(prefix + "fit.t_inv");
-            learner.fit.t_const = reader.get_f64(prefix + "fit.t_const");
-            learner.fit.p_const = reader.get_f64(prefix + "fit.p_const");
-            learner.fit.p_cubic = reader.get_f64(prefix + "fit.p_cubic");
-            learner.predicted_idx =
-                static_cast<int>(reader.get_i64(prefix + "predicted_idx"));
-            if (learner.predicted_idx >= static_cast<int>(learner.clocks.size())) {
-                throw checkpoint::CheckpointError(
-                    "OnlineManDyn: predicted candidate " +
-                    std::to_string(learner.predicted_idx) + " for function " +
-                    std::to_string(f) + " out of range");
-            }
-            learner.predicted_opt_mhz = reader.get_f64(prefix + "predicted_opt_mhz");
-            learner.predicted_edp = reader.get_f64(prefix + "predicted_edp");
+            learner.probe_set.push_back(static_cast<int>(idx));
         }
+        learner.seeded = reader.get_bool(prefix + "seeded");
+        learner.seed_anchor = static_cast<int>(reader.get_i64(prefix + "seed_anchor"));
+        if (learner.seed_anchor >= sph::kSphFunctionCount) {
+            throw checkpoint::CheckpointError(
+                "OnlineManDyn: seed anchor " +
+                std::to_string(learner.seed_anchor) + " for function " +
+                std::to_string(f) + " out of range");
+        }
+        learner.await_since = static_cast<int>(reader.get_i64(prefix + "await_since"));
+        learner.intensity = reader.get_f64(prefix + "intensity");
+        learner.fit.valid = reader.get_bool(prefix + "fit_valid");
+        learner.fit.t_inv = reader.get_f64(prefix + "fit.t_inv");
+        learner.fit.t_const = reader.get_f64(prefix + "fit.t_const");
+        learner.fit.p_const = reader.get_f64(prefix + "fit.p_const");
+        learner.fit.p_cubic = reader.get_f64(prefix + "fit.p_cubic");
+        learner.predicted_idx =
+            static_cast<int>(reader.get_i64(prefix + "predicted_idx"));
+        if (learner.predicted_idx >= static_cast<int>(learner.clocks.size())) {
+            throw checkpoint::CheckpointError(
+                "OnlineManDyn: predicted candidate " +
+                std::to_string(learner.predicted_idx) + " for function " +
+                std::to_string(f) + " out of range");
+        }
+        learner.predicted_opt_mhz = reader.get_f64(prefix + "predicted_opt_mhz");
+        learner.predicted_edp = reader.get_f64(prefix + "predicted_edp");
     }
     const auto mhz = reader.get_f64_vec("rank_current_mhz");
     if (mhz.size() != rank_current_mhz_.size()) {

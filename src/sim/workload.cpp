@@ -3,8 +3,10 @@
 #include "sph/decomposition.hpp"
 #include "util/strings.hpp"
 
+#include <charconv>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 namespace gsph::sim {
 
@@ -83,27 +85,55 @@ double WorkloadTrace::total_flops() const
     return total;
 }
 
+namespace {
+
+/// Appends `value` and `sep`.  Doubles print as `%.17g` (general format,
+/// precision 17), integers plainly: the text an ostream with precision 17
+/// writes, without its per-field formatting cost.
+template <typename T>
+void append_field(std::string& out, T value, char sep)
+{
+    char buf[32];
+    std::to_chars_result result{};
+    if constexpr (std::is_floating_point_v<T>) {
+        result = std::to_chars(buf, buf + sizeof(buf), value,
+                               std::chars_format::general, 17);
+    }
+    else {
+        result = std::to_chars(buf, buf + sizeof(buf), value);
+    }
+    out.append(buf, result.ptr);
+    out += sep;
+}
+
+} // namespace
+
 std::string WorkloadTrace::serialize() const
 {
-    std::ostringstream os;
-    os.precision(17);
-    os << "# greensph workload trace v1\n"
-       << "workload," << workload_name << '\n'
-       << "kind," << static_cast<int>(kind) << '\n'
-       << "n_particles_real," << n_particles_real << '\n'
-       << "particles_per_gpu," << particles_per_gpu << '\n'
-       << "halo_surface_prefactor," << halo_surface_prefactor << '\n'
-       << "step,function,flops,dram_bytes,gather_fraction,flop_efficiency,launches,"
-          "threads\n";
+    std::string out = "# greensph workload trace v1\nworkload," + workload_name + "\nkind,";
+    out.reserve(256 + steps.size() * 1024); // a step's rows take under 1 KB
+    append_field(out, static_cast<int>(kind), '\n');
+    out += "n_particles_real,";
+    append_field(out, n_particles_real, '\n');
+    out += "particles_per_gpu,";
+    append_field(out, particles_per_gpu, '\n');
+    out += "halo_surface_prefactor,";
+    append_field(out, halo_surface_prefactor, '\n');
+    out += "step,function,flops,dram_bytes,gather_fraction,flop_efficiency,launches,"
+           "threads\n";
     for (std::size_t s = 0; s < steps.size(); ++s) {
         for (const auto& fr : steps[s].functions) {
-            os << s << ',' << static_cast<int>(fr.fn) << ',' << fr.work.flops << ','
-               << fr.work.dram_bytes << ',' << fr.work.gather_fraction << ','
-               << fr.work.flop_efficiency << ',' << fr.work.launches << ','
-               << fr.work.threads << '\n';
+            append_field(out, s, ',');
+            append_field(out, static_cast<int>(fr.fn), ',');
+            append_field(out, fr.work.flops, ',');
+            append_field(out, fr.work.dram_bytes, ',');
+            append_field(out, fr.work.gather_fraction, ',');
+            append_field(out, fr.work.flop_efficiency, ',');
+            append_field(out, fr.work.launches, ',');
+            append_field(out, fr.work.threads, '\n');
         }
     }
-    return os.str();
+    return out;
 }
 
 namespace {

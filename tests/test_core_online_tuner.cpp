@@ -325,6 +325,27 @@ TEST(OnlineTuner, RestoreRejectsOversizedSampleCounts)
     EXPECT_THROW(fresh->restore_state(reader), checkpoint::CheckpointError);
 }
 
+TEST(OnlineTuner, RestoreRejectsMissingStage)
+{
+    auto policy = make_online_mandyn_policy(config_with_band());
+    core::run_with_policy(sim::mini_hpc(), turb450(), run_config(3), *policy);
+    checkpoint::StateWriter writer;
+    policy->save_state(writer);
+
+    // Every policy section the current format writes has the stage machine;
+    // one without it is corrupt, not an older layout to resume idle.
+    std::string payload = writer.str();
+    const auto pos = payload.find("fn.0.stage=");
+    ASSERT_NE(pos, std::string::npos);
+    payload.erase(pos, payload.find('\n', pos) + 1 - pos);
+    const checkpoint::StateReader reader("policy", payload);
+
+    auto fresh = make_online_mandyn_policy(config_with_band());
+    sim::RunHooks hooks;
+    fresh->attach(hooks, 1);
+    EXPECT_THROW(fresh->restore_state(reader), checkpoint::CheckpointError);
+}
+
 // ---- decision audit: no phantom predictions -------------------------------
 
 TEST(OnlineTuner, WarmupDecisionsAreMarkedNoPrediction)

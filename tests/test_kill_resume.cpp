@@ -3,11 +3,14 @@
 /// committed, resume from the checkpoint directory, and require the resumed
 /// run's summary JSON to be byte-identical to an uninterrupted run's once
 /// the provenance object is stripped.  Also drives every CLI-level
-/// rejection path: torn data files, version skew, config-hash mismatch;
-/// and checks that --threads changes no output file of a run.
+/// rejection path: torn data files, version skew, config-hash mismatch,
+/// malformed numeric flags; checks that --threads changes no output file of
+/// a run and is no part of what a checkpoint restores; and pins the config
+/// hashes that name a run.
 ///
 /// GSPH_CLI_PATH is injected by CMake as $<TARGET_FILE:greensph_cli>.
 
+#include "checkpoint/checkpoint.hpp"
 #include "telemetry/json.hpp"
 
 #include <gtest/gtest.h>
@@ -113,6 +116,10 @@ struct KillCase {
     const char* policy;
     const char* faults;        // durable clauses, "" = none
     const char* tune_strategy; // "" = CLI default (exhaustive)
+    // Also set every other defining option away from its default:
+    // --trace-in, --particles-per-gpu and a --fault-seed above 2^53 (which
+    // a double would round), so a row the checkpoint drops shows up.
+    bool inputs = false;
 };
 
 std::string case_name(const testing::TestParamInfo<KillCase>& info)
@@ -124,11 +131,13 @@ std::string case_name(const testing::TestParamInfo<KillCase>& info)
                        "Ranks" + std::to_string(info.param.ranks);
     if (info.param.tune_strategy[0] != '\0') name += "Model";
     if (info.param.faults[0] != '\0') name += "Faulted";
+    if (info.param.inputs) name += "Inputs";
     return name;
 }
 
 std::vector<std::string> run_args(const KillCase& param, const std::string& ckpt_dir,
-                                  const std::string& summary, const std::string& faults)
+                                  const std::string& summary, const std::string& faults,
+                                  const std::vector<std::string>& extra = {})
 {
     std::vector<std::string> args = {
         "run",           "--system",          "minihpc",
@@ -148,6 +157,7 @@ std::vector<std::string> run_args(const KillCase& param, const std::string& ckpt
         args.push_back("--tune-strategy");
         args.push_back(param.tune_strategy);
     }
+    args.insert(args.end(), extra.begin(), extra.end());
     return args;
 }
 
@@ -161,19 +171,36 @@ TEST_P(KillResume, ResumedSummaryMatchesUninterruptedMinusProvenance)
     const std::string res_summary = dir.path() + "/resumed.json";
     const std::string ref_ckpt = dir.path() + "/ck_ref";
     const std::string kill_ckpt = dir.path() + "/ck_kill";
+    std::vector<std::string> extra;
+    if (param.inputs) {
+        // A trace the run's own options would not record (workload, size,
+        // step count), so replaying it is what the summary shows.
+        const std::string trace = dir.path() + "/trace.txt";
+        ASSERT_TRUE(exited_zero(run_cli({"run", "--workload", "evrard", "--nside", "7",
+                                         "--steps", "3", "--trace-out", trace,
+                                         "--log-level", "off"})));
+        extra = {"--trace-in", trace, "--particles-per-gpu", "2.5e7", "--fault-seed",
+                 "9007199254740993"};
+    }
 
     // Uninterrupted reference (same durable faults, no kill clause).
     ASSERT_TRUE(exited_zero(
-        run_cli(run_args(param, ref_ckpt, ref_summary, param.faults))));
+        run_cli(run_args(param, ref_ckpt, ref_summary, param.faults, extra))));
 
     // Killed run: SIGKILL at end of step index 4, after the step-4 commit.
     std::string killer = param.faults;
     if (!killer.empty()) killer += ";";
     killer += "kill-at-step:step=4";
-    const int status = run_cli(run_args(param, kill_ckpt, res_summary, killer));
+    const int status = run_cli(run_args(param, kill_ckpt, res_summary, killer, extra));
     ASSERT_TRUE(WIFSIGNALED(status)) << "status " << status;
     EXPECT_EQ(WTERMSIG(status), SIGKILL);
     EXPECT_TRUE(slurp(res_summary).empty()) << "killed run must not emit a summary";
+    if (param.inputs) {
+        // The config echo holds the seed as a double, so neither the hash
+        // nor the summary could tell 2^53 + 1 from 2^53; the checkpoint must.
+        EXPECT_EQ(checkpoint::read_latest(kill_ckpt).reader("cli").get_str("fault_seed"),
+                  "9007199254740993");
+    }
 
     // Resume: run-defining options come from the checkpoint, not the flags.
     ASSERT_TRUE(exited_zero(run_cli({"run", "--resume", kill_ckpt, "--summary-json",
@@ -201,7 +228,8 @@ INSTANTIATE_TEST_SUITE_P(
                     // must round-trip through the checkpoint's cli section
                     // (and the config hash) on its own.
                     KillCase{1, 2, "online", "", "model"},
-                    KillCase{4, 2, "online", "", "model"}),
+                    KillCase{4, 2, "online", "", "model"},
+                    KillCase{1, 2, "mandyn", "transient-set:p=0.2", "", true}),
     case_name);
 
 /// The summary minus provenance.argv (the command line itself), dumped.
@@ -256,6 +284,105 @@ TEST(CliThreads, RunOutputsIdenticalAcrossThreadCounts)
                   summary_without_argv(four + ".summary.json"))
             << policy;
     }
+}
+
+/// The keys of a checkpoint section, in file order.
+std::vector<std::string> section_keys(const std::string& ckpt_dir,
+                                      const std::string& section)
+{
+    return checkpoint::read_latest(ckpt_dir).reader(section).keys_with_prefix("");
+}
+
+/// A checkpoint's `cli` sections hold exactly the options that define the
+/// run; --threads is a property of the host that resumes, so a resume runs
+/// at its own --threads and still reproduces the trace byte for byte.
+TEST(CliThreads, ResumeKeepsTheResumingThreadCount)
+{
+    TempDir dir;
+    const KillCase param{4, 2, "mandyn", "", ""};
+    const std::string ref_trace = dir.path() + "/ref_trace.json";
+    const std::string res_trace = dir.path() + "/res_trace.json";
+    const std::string kill_ckpt = dir.path() + "/ck_kill";
+    ASSERT_TRUE(exited_zero(run_cli(run_args(param, dir.path() + "/ck_ref",
+                                             dir.path() + "/ref.json", "",
+                                             {"--trace-json", ref_trace}))));
+    const int status = run_cli(run_args(param, kill_ckpt, dir.path() + "/res.json",
+                                        "kill-at-step:step=4",
+                                        {"--trace-json", res_trace}));
+    ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL) << status;
+
+    EXPECT_EQ(section_keys(kill_ckpt, "cli"),
+              (std::vector<std::string>{"system", "workload", "policy", "ranks",
+                                        "steps", "nside", "particles_per_gpu",
+                                        "fault_spec", "fault_seed", "tune_strategy",
+                                        "trace_in", "policy_from"}));
+
+    ASSERT_TRUE(exited_zero(run_cli({"run", "--resume", kill_ckpt, "--threads", "1",
+                                     "--trace-json", res_trace, "--log-level",
+                                     "off"})));
+    const std::string reference = slurp(ref_trace);
+    ASSERT_FALSE(reference.empty());
+    EXPECT_EQ(slurp(res_trace), reference);
+
+    const std::string fleet_ckpt = dir.path() + "/ck_fleet";
+    const int fleet_status = run_cli(
+        {"fleet", "--system", "cscs", "--fleet-nodes", "8", "--jobs", "6", "--steps",
+         "3", "--nside", "6", "--fleet-policy", "negotiated", "--budget-w", "9000",
+         "--threads", "4", "--checkpoint-every", "2", "--checkpoint-dir", fleet_ckpt,
+         "--fault-spec", "kill-at-step:step=3", "--log-level", "off"});
+    ASSERT_TRUE(WIFSIGNALED(fleet_status) && WTERMSIG(fleet_status) == SIGKILL)
+        << fleet_status;
+    EXPECT_EQ(section_keys(fleet_ckpt, "fleet.cli"),
+              (std::vector<std::string>{"system", "workload", "steps", "nside",
+                                        "particles_per_gpu", "fleet_nodes", "jobs",
+                                        "budget_w", "fleet_policy", "seed",
+                                        "fault_spec", "fault_seed", "trace_in"}));
+}
+
+/// A numeric flag must be a whole number of its type.  std::sto* stopped at
+/// the first bad character: "--steps 1e2" ran 1 step, "--seed -1" wrapped
+/// to 2^64-1 and "--fault-seed 0x10" parsed as 0.
+TEST(CliOptions, RejectsPartialNumericValues)
+{
+    const std::vector<std::vector<std::string>> bad = {
+        {"--steps", "1e2"},      {"--ranks", "2.9"},   {"--steps", "3x"},
+        {"--seed", "-1"},        {"--fault-seed", "0x10"}, {"--steps", "+3"},
+        {"--steps", " 3"},       {"--particles-per-gpu", "1e7x"},
+    };
+    for (const auto& flag : bad) {
+        std::vector<std::string> args = {"run", "--nside", "6", "--steps", "1",
+                                         "--log-level", "off"};
+        args.insert(args.end(), flag.begin(), flag.end());
+        EXPECT_TRUE(exited_nonzero(run_cli(args))) << flag[0] << " '" << flag[1] << "'";
+    }
+}
+
+/// The config hash names a run: its checkpoints, trace ids and audit
+/// records all derive from it, so a change to it is a format change.
+TEST(CliOptions, ConfigHashesArePinned)
+{
+    TempDir dir;
+    auto hash_of = [&](std::vector<std::string> args) {
+        const std::string summary = dir.path() + "/summary.json";
+        args.insert(args.end(), {"--summary-json", summary, "--log-level", "off"});
+        EXPECT_TRUE(exited_zero(run_cli(args))) << args[0];
+        const std::string text = slurp(summary);
+        if (text.empty()) return std::string();
+        return telemetry::Json::parse(text)
+            .at("provenance")
+            .at("config_hash")
+            .as_string();
+    };
+    EXPECT_EQ(hash_of({"run", "--policy", "online", "--tune-strategy", "model",
+                       "--ranks", "4", "--steps", "6", "--nside", "6"}),
+              "c5a15e9b910a49e9");
+    EXPECT_EQ(hash_of({"fleet", "--fleet-nodes", "8", "--jobs", "6", "--budget-w",
+                       "3000", "--fleet-policy", "negotiated", "--steps", "4",
+                       "--nside", "6"}),
+              "7d7d28dea7be2fa9");
+    EXPECT_EQ(hash_of({"run", "--policy", "mandyn", "--ranks", "4", "--steps", "6",
+                       "--nside", "6"}),
+              "02d8068e3804832a");
 }
 
 /// Produce a real killed-run checkpoint directory for the rejection tests.

@@ -4,8 +4,14 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <sstream>
+#include <string>
 
 namespace gsph::sim {
 namespace {
@@ -143,6 +149,94 @@ TEST(Workload, SerializeParseRoundTrip)
             EXPECT_EQ(fa[f].work.launches, fb[f].work.launches);
             EXPECT_EQ(fa[f].work.threads, fb[f].work.threads);
         }
+    }
+}
+
+/// The ostringstream serializer WorkloadTrace::serialize replaced: the
+/// byte-for-byte reference for its text.
+std::string reference_serialize(const WorkloadTrace& trace)
+{
+    std::ostringstream os;
+    os.precision(17);
+    os << "# greensph workload trace v1\n"
+       << "workload," << trace.workload_name << '\n'
+       << "kind," << static_cast<int>(trace.kind) << '\n'
+       << "n_particles_real," << trace.n_particles_real << '\n'
+       << "particles_per_gpu," << trace.particles_per_gpu << '\n'
+       << "halo_surface_prefactor," << trace.halo_surface_prefactor << '\n'
+       << "step,function,flops,dram_bytes,gather_fraction,flop_efficiency,launches,"
+          "threads\n";
+    for (std::size_t s = 0; s < trace.steps.size(); ++s) {
+        for (const auto& fr : trace.steps[s].functions) {
+            os << s << ',' << static_cast<int>(fr.fn) << ',' << fr.work.flops << ','
+               << fr.work.dram_bytes << ',' << fr.work.gather_fraction << ','
+               << fr.work.flop_efficiency << ',' << fr.work.launches << ','
+               << fr.work.threads << '\n';
+        }
+    }
+    return os.str();
+}
+
+TEST(Workload, SerializeMatchesOstreamReference)
+{
+    for (const WorkloadKind kind : {WorkloadKind::kSubsonicTurbulence,
+                                    WorkloadKind::kEvrardCollapse,
+                                    WorkloadKind::kSedovBlast}) {
+        const auto trace = record_trace(small_spec(kind));
+        EXPECT_EQ(trace.serialize(), reference_serialize(trace)) << to_string(kind);
+    }
+
+    // Random doubles drawn to hit the formatting edges: subnormals, -0.0,
+    // integral values from 1e15 up past 1e17 (where %.17g switches to
+    // exponent form), tiny and huge magnitudes, and int64 counts near their
+    // limits.
+    std::mt19937_64 rng(20241017);
+    auto any_double = [&rng]() {
+        switch (rng() % 8) {
+            case 0: return std::numeric_limits<double>::denorm_min() *
+                           static_cast<double>(rng() % 1000000 + 1);
+            case 1: return -0.0;
+            case 2: return 1e15 + static_cast<double>(rng() % (1ULL << 40));
+            case 3: return static_cast<double>(rng() % 100000) * 1e15;
+            case 4: return std::ldexp(static_cast<double>(rng() >> 11) / 9007199254740992.0,
+                                      static_cast<int>(rng() % 2000) - 1000);
+            case 5: return -std::ldexp(static_cast<double>(rng() >> 11), -53);
+            case 6: return static_cast<double>(rng() % 1000);
+            default: return std::bit_cast<double>(rng() & 0x7fefffffffffffffULL);
+        }
+    };
+    auto any_count = [&rng]() -> std::int64_t {
+        switch (rng() % 4) {
+            case 0: return std::numeric_limits<std::int64_t>::max() -
+                           static_cast<std::int64_t>(rng() % 1000);
+            case 1: return std::numeric_limits<std::int64_t>::min() +
+                           static_cast<std::int64_t>(rng() % 1000);
+            case 2: return static_cast<std::int64_t>(rng());
+            default: return static_cast<std::int64_t>(rng() % 100000);
+        }
+    };
+    for (int round = 0; round < 50; ++round) {
+        WorkloadTrace trace;
+        trace.workload_name = "Random" + std::to_string(round);
+        trace.kind = static_cast<WorkloadKind>(round % 3);
+        trace.n_particles_real = any_double();
+        trace.particles_per_gpu = any_double();
+        trace.halo_surface_prefactor = any_double();
+        trace.steps.resize(static_cast<std::size_t>(rng() % 4 + 1));
+        for (auto& step : trace.steps) {
+            for (int f = 0; f < sph::kSphFunctionCount; ++f) {
+                FunctionRecord fr;
+                fr.fn = static_cast<sph::SphFunction>(f);
+                fr.work.flops = any_double();
+                fr.work.dram_bytes = any_double();
+                fr.work.gather_fraction = any_double();
+                fr.work.flop_efficiency = any_double();
+                fr.work.launches = any_count();
+                fr.work.threads = any_count();
+                step.functions.push_back(fr);
+            }
+        }
+        ASSERT_EQ(trace.serialize(), reference_serialize(trace)) << "round " << round;
     }
 }
 

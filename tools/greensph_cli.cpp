@@ -115,17 +115,21 @@
 #include "util/log.hpp"
 #include "util/strings.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <thread>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 using namespace gsph;
@@ -149,7 +153,7 @@ struct Options {
     int port = 0;            ///< tuned: listen port (0: ephemeral)
     std::string store_dir;   ///< tuned: durable policy store directory
     double store_ttl_s = 0.0;            ///< tuned: artifact TTL (0: keep)
-    std::size_t store_max_artifacts = 0; ///< tuned: disk cap (0: unbounded)
+    std::uint64_t store_max_artifacts = 0; ///< tuned: disk cap (0: unbounded)
     std::string access_log;  ///< tuned: JSONL access log path
     std::string submit_url;  ///< tune: POST to a running service
     double timeout_s = 30.0; ///< HTTP client read/total deadline (seconds)
@@ -204,68 +208,164 @@ void usage()
               << "         --fleet-policy uncapped|uniform|negotiated\n";
 }
 
+/// The commands whose run an option defines, as bits: their checkpoint
+/// stores it and their --resume restores it.
+enum RunCommand : unsigned { kRun = 1u << 0, kFleet = 1u << 1 };
+
+/// Whether a defining option enters its commands' config hash.
+enum class Hash {
+    kNo,         ///< an input source: stored for --resume, not hashed
+    kYes,
+    kWithFaults, ///< hashed only when a durable fault spec is set, so a
+                 ///< kill-only spec hashes like no faults
+};
+
+/// One flag and the Options field it sets; a bool field is a switch that
+/// takes no value.
+struct OptionRow {
+    const char* flag;
+    std::variant<std::string Options::*, int Options::*, double Options::*,
+                 std::uint64_t Options::*, bool Options::*>
+        field;
+    unsigned defines = 0; ///< RunCommand bits
+    Hash hash = Hash::kNo;
+};
+
+/// Every flag, once.  Parsing, both config echoes and hashes, both
+/// checkpoint `cli` sections and --resume all read this table.  A command's
+/// config echo holds its hashed rows in table order, so a hashed row keeps
+/// its place here.  Output destinations, checkpoint flags and --threads
+/// (which changes no output byte) define nothing: they come from the
+/// invoking command line, resumed or not.
+const OptionRow kOptionTable[] = {
+    {"--system", &Options::system, kRun | kFleet, Hash::kYes},
+    {"--workload", &Options::workload, kRun | kFleet, Hash::kYes},
+    {"--policy", &Options::policy, kRun, Hash::kYes},
+    {"--ranks", &Options::ranks, kRun, Hash::kYes},
+    {"--steps", &Options::steps, kRun | kFleet, Hash::kYes},
+    {"--nside", &Options::nside, kRun | kFleet, Hash::kYes},
+    {"--particles-per-gpu", &Options::particles_per_gpu, kRun | kFleet, Hash::kYes},
+    {"--fleet-nodes", &Options::fleet_nodes, kFleet, Hash::kYes},
+    {"--jobs", &Options::jobs, kFleet, Hash::kYes},
+    {"--budget-w", &Options::budget_w, kFleet, Hash::kYes},
+    {"--fleet-policy", &Options::fleet_policy, kFleet, Hash::kYes},
+    {"--seed", &Options::seed, kFleet, Hash::kYes},
+    {"--fault-spec", &Options::fault_spec, kRun | kFleet, Hash::kWithFaults},
+    {"--fault-seed", &Options::fault_seed, kRun | kFleet, Hash::kWithFaults},
+    {"--tune-strategy", &Options::tune_strategy, kRun, Hash::kYes},
+    {"--trace-in", &Options::trace_in, kRun | kFleet},
+    // A policy-from run and an inline-tuned run apply the same clock plan,
+    // so they share a config hash.
+    {"--policy-from", &Options::policy_from, kRun},
+    {"--objective", &Options::objective},
+    {"--threads", &Options::threads},
+    {"--trace-out", &Options::trace_out},
+    {"--port", &Options::port},
+    {"--store", &Options::store_dir},
+    {"--store-ttl", &Options::store_ttl_s},
+    {"--store-max-artifacts", &Options::store_max_artifacts},
+    {"--access-log", &Options::access_log},
+    {"--submit", &Options::submit_url},
+    {"--timeout-s", &Options::timeout_s},
+    {"--csv", &Options::csv_out},
+    {"--trace-json", &Options::trace_json},
+    {"--metrics-json", &Options::metrics_json},
+    {"--summary-json", &Options::summary_json},
+    {"--ledger", &Options::ledger_out},
+    {"--metrics-port", &Options::metrics_port},
+    {"--sample-every", &Options::sample_every},
+    {"--linger-s", &Options::linger_s},
+    {"--log-level", &Options::log_level},
+    {"--log-filter", &Options::log_filter},
+    {"--log-tids", &Options::log_tids},
+    {"--checkpoint-every", &Options::checkpoint_every},
+    {"--checkpoint-dir", &Options::checkpoint_dir},
+    {"--resume", &Options::resume_dir},
+};
+
+/// The echo and checkpoint key of a row: its flag without dashes.
+std::string key_of(const OptionRow& row)
+{
+    std::string key = row.flag + 2;
+    std::replace(key.begin(), key.end(), '-', '_');
+    return key;
+}
+
+/// Set a row's field from its flag's value ("1" for a given switch).  A
+/// number must consume the whole value: "1e2" or "2.9" for an integer,
+/// "3x", "-1" for an unsigned, "0x10", a leading "+" or whitespace are all
+/// refused, naming the flag.
+void set_option(Options& opt, const OptionRow& row, const std::string& text)
+{
+    std::visit(
+        [&](auto field) {
+            using T = std::remove_cvref_t<decltype(opt.*field)>;
+            if constexpr (std::is_same_v<T, bool>) {
+                opt.*field = text == "1";
+            }
+            else if constexpr (std::is_same_v<T, std::string>) {
+                opt.*field = text;
+            }
+            else {
+                T value{};
+                const char* end = text.data() + text.size();
+                const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+                if (ec != std::errc() || ptr != end) {
+                    throw std::invalid_argument(std::string("bad value for ") +
+                                                row.flag + ": '" + text + "'");
+                }
+                opt.*field = value;
+            }
+        },
+        row.field);
+}
+
+/// A row's value as set_option takes it back; numbers print in the
+/// shortest form that parses to the same value, so doubles round-trip
+/// bit-exactly.
+std::string option_text(const Options& opt, const OptionRow& row)
+{
+    return std::visit(
+        [&](auto field) -> std::string {
+            using T = std::remove_cvref_t<decltype(opt.*field)>;
+            if constexpr (std::is_same_v<T, bool>) {
+                return opt.*field ? "1" : "0";
+            }
+            else if constexpr (std::is_same_v<T, std::string>) {
+                return opt.*field;
+            }
+            else {
+                char buf[32];
+                const auto result = std::to_chars(buf, buf + sizeof(buf), opt.*field);
+                return std::string(buf, result.ptr);
+            }
+        },
+        row.field);
+}
+
 bool parse_args(int argc, char** argv, Options& opt)
 {
     if (argc < 2) return false;
     opt.command = argv[1];
     for (int i = 2; i < argc; ++i) {
         const std::string key = argv[i];
-        auto next = [&]() -> const char* {
-            if (i + 1 >= argc) throw std::invalid_argument("missing value for " + key);
-            return argv[++i];
-        };
-        if (key == "--system") opt.system = next();
-        else if (key == "--workload") opt.workload = next();
-        else if (key == "--policy") opt.policy = next();
-        else if (key == "--objective") opt.objective = next();
-        else if (key == "--tune-strategy") {
-            opt.tune_strategy = util::to_lower(next());
-            if (opt.tune_strategy != "exhaustive" && opt.tune_strategy != "model") {
-                throw std::invalid_argument("bad --tune-strategy: " +
-                                            opt.tune_strategy);
-            }
+        if (key == "--help" || key == "-h") return false;
+        const auto row = std::find_if(std::begin(kOptionTable), std::end(kOptionTable),
+                                      [&](const OptionRow& r) { return key == r.flag; });
+        if (row == std::end(kOptionTable)) {
+            throw std::invalid_argument("unknown option: " + key);
         }
-        else if (key == "--ranks") opt.ranks = std::stoi(next());
-        else if (key == "--steps") opt.steps = std::stoi(next());
-        else if (key == "--threads") opt.threads = std::stoi(next());
-        else if (key == "--nside") opt.nside = std::stoi(next());
-        else if (key == "--particles-per-gpu") opt.particles_per_gpu = std::stod(next());
-        else if (key == "--trace-in") opt.trace_in = next();
-        else if (key == "--trace-out") opt.trace_out = next();
-        else if (key == "--port") opt.port = std::stoi(next());
-        else if (key == "--store") opt.store_dir = next();
-        else if (key == "--store-ttl") opt.store_ttl_s = std::stod(next());
-        else if (key == "--store-max-artifacts") {
-            opt.store_max_artifacts = static_cast<std::size_t>(std::stoull(next()));
+        const bool is_switch = std::holds_alternative<bool Options::*>(row->field);
+        if (!is_switch && i + 1 >= argc) {
+            throw std::invalid_argument("missing value for " + key);
         }
-        else if (key == "--access-log") opt.access_log = next();
-        else if (key == "--submit") opt.submit_url = next();
-        else if (key == "--timeout-s") opt.timeout_s = std::stod(next());
-        else if (key == "--policy-from") opt.policy_from = next();
-        else if (key == "--csv") opt.csv_out = next();
-        else if (key == "--trace-json") opt.trace_json = next();
-        else if (key == "--metrics-json") opt.metrics_json = next();
-        else if (key == "--summary-json") opt.summary_json = next();
-        else if (key == "--ledger") opt.ledger_out = next();
-        else if (key == "--metrics-port") opt.metrics_port = std::stoi(next());
-        else if (key == "--sample-every") opt.sample_every = std::stod(next());
-        else if (key == "--linger-s") opt.linger_s = std::stod(next());
-        else if (key == "--log-level") opt.log_level = next();
-        else if (key == "--log-filter") opt.log_filter = next();
-        else if (key == "--log-tids") opt.log_tids = true;
-        else if (key == "--fault-spec") opt.fault_spec = next();
-        else if (key == "--fault-seed") opt.fault_seed = std::stoull(next());
-        else if (key == "--checkpoint-every") opt.checkpoint_every = std::stoi(next());
-        else if (key == "--checkpoint-dir") opt.checkpoint_dir = next();
-        else if (key == "--resume") opt.resume_dir = next();
-        else if (key == "--fleet-nodes") opt.fleet_nodes = std::stoi(next());
-        else if (key == "--jobs") opt.jobs = std::stoi(next());
-        else if (key == "--budget-w") opt.budget_w = std::stod(next());
-        else if (key == "--fleet-policy") opt.fleet_policy = util::to_lower(next());
-        else if (key == "--seed") opt.seed = std::stoull(next());
-        else if (key == "--help" || key == "-h") return false;
-        else throw std::invalid_argument("unknown option: " + key);
+        set_option(opt, *row, is_switch ? "1" : argv[++i]);
     }
+    opt.tune_strategy = util::to_lower(opt.tune_strategy);
+    if (opt.tune_strategy != "exhaustive" && opt.tune_strategy != "model") {
+        throw std::invalid_argument("bad --tune-strategy: " + opt.tune_strategy);
+    }
+    opt.fleet_policy = util::to_lower(opt.fleet_policy);
     return true;
 }
 
@@ -293,99 +393,113 @@ bool live_plane_enabled(const Options& opt)
     return opt.metrics_port >= 0 || opt.sample_every > 0.0;
 }
 
-bool write_metrics_json(const std::string& path)
+/// --metrics-json: dump the metrics registry.  False, after reporting the
+/// error, when the write failed.
+bool write_metrics_json(const Options& opt)
 {
-    return util::atomic_write_file(
-        path, telemetry::MetricsRegistry::global().to_json().dump(2) + "\n");
-}
-
-/// The fault spec as it survives across a kill: the one-shot kill-at-step
-/// clause disarmed (FaultSpec::durable()), canonically rendered.  Empty when
-/// nothing recoverable remains — a kill-only spec draws no RNG, so the run
-/// is indistinguishable from an un-faulted one and must hash identically.
-std::string durable_fault_spec(const Options& opt)
-{
-    if (opt.fault_spec.empty()) return {};
-    const auto durable = faults::FaultSpec::parse(opt.fault_spec).durable();
-    return durable.any() ? durable.describe() : std::string();
-}
-
-/// Canonical config echo for the run command: the options that decide its
-/// output.  --threads is left out because it changes no output byte, so the
-/// config hash and every id derived from it are the same at any --threads.
-telemetry::Json config_echo(const Options& opt)
-{
-    telemetry::Json config = telemetry::Json::object();
-    config["system"] = opt.system;
-    config["workload"] = opt.workload;
-    config["policy"] = opt.policy;
-    config["ranks"] = opt.ranks;
-    config["steps"] = opt.steps;
-    config["nside"] = opt.nside;
-    config["particles_per_gpu"] = opt.particles_per_gpu;
-    // The durable rendering keeps the echo (and hence the config hash and
-    // the run summary) identical across kill -> resume and the
-    // uninterrupted reference run.
-    const std::string durable_spec = durable_fault_spec(opt);
-    if (!durable_spec.empty()) {
-        config["fault_spec"] = durable_spec;
-        config["fault_seed"] = static_cast<std::size_t>(opt.fault_seed);
+    if (opt.metrics_json.empty()) return true;
+    if (!util::atomic_write_file(
+            opt.metrics_json,
+            telemetry::MetricsRegistry::global().to_json().dump(2) + "\n")) {
+        std::cerr << "error: failed to write " << opt.metrics_json << "\n";
+        return false;
     }
-    // Echoed only when non-default so config hashes of pre-existing runs
-    // (and their checkpoints) are unchanged — same pattern as fault_spec.
-    if (opt.tune_strategy != "exhaustive") {
-        config["tune_strategy"] = opt.tune_strategy;
+    std::cout << "Metrics written to " << opt.metrics_json << "\n";
+    return true;
+}
+
+/// After a run: let scrapers catch its final state for --linger-s wall
+/// seconds, then stop the exporter.
+void linger_and_stop(telemetry::MetricsExporter* exporter, const Options& opt)
+{
+    if (!exporter) return;
+    if (opt.linger_s > 0.0) {
+        std::cout << "Exporter lingering for " << util::format_fixed(opt.linger_s, 1)
+                  << " s...\n";
+        std::this_thread::sleep_for(std::chrono::duration<double>(opt.linger_s));
+    }
+    exporter->stop();
+    std::cout << "Metrics exporter stopped cleanly after " << exporter->requests_served()
+              << " request(s)\n";
+}
+
+/// The options as a run's identity sees them, so the echo, the config hash
+/// and the stored `cli` section are the same across kill -> resume and for
+/// the uninterrupted reference run: the fault spec as it survives a kill,
+/// the one-shot kill-at-step clause disarmed (FaultSpec::durable()) and
+/// canonically rendered.  Empty when nothing recoverable remains — a
+/// kill-only spec draws no RNG, so the run is indistinguishable from an
+/// un-faulted one and must hash identically.
+Options durable_options(const Options& opt)
+{
+    Options durable = opt;
+    if (!opt.fault_spec.empty()) {
+        const auto spec = faults::FaultSpec::parse(opt.fault_spec).durable();
+        durable.fault_spec = spec.any() ? spec.describe() : std::string();
+    }
+    return durable;
+}
+
+/// Canonical config echo: `command`'s hashed rows in table order, after a
+/// `"command":"fleet"` member for the fleet.
+telemetry::Json config_echo(const Options& opt, RunCommand command)
+{
+    const Options durable = durable_options(opt);
+    telemetry::Json config = telemetry::Json::object();
+    if (command == kFleet) config["command"] = "fleet";
+    for (const OptionRow& row : kOptionTable) {
+        if ((row.defines & command) == 0 || row.hash == Hash::kNo) continue;
+        if (row.hash == Hash::kWithFaults && durable.fault_spec.empty()) continue;
+        config[key_of(row)] =
+            std::visit([&](auto field) { return telemetry::Json(durable.*field); },
+                       row.field);
     }
     return config;
 }
 
 /// hex64 FNV-1a over the compact canonical config echo: the identity a
 /// checkpoint records and a resume verifies.
-std::string config_hash_of(const Options& opt)
+std::string config_hash_of(const Options& opt, RunCommand command)
 {
-    return util::hex64(util::fnv1a64(config_echo(opt).dump()));
+    return util::hex64(util::fnv1a64(config_echo(opt, command).dump()));
 }
 
-/// The run-defining options a checkpoint preserves (`cli` section).  Output
-/// destinations (--csv/--*-json) and checkpoint flags are deliberately NOT
-/// stored: they belong to the invoking command line, not the simulated run.
-void save_cli_options(checkpoint::StateWriter& w, const Options& opt)
+const char* cli_section(RunCommand command)
 {
-    w.put_str("system", opt.system);
-    w.put_str("workload", opt.workload);
-    w.put_str("policy", opt.policy);
-    w.put_i64("ranks", opt.ranks);
-    w.put_i64("steps", opt.steps);
-    w.put_i64("threads", opt.threads);
-    w.put_i64("nside", opt.nside);
-    w.put_f64("particles_per_gpu", opt.particles_per_gpu);
-    w.put_str("trace_in", opt.trace_in);
-    w.put_str("fault_spec", durable_fault_spec(opt));
-    w.put_u64("fault_seed", opt.fault_seed);
-    w.put_str("tune_strategy", opt.tune_strategy);
-    // Input source like trace_in: recorded for provenance, but absent from
-    // the config echo — a policy-from run and an inline-tuned run apply the
-    // same clock plan, so they share a config hash.
-    w.put_str("policy_from", opt.policy_from);
+    return command == kFleet ? "fleet.cli" : "cli";
 }
 
-void apply_cli_options(const checkpoint::StateReader& r, Options& opt)
+/// The checkpoint's `cli` section: every row that defines `command`, as the
+/// text its flag would take.
+void save_defining_options(checkpoint::StateWriter& w, const Options& opt,
+                           RunCommand command)
 {
-    opt.system = r.get_str("system");
-    opt.workload = r.get_str("workload");
-    opt.policy = r.get_str("policy");
-    opt.ranks = static_cast<int>(r.get_i64("ranks"));
-    opt.steps = static_cast<int>(r.get_i64("steps"));
-    opt.threads = static_cast<int>(r.get_i64("threads"));
-    opt.nside = static_cast<int>(r.get_i64("nside"));
-    opt.particles_per_gpu = r.get_f64("particles_per_gpu");
-    opt.trace_in = r.get_str("trace_in");
-    opt.fault_spec = r.get_str("fault_spec");
-    opt.fault_seed = r.get_u64("fault_seed");
-    // Absent from checkpoints written before the model strategy existed.
-    opt.tune_strategy =
-        r.has("tune_strategy") ? r.get_str("tune_strategy") : "exhaustive";
-    opt.policy_from = r.has("policy_from") ? r.get_str("policy_from") : "";
+    const Options durable = durable_options(opt);
+    for (const OptionRow& row : kOptionTable) {
+        if (row.defines & command) w.put_str(key_of(row), option_text(durable, row));
+    }
+}
+
+/// --resume: load and validate the latest checkpoint in --resume's
+/// directory, restore `command`'s defining options from its `cli` section,
+/// and refuse it unless their config hash is the one it was written under.
+/// A fleet round counts as one step.
+checkpoint::Snapshot resume_snapshot(Options& opt, RunCommand command)
+{
+    checkpoint::Snapshot snapshot = checkpoint::read_latest(opt.resume_dir);
+    const checkpoint::StateReader r = snapshot.reader(cli_section(command));
+    for (const OptionRow& row : kOptionTable) {
+        if (row.defines & command) set_option(opt, row, r.get_str(key_of(row)));
+    }
+    const std::string current_hash = config_hash_of(opt, command);
+    if (snapshot.config_hash != current_hash) {
+        throw std::runtime_error(
+            "--resume: config hash mismatch (checkpoint " + snapshot.config_hash +
+            ", current " + current_hash +
+            "): the checkpoint was written by a run with a different configuration");
+    }
+    std::cout << "Resuming from " << opt.resume_dir << " at step " << snapshot.step << "\n";
+    return snapshot;
 }
 
 void save_metrics(checkpoint::StateWriter& w)
@@ -465,9 +579,7 @@ void restore_metrics(const checkpoint::StateReader& r)
         h.sum = r.get_f64(prefix + "sum");
         snap.histograms[r.get_str(prefix + "name")] = h;
     }
-    // Digests are absent from checkpoints written before the live plane
-    // existed; treat them as "none" so old checkpoints stay resumable.
-    const std::uint64_t n_digests = r.has("digests") ? r.get_u64("digests") : 0;
+    const std::uint64_t n_digests = r.get_u64("digests");
     for (std::uint64_t i = 0; i < n_digests; ++i) {
         const std::string prefix = "digest." + std::to_string(i) + ".";
         telemetry::LogHistogram::State d;
@@ -495,6 +607,36 @@ std::unique_ptr<faults::ScopedFaultInjection> install_faults(const Options& opt)
     std::cout << "Fault injection: " << spec.describe() << " (seed " << opt.fault_seed
               << ")\n";
     return std::make_unique<faults::ScopedFaultInjection>(spec, opt.fault_seed);
+}
+
+/// Register `component`'s save_state/restore_state as checkpoint section
+/// `section` (skipped when null).
+template <typename Component>
+void add_participant(checkpoint::StateRegistry& registry, const char* section,
+                     Component* component, bool optional = false)
+{
+    if (!component) return;
+    registry.add(
+        section, [component](checkpoint::StateWriter& w) { component->save_state(w); },
+        [component](const checkpoint::StateReader& r) { component->restore_state(r); },
+        optional);
+}
+
+/// The checkpoint participants `command` shares with the other: its `cli`
+/// section (read back by resume_snapshot before anything is built, so its
+/// restore does nothing), the fault injector's RNG and the metrics registry.
+void add_command_participants(checkpoint::StateRegistry& registry, const Options& opt,
+                              RunCommand command)
+{
+    registry.add(
+        cli_section(command),
+        [opt, command](checkpoint::StateWriter& w) {
+            save_defining_options(w, opt, command);
+        },
+        [](const checkpoint::StateReader&) {});
+    add_participant(registry, "faults", faults::active());
+    registry.add("metrics", [](checkpoint::StateWriter& w) { save_metrics(w); },
+                 [](const checkpoint::StateReader& r) { restore_metrics(r); });
 }
 
 sim::WorkloadTrace load_or_record(const Options& opt)
@@ -812,13 +954,7 @@ int cmd_tune(const Options& opt)
         out << freq_table.serialize();
         std::cout << "Frequency table saved to " << opt.csv_out << "\n";
     }
-    if (!opt.metrics_json.empty()) {
-        if (!write_metrics_json(opt.metrics_json)) {
-            std::cerr << "error: failed to write " << opt.metrics_json << "\n";
-            return 1;
-        }
-        std::cout << "Metrics written to " << opt.metrics_json << "\n";
-    }
+    if (!write_metrics_json(opt)) return 1;
     return 0;
 }
 
@@ -864,27 +1000,11 @@ int cmd_run(Options opt, const std::vector<std::string>& argv)
 {
     telemetry::MetricsRegistry::global().reset();
 
-    // Resume: load + validate the checkpoint first, then rebuild the exact
-    // original run configuration from its `cli` section (the invoking
-    // command line only contributes output destinations).
     checkpoint::Snapshot snapshot;
     const bool resuming = !opt.resume_dir.empty();
-    if (resuming) {
-        snapshot = checkpoint::read_latest(opt.resume_dir);
-        apply_cli_options(snapshot.reader("cli"), opt);
-        const std::string current_hash = config_hash_of(opt);
-        if (snapshot.config_hash != current_hash) {
-            throw std::runtime_error(
-                "--resume: config hash mismatch (checkpoint " +
-                snapshot.config_hash + ", current " + current_hash +
-                "): the checkpoint was written by a run with a different "
-                "configuration");
-        }
-        std::cout << "Resuming from " << opt.resume_dir << " at step "
-                  << snapshot.step << " of " << opt.steps << "\n";
-    }
+    if (resuming) snapshot = resume_snapshot(opt, kRun);
 
-    const std::string config_hash = config_hash_of(opt);
+    const std::string config_hash = config_hash_of(opt, kRun);
     const auto faults_guard = install_faults(opt);
     const auto system = sim::system_by_name(opt.system);
     const auto trace = load_or_record(opt);
@@ -1005,89 +1125,30 @@ int cmd_run(Options opt, const std::vector<std::string>& argv)
     // the driver before the first resumed step — after the policy's
     // attach(), which is what creates the state being restored.
     checkpoint::StateRegistry registry;
-    auto* policy_ptr = policy.get();
-    registry.add(
-        "cli", [opt](checkpoint::StateWriter& w) { save_cli_options(w, opt); },
-        [](const checkpoint::StateReader&) { /* applied before construction */ });
-    registry.add(
-        "policy",
-        [policy_ptr](checkpoint::StateWriter& w) { policy_ptr->save_state(w); },
-        [policy_ptr](const checkpoint::StateReader& r) {
-            policy_ptr->restore_state(r);
-        });
-    if (faults::FaultInjector* injector = faults::active()) {
-        registry.add(
-            "faults",
-            [injector](checkpoint::StateWriter& w) { injector->save_state(w); },
-            [injector](const checkpoint::StateReader& r) {
-                injector->restore_state(r);
-            });
-    }
-    registry.add("metrics", [](checkpoint::StateWriter& w) { save_metrics(w); },
-                 [](const checkpoint::StateReader& r) { restore_metrics(r); });
+    add_participant(registry, "policy", policy.get());
+    add_command_participants(registry, opt, kRun);
     // Profiler and tracer exist only when their output flags are given, and
     // a resume may add flags the interrupted run lacked — so their sections
     // are optional: absent from the snapshot means "start fresh".
-    if (profiler) {
-        auto* prof = profiler.get();
-        registry.add(
-            "profiler",
-            [prof](checkpoint::StateWriter& w) { prof->save_state(w); },
-            [prof](const checkpoint::StateReader& r) { prof->restore_state(r); },
-            /*optional=*/true);
-    }
-    if (tracer) {
-        auto* tr = tracer.get();
-        registry.add(
-            "runtracer", [tr](checkpoint::StateWriter& w) { tr->save_state(w); },
-            [tr](const checkpoint::StateReader& r) { tr->restore_state(r); },
-            /*optional=*/true);
-    }
-    // The live plane's sections are optional for the same reason as the
-    // profiler/tracer ones: a resume may enable or disable the plane.  When
-    // enabled on both sides, rings, digest feeds, baselines and alert
-    // records resume bit-identically.
-    if (sampler) {
-        auto* smp = sampler.get();
-        registry.add(
-            "sampler", [smp](checkpoint::StateWriter& w) { smp->save_state(w); },
-            [smp](const checkpoint::StateReader& r) { smp->restore_state(r); },
-            /*optional=*/true);
-        auto* anomaly = &sampler->anomaly();
-        registry.add(
-            "anomaly",
-            [anomaly](checkpoint::StateWriter& w) { anomaly->save_state(w); },
-            [anomaly](const checkpoint::StateReader& r) { anomaly->restore_state(r); },
-            /*optional=*/true);
-    }
+    add_participant(registry, "profiler", profiler.get(), /*optional=*/true);
+    add_participant(registry, "runtracer", tracer.get(), /*optional=*/true);
+    // The live plane's sections are optional for the same reason: a resume
+    // may enable or disable the plane.  When enabled on both sides, rings,
+    // digest feeds, baselines and alert records resume bit-identically.
+    add_participant(registry, "sampler", sampler.get(), /*optional=*/true);
+    add_participant(registry, "anomaly", sampler ? &sampler->anomaly() : nullptr,
+                    /*optional=*/true);
     // Optional like the others; when present on both sides of a kill, the
     // resumed run's final JSONL ledger is byte-identical to an
     // uninterrupted one's.
-    if (ledger) {
-        auto* led = ledger.get();
-        registry.add(
-            "ledger", [led](checkpoint::StateWriter& w) { led->save_state(w); },
-            [led](const checkpoint::StateReader& r) { led->restore_state(r); },
-            /*optional=*/true);
-    }
+    add_participant(registry, "ledger", ledger.get(), /*optional=*/true);
     cfg.checkpoint_participants = &registry;
 
     std::cout << "Running " << trace.workload_name << " on " << system.name << " with "
               << opt.ranks << " rank(s) under " << policy->name() << "...\n\n";
     const auto result = core::run_with_policy(system, trace, cfg, *policy, hooks);
 
-    if (exporter) {
-        if (opt.linger_s > 0.0) {
-            // Let scrapers catch the final state of a short run.
-            std::cout << "Exporter lingering for " << util::format_fixed(opt.linger_s, 1)
-                      << " s...\n";
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>(opt.linger_s));
-        }
-        exporter->stop();
-        std::cout << "Metrics exporter stopped cleanly after "
-                  << exporter->requests_served() << " request(s)\n";
-    }
+    linger_and_stop(exporter.get(), opt);
     if (sampler && !sampler->anomaly().alerts().empty()) {
         std::cout << "Anomaly alerts: " << sampler->anomaly().alerts().size() << "\n";
     }
@@ -1130,13 +1191,7 @@ int cmd_run(Options opt, const std::vector<std::string>& argv)
         std::cout << "Chrome trace written to " << opt.trace_json
                   << " (open in ui.perfetto.dev)\n";
     }
-    if (!opt.metrics_json.empty()) {
-        if (!write_metrics_json(opt.metrics_json)) {
-            std::cerr << "error: failed to write " << opt.metrics_json << "\n";
-            return 1;
-        }
-        std::cout << "Metrics written to " << opt.metrics_json << "\n";
-    }
+    if (!write_metrics_json(opt)) return 1;
     if (ledger && !opt.ledger_out.empty()) {
         // Header deliberately excludes thread count, argv and hashes over
         // them: ledgers must be byte-identical across --threads and across
@@ -1156,7 +1211,7 @@ int cmd_run(Options opt, const std::vector<std::string>& argv)
     if (!opt.summary_json.empty()) {
         telemetry::RunSummaryContext ctx;
         ctx.policy = policy->name();
-        ctx.config = config_echo(opt);
+        ctx.config = config_echo(opt, kRun);
         ctx.argv = argv;
         ctx.config_hash = config_hash;
         if (resuming) ctx.resumed_from = opt.resume_dir;
@@ -1170,72 +1225,6 @@ int cmd_run(Options opt, const std::vector<std::string>& argv)
         std::cout << "Run summary written to " << opt.summary_json << "\n";
     }
     return 0;
-}
-
-/// Canonical config echo for the fleet command — the identity its config
-/// hash (and hence its checkpoints) commit to.  Like config_echo, it leaves
-/// out --threads, which changes no output.
-telemetry::Json fleet_config_echo(const Options& opt)
-{
-    telemetry::Json config = telemetry::Json::object();
-    config["command"] = "fleet";
-    config["system"] = opt.system;
-    config["workload"] = opt.workload;
-    config["steps"] = opt.steps;
-    config["nside"] = opt.nside;
-    config["particles_per_gpu"] = opt.particles_per_gpu;
-    config["fleet_nodes"] = opt.fleet_nodes;
-    config["jobs"] = opt.jobs;
-    config["budget_w"] = opt.budget_w;
-    config["fleet_policy"] = opt.fleet_policy;
-    config["seed"] = static_cast<std::size_t>(opt.seed);
-    const std::string durable_spec = durable_fault_spec(opt);
-    if (!durable_spec.empty()) {
-        config["fault_spec"] = durable_spec;
-        config["fault_seed"] = static_cast<std::size_t>(opt.fault_seed);
-    }
-    return config;
-}
-
-std::string fleet_config_hash_of(const Options& opt)
-{
-    return util::hex64(util::fnv1a64(fleet_config_echo(opt).dump()));
-}
-
-void save_fleet_cli_options(checkpoint::StateWriter& w, const Options& opt)
-{
-    w.put_str("system", opt.system);
-    w.put_str("workload", opt.workload);
-    w.put_i64("steps", opt.steps);
-    w.put_i64("threads", opt.threads);
-    w.put_i64("nside", opt.nside);
-    w.put_f64("particles_per_gpu", opt.particles_per_gpu);
-    w.put_str("trace_in", opt.trace_in);
-    w.put_i64("fleet_nodes", opt.fleet_nodes);
-    w.put_i64("jobs", opt.jobs);
-    w.put_f64("budget_w", opt.budget_w);
-    w.put_str("fleet_policy", opt.fleet_policy);
-    w.put_u64("seed", opt.seed);
-    w.put_str("fault_spec", durable_fault_spec(opt));
-    w.put_u64("fault_seed", opt.fault_seed);
-}
-
-void apply_fleet_cli_options(const checkpoint::StateReader& r, Options& opt)
-{
-    opt.system = r.get_str("system");
-    opt.workload = r.get_str("workload");
-    opt.steps = static_cast<int>(r.get_i64("steps"));
-    opt.threads = static_cast<int>(r.get_i64("threads"));
-    opt.nside = static_cast<int>(r.get_i64("nside"));
-    opt.particles_per_gpu = r.get_f64("particles_per_gpu");
-    opt.trace_in = r.get_str("trace_in");
-    opt.fleet_nodes = static_cast<int>(r.get_i64("fleet_nodes"));
-    opt.jobs = static_cast<int>(r.get_i64("jobs"));
-    opt.budget_w = r.get_f64("budget_w");
-    opt.fleet_policy = r.get_str("fleet_policy");
-    opt.seed = r.get_u64("seed");
-    opt.fault_spec = r.get_str("fault_spec");
-    opt.fault_seed = r.get_u64("fault_seed");
 }
 
 /// Fleet summary document.  Deliberately carries the same energy_j / edp /
@@ -1295,7 +1284,7 @@ telemetry::Json fleet_summary_json(const fleet::FleetResult& result,
     }
     f["jobs"] = std::move(jobs);
     j["fleet"] = std::move(f);
-    j["config"] = fleet_config_echo(opt);
+    j["config"] = config_echo(opt, kFleet);
 
     telemetry::Json prov = telemetry::Json::object();
     telemetry::Json args = telemetry::Json::array();
@@ -1314,20 +1303,9 @@ int cmd_fleet(Options opt, const std::vector<std::string>& argv)
 
     checkpoint::Snapshot snapshot;
     const bool resuming = !opt.resume_dir.empty();
-    if (resuming) {
-        snapshot = checkpoint::read_latest(opt.resume_dir);
-        apply_fleet_cli_options(snapshot.reader("fleet.cli"), opt);
-        const std::string current_hash = fleet_config_hash_of(opt);
-        if (snapshot.config_hash != current_hash) {
-            throw std::runtime_error(
-                "--resume: config hash mismatch (checkpoint " +
-                snapshot.config_hash + ", current " + current_hash + ")");
-        }
-        std::cout << "Resuming fleet from " << opt.resume_dir << " at round "
-                  << snapshot.step << "\n";
-    }
+    if (resuming) snapshot = resume_snapshot(opt, kFleet);
 
-    const std::string config_hash = fleet_config_hash_of(opt);
+    const std::string config_hash = config_hash_of(opt, kFleet);
     const auto faults_guard = install_faults(opt);
     const auto system = sim::system_by_name(opt.system);
     const auto trace = load_or_record(opt);
@@ -1361,20 +1339,7 @@ int cmd_fleet(Options opt, const std::vector<std::string>& argv)
     if (resuming) cfg.resume = &snapshot;
 
     checkpoint::StateRegistry registry;
-    registry.add(
-        "fleet.cli",
-        [opt](checkpoint::StateWriter& w) { save_fleet_cli_options(w, opt); },
-        [](const checkpoint::StateReader&) { /* applied before construction */ });
-    if (faults::FaultInjector* injector = faults::active()) {
-        registry.add(
-            "faults",
-            [injector](checkpoint::StateWriter& w) { injector->save_state(w); },
-            [injector](const checkpoint::StateReader& r) {
-                injector->restore_state(r);
-            });
-    }
-    registry.add("metrics", [](checkpoint::StateWriter& w) { save_metrics(w); },
-                 [](const checkpoint::StateReader& r) { restore_metrics(r); });
+    add_command_participants(registry, opt, kFleet);
     cfg.checkpoint_participants = &registry;
 
     // Fleet observability plane: per-round snapshots for /fleet.json plus
@@ -1414,16 +1379,7 @@ int cmd_fleet(Options opt, const std::vector<std::string>& argv)
 
     const fleet::FleetResult result = fleet::run_fleet(cfg);
 
-    if (exporter) {
-        if (opt.linger_s > 0.0) {
-            std::cout << "Exporter lingering for "
-                      << util::format_fixed(opt.linger_s, 1) << " s...\n";
-            std::this_thread::sleep_for(std::chrono::duration<double>(opt.linger_s));
-        }
-        exporter->stop();
-        std::cout << "Metrics exporter stopped cleanly after "
-                  << exporter->requests_served() << " request(s)\n";
-    }
+    linger_and_stop(exporter.get(), opt);
 
     if (fleet_tracer) {
         if (!fleet_tracer->write_file(opt.trace_json)) {
@@ -1459,13 +1415,7 @@ int cmd_fleet(Options opt, const std::vector<std::string>& argv)
         }
         std::cout << "\nFleet summary written to " << opt.summary_json << "\n";
     }
-    if (!opt.metrics_json.empty()) {
-        if (!write_metrics_json(opt.metrics_json)) {
-            std::cerr << "error: failed to write " << opt.metrics_json << "\n";
-            return 1;
-        }
-        std::cout << "Metrics written to " << opt.metrics_json << "\n";
-    }
+    if (!write_metrics_json(opt)) return 1;
     return 0;
 }
 
