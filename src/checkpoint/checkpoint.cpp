@@ -6,10 +6,13 @@
 #include "util/checksum.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <utility>
 
 namespace gsph::checkpoint {
 
@@ -20,12 +23,31 @@ namespace {
 const std::string kDataHeader =
     "greensph-checkpoint " + std::to_string(kFormatVersion) + "\n";
 
+constexpr std::string_view kDataPrefix = "checkpoint-";
+constexpr std::string_view kDataSuffix = ".gsc";
+
 std::string data_file_name(int step)
 {
     std::string digits = std::to_string(step);
     if (digits.size() < 6) digits.insert(0, 6 - digits.size(), '0');
-    return "checkpoint-" + digits + ".gsc";
+    return std::string(kDataPrefix) + digits + std::string(kDataSuffix);
 }
+
+/// The step a data file name encodes; nullopt for any other name.  Steps
+/// are zero-padded to six digits only, so names do not sort by step.
+std::optional<long long> data_file_step(std::string_view name)
+{
+    if (!name.starts_with(kDataPrefix) || !name.ends_with(kDataSuffix)) return std::nullopt;
+    name.remove_prefix(kDataPrefix.size());
+    name.remove_suffix(kDataSuffix.size());
+    long long step = 0;
+    const auto [ptr, ec] = std::from_chars(name.data(), name.data() + name.size(), step);
+    if (ec != std::errc() || ptr != name.data() + name.size()) return std::nullopt;
+    return step;
+}
+
+/// Bytes of one `section <name> <bytes> <crc32>` line beyond the name.
+constexpr std::size_t kSectionLineBytes = 40;
 
 std::string read_file(const fs::path& path, const std::string& what)
 {
@@ -82,7 +104,13 @@ std::string CheckpointWriter::write(int step, const std::vector<Section>& sectio
 
     // 1. Data file: header + sections, each with its own byte count and CRC
     //    so readers can pinpoint exactly which block is damaged.
-    std::string data = kDataHeader;
+    std::size_t data_bytes = kDataHeader.size();
+    for (const Section& section : sections) {
+        data_bytes += kSectionLineBytes + section.name.size() + section.data.size();
+    }
+    std::string data;
+    data.reserve(data_bytes);
+    data += kDataHeader;
     telemetry::Json manifest_sections = telemetry::Json::array();
     for (const Section& section : sections) {
         const std::uint32_t crc = util::crc32(section.data);
@@ -123,18 +151,18 @@ std::string CheckpointWriter::write(int step, const std::vector<Section>& sectio
 
     // 3. Prune: anything but the most recent keep_last_ data files is
     //    unreachable now that the manifest moved on.
-    std::vector<std::string> old_files;
+    std::vector<std::pair<long long, fs::path>> old_files;
     for (const auto& entry : fs::directory_iterator(dir_, ec)) {
         const std::string name = entry.path().filename().string();
-        if (name.rfind("checkpoint-", 0) == 0 && name != file_name &&
-            name.size() > 4 && name.substr(name.size() - 4) == ".gsc") {
-            old_files.push_back(entry.path().string());
+        if (name == file_name) continue;
+        if (const auto old_step = data_file_step(name)) {
+            old_files.emplace_back(*old_step, entry.path());
         }
     }
     std::sort(old_files.begin(), old_files.end());
     const int excess = static_cast<int>(old_files.size()) - (keep_last_ - 1);
     for (int i = 0; i < excess; ++i) {
-        fs::remove(old_files[static_cast<std::size_t>(i)], ec);
+        fs::remove(old_files[static_cast<std::size_t>(i)].second, ec);
     }
 
     ++written_;
@@ -278,7 +306,7 @@ std::vector<Section> StateRegistry::save_all() const
     for (const Participant& p : participants_) {
         StateWriter writer;
         p.save(writer);
-        out.push_back({p.section, writer.str()});
+        out.push_back({p.section, writer.take()});
     }
     return out;
 }

@@ -16,18 +16,20 @@ constexpr const char* kHex = "0123456789abcdef";
 
 void append_str(std::string& out, std::string_view value)
 {
-    for (const char ch : value) {
-        const auto byte = static_cast<unsigned char>(ch);
-        if (plain_byte(byte) || byte == ' ') {
-            // Spaces are legal inside scalar string values (vectors encode
-            // their own separators before this point is reached).
-            out.push_back(ch);
-        } else {
-            out.push_back('%');
-            out.push_back(kHex[byte >> 4]);
-            out.push_back(kHex[byte & 0xF]);
-        }
+    // Runs of bytes that need no escape are appended whole.
+    std::size_t plain_from = 0;
+    for (std::size_t i = 0; i < value.size(); ++i) {
+        const auto byte = static_cast<unsigned char>(value[i]);
+        // Spaces are legal inside scalar string values (vectors encode
+        // their own separators before this point is reached).
+        if (plain_byte(byte) || byte == ' ') continue;
+        out.append(value.substr(plain_from, i - plain_from));
+        out.push_back('%');
+        out.push_back(kHex[byte >> 4]);
+        out.push_back(kHex[byte & 0xF]);
+        plain_from = i + 1;
     }
+    out.append(value.substr(plain_from));
 }
 
 void append_f64(std::string& out, double value)
@@ -60,20 +62,31 @@ int hex_nibble(char c)
     return -1;
 }
 
+/// Parses the whole of `text` as a decimal integer: no sign on unsigned
+/// types, no '+', no surrounding space, nothing left over.
+template <typename Int>
+bool parse_int(std::string_view text, Int& value)
+{
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    return ec == std::errc() && ptr == end;
+}
+
+/// Items of a vector value.  A leading, doubled or trailing space yields
+/// an empty item, which no item parser accepts.
 std::vector<std::string_view> split_spaces(std::string_view text)
 {
     std::vector<std::string_view> out;
     std::size_t pos = 0;
-    while (pos < text.size()) {
+    while (true) {
         const std::size_t next = text.find(' ', pos);
         if (next == std::string_view::npos) {
             out.push_back(text.substr(pos));
-            break;
+            return out;
         }
         out.push_back(text.substr(pos, next - pos));
         pos = next + 1;
     }
-    return out;
 }
 
 } // namespace
@@ -176,6 +189,64 @@ void StateWriter::put_u64_vec(std::string_view key,
     out_.push_back('\n');
 }
 
+void StateWriter::put_vec(std::string_view key, const EncodeCache& cached,
+                          const EncodeCache& tail)
+{
+    begin_line(key);
+    out_.append(cached.text_);
+    if (cached.size_ != 0 && tail.size_ != 0) out_.push_back(' ');
+    out_.append(tail.text_);
+    out_.push_back('\n');
+}
+
+void StateWriter::put_lines(const EncodeCache& cached)
+{
+    out_.append(cached.text_);
+}
+
+std::string StateWriter::take()
+{
+    std::string out = std::move(out_);
+    out_.clear();
+    return out;
+}
+
+void EncodeCache::separate()
+{
+    if (size_ != 0) text_.push_back(' ');
+    ++size_;
+}
+
+void EncodeCache::push_f64(double value)
+{
+    separate();
+    append_f64(text_, value);
+}
+
+void EncodeCache::push_i64(std::int64_t value)
+{
+    separate();
+    append_int(text_, value);
+}
+
+void EncodeCache::push_u64(std::uint64_t value)
+{
+    separate();
+    append_int(text_, value);
+}
+
+void EncodeCache::push_lines(const StateWriter& lines)
+{
+    text_.append(lines.str());
+    ++size_;
+}
+
+void EncodeCache::clear()
+{
+    text_.clear();
+    size_ = 0;
+}
+
 StateReader::StateReader(std::string_view section, std::string_view payload)
     : section_(section)
 {
@@ -234,28 +305,17 @@ double StateReader::get_f64(std::string_view key) const
 std::int64_t StateReader::get_i64(std::string_view key) const
 {
     const std::string& text = raw(key);
-    try {
-        std::size_t used = 0;
-        const long long value = std::stoll(text, &used);
-        if (used != text.size()) throw std::invalid_argument("trailing bytes");
-        return value;
-    } catch (const std::exception&) {
-        fail(key, "malformed integer '" + text + "'");
-    }
+    std::int64_t value = 0;
+    if (!parse_int(text, value)) fail(key, "malformed integer '" + text + "'");
+    return value;
 }
 
 std::uint64_t StateReader::get_u64(std::string_view key) const
 {
     const std::string& text = raw(key);
-    try {
-        if (!text.empty() && text[0] == '-') throw std::invalid_argument("negative");
-        std::size_t used = 0;
-        const unsigned long long value = std::stoull(text, &used);
-        if (used != text.size()) throw std::invalid_argument("trailing bytes");
-        return value;
-    } catch (const std::exception&) {
-        fail(key, "malformed unsigned integer '" + text + "'");
-    }
+    std::uint64_t value = 0;
+    if (!parse_int(text, value)) fail(key, "malformed unsigned integer '" + text + "'");
+    return value;
 }
 
 bool StateReader::get_bool(std::string_view key) const
@@ -307,18 +367,11 @@ std::vector<std::uint64_t> StateReader::get_u64_vec(std::string_view key) const
     const std::string& text = raw(key);
     if (text.empty()) return out;
     for (const std::string_view item : split_spaces(text)) {
-        try {
-            std::size_t used = 0;
-            const std::string token(item);
-            if (!token.empty() && token[0] == '-') {
-                throw std::invalid_argument("negative");
-            }
-            const unsigned long long value = std::stoull(token, &used);
-            if (used != token.size()) throw std::invalid_argument("trailing bytes");
-            out.push_back(value);
-        } catch (const std::exception&) {
+        std::uint64_t value = 0;
+        if (!parse_int(item, value)) {
             fail(key, "malformed unsigned integer '" + std::string(item) + "'");
         }
+        out.push_back(value);
     }
     return out;
 }
@@ -330,10 +383,7 @@ std::vector<std::int64_t> StateReader::get_i64_vec(std::string_view key) const
     if (text.empty()) return out;
     for (const std::string_view item : split_spaces(text)) {
         std::int64_t value = 0;
-        const auto [ptr, ec] = std::from_chars(item.data(), item.data() + item.size(), value);
-        if (ec != std::errc() || ptr != item.data() + item.size()) {
-            fail(key, "malformed integer '" + std::string(item) + "'");
-        }
+        if (!parse_int(item, value)) fail(key, "malformed integer '" + std::string(item) + "'");
         out.push_back(value);
     }
     return out;

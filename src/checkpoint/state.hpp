@@ -36,6 +36,37 @@ public:
     explicit CheckpointError(const std::string& what) : std::runtime_error(what) {}
 };
 
+class StateWriter;
+
+/// What a checkpoint participant keeps between saves, so that a save encodes
+/// only what was recorded since the previous one: the encoded text of the
+/// first size() entries of something that only grows.  An entry is one
+/// vector item (push_f64/push_i64/push_u64, written out by
+/// StateWriter::put_vec) or a group of whole lines (push_lines, written out
+/// by StateWriter::put_lines).  Cache only entries that can no longer
+/// change; an owner whose cached entries changed, or that was cleared or
+/// restored, calls clear().
+class EncodeCache {
+public:
+    /// Entries encoded so far.
+    std::size_t size() const { return size_; }
+
+    void push_f64(double value);
+    void push_i64(std::int64_t value);
+    void push_u64(std::uint64_t value);
+    void push_lines(const StateWriter& lines);
+
+    void clear();
+
+private:
+    friend class StateWriter;
+    /// The separator before every vector item but the first.
+    void separate();
+
+    std::string text_;
+    std::size_t size_ = 0;
+};
+
 /// Serializes one section's state as ordered `key=value` lines.
 class StateWriter {
 public:
@@ -47,9 +78,18 @@ public:
     void put_f64_vec(std::string_view key, const std::vector<double>& values);
     void put_i64_vec(std::string_view key, const std::vector<std::int64_t>& values);
     void put_u64_vec(std::string_view key, const std::vector<std::uint64_t>& values);
+    /// `key=` followed by the items of `cached` and then those of `tail`,
+    /// which holds entries that may still change and is encoded for this
+    /// save only: the line put_*_vec writes for the same values.
+    void put_vec(std::string_view key, const EncodeCache& cached,
+                 const EncodeCache& tail = {});
+    /// The lines held by `cached`, verbatim.
+    void put_lines(const EncodeCache& cached);
 
     /// The serialized section payload.
     const std::string& str() const { return out_; }
+    /// Moves the payload out, leaving the writer empty.
+    std::string take();
 
 private:
     /// Appends `key=`; each put_* then encodes its value straight into out_.

@@ -217,27 +217,27 @@ FleetResult run_fleet(const FleetConfig& config)
                 w.put_bool(p + "missed_deadline", o.missed_deadline);
                 w.put_f64(p + "gpu_energy_j", o.gpu_energy_j);
             }
-            sections.push_back({"fleet", w.str()});
+            sections.push_back({"fleet", w.take()});
         }
         for (int n = 0; n < config.n_nodes; ++n) {
             sim::Node& node = *nodes[static_cast<std::size_t>(n)];
             checkpoint::StateWriter c;
             node.cpu().save_state(c);
-            sections.push_back({"fleet.cpu." + std::to_string(n), c.str()});
+            sections.push_back({"fleet.cpu." + std::to_string(n), c.take()});
             for (int g = 0; g < node.gpu_count(); ++g) {
                 checkpoint::StateWriter w;
                 node.gpu(g).save_state(w);
                 sections.push_back(
-                    {"fleet.gpu." + std::to_string(n * gpn + g), w.str()});
+                    {"fleet.gpu." + std::to_string(n * gpn + g), w.take()});
             }
             checkpoint::StateWriter p;
             node.counters().save_state(p);
-            sections.push_back({"fleet.pm." + std::to_string(n), p.str()});
+            sections.push_back({"fleet.pm." + std::to_string(n), p.take()});
         }
         for (std::size_t r = 0; r < running.size(); ++r) {
             checkpoint::StateWriter w;
             running[r].slurm->save_state(w);
-            sections.push_back({"fleet.job." + std::to_string(r) + ".slurm", w.str()});
+            sections.push_back({"fleet.job." + std::to_string(r) + ".slurm", w.take()});
         }
         if (config.checkpoint_participants) {
             for (auto& section : config.checkpoint_participants->save_all()) {

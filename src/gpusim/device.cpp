@@ -142,6 +142,8 @@ void GpuDevice::clear_traces()
 {
     clock_trace_.clear();
     power_trace_.clear();
+    clock_text_ = {};
+    power_text_ = {};
 }
 
 KernelResult GpuDevice::execute(const KernelWork& work)
@@ -274,21 +276,18 @@ void GpuDevice::idle(double seconds)
     record(now_s_, current_clock_mhz_, last_power_w_);
 }
 
-namespace {
-
-void save_series(checkpoint::StateWriter& writer, const std::string& key,
-                 const util::TimeSeries& series)
+void GpuDevice::save_series(checkpoint::StateWriter& writer, const std::string& key,
+                            const util::TimeSeries& series, SeriesText& text)
 {
-    std::vector<double> times, values;
-    times.reserve(series.size());
-    values.reserve(series.size());
-    for (const util::Sample& s : series.samples()) {
-        times.push_back(s.time);
-        values.push_back(s.value);
+    for (std::size_t i = text.times.size(); i < series.size(); ++i) {
+        text.times.push_f64(series[i].time);
+        text.values.push_f64(series[i].value);
     }
-    writer.put_f64_vec(key + ".t", times);
-    writer.put_f64_vec(key + ".v", values);
+    writer.put_vec(key + ".t", text.times);
+    writer.put_vec(key + ".v", text.values);
 }
+
+namespace {
 
 void restore_series(const checkpoint::StateReader& reader, const std::string& key,
                     util::TimeSeries& series)
@@ -322,8 +321,8 @@ void GpuDevice::save_state(checkpoint::StateWriter& writer) const
     writer.put_f64("governor.cap_mhz", governor_.cap_mhz());
     writer.put_f64("governor.current_mhz", governor_.current_mhz());
     writer.put_i64("governor.transitions", governor_.transition_count());
-    save_series(writer, "clock_trace", clock_trace_);
-    save_series(writer, "power_trace", power_trace_);
+    save_series(writer, "clock_trace", clock_trace_, clock_text_);
+    save_series(writer, "power_trace", power_trace_, power_text_);
 }
 
 void GpuDevice::restore_state(const checkpoint::StateReader& reader)
@@ -341,6 +340,8 @@ void GpuDevice::restore_state(const checkpoint::StateReader& reader)
     governor_.restore(reader.get_f64("governor.cap_mhz"),
                       reader.get_f64("governor.current_mhz"),
                       reader.get_i64("governor.transitions"));
+    clock_text_ = {};
+    power_text_ = {};
     restore_series(reader, "clock_trace", clock_trace_);
     restore_series(reader, "power_trace", power_trace_);
 }

@@ -112,6 +112,14 @@ private:
     void record(double time, double clock_mhz, double power_w);
     void account(double dt, double power_w);
 
+    /// A trace's checkpoint text (save_state).  Traces only grow, so a save
+    /// encodes only the samples appended since the previous one.
+    struct SeriesText {
+        checkpoint::EncodeCache times, values;
+    };
+    static void save_series(checkpoint::StateWriter& writer, const std::string& key,
+                            const util::TimeSeries& series, SeriesText& text);
+
     GpuDeviceSpec spec_;
     int index_;
     PowerModel power_model_;
@@ -131,6 +139,7 @@ private:
     bool tracing_ = false;
     util::TimeSeries clock_trace_{"clock_mhz"};
     util::TimeSeries power_trace_{"power_w"};
+    mutable SeriesText clock_text_, power_text_;
 };
 
 } // namespace gsph::gpusim

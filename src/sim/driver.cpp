@@ -163,26 +163,26 @@ RunResult run_instrumented(const SystemSpec& system, const WorkloadTrace& trace,
                 w.put_f64(prefix + "pmt_timestamp_s", p.timestamp_s);
                 w.put_f64(prefix + "pmt_joules", p.joules);
             }
-            sections.push_back({"driver", w.str()});
+            sections.push_back({"driver", w.take()});
         }
         const auto gpus = cluster.all_gpus();
         for (std::size_t i = 0; i < gpus.size(); ++i) {
             checkpoint::StateWriter w;
             gpus[i]->save_state(w);
-            sections.push_back({"gpu." + std::to_string(i), w.str()});
+            sections.push_back({"gpu." + std::to_string(i), w.take()});
         }
         for (int n = 0; n < cluster.n_nodes(); ++n) {
             checkpoint::StateWriter w;
             cluster.node(n).cpu().save_state(w);
-            sections.push_back({"cpu." + std::to_string(n), w.str()});
+            sections.push_back({"cpu." + std::to_string(n), w.take()});
             checkpoint::StateWriter c;
             cluster.node(n).counters().save_state(c);
-            sections.push_back({"pmcounters." + std::to_string(n), c.str()});
+            sections.push_back({"pmcounters." + std::to_string(n), c.take()});
         }
         {
             checkpoint::StateWriter w;
             job.save_state(w);
-            sections.push_back({"slurm", w.str()});
+            sections.push_back({"slurm", w.take()});
         }
         if (config.checkpoint_participants) {
             for (auto& section : config.checkpoint_participants->save_all()) {

@@ -33,6 +33,90 @@ const char* fn_name(int function)
     return "none";
 }
 
+/// Appends the members of one JSON object, key for key as Json::dump
+/// writes them.
+class JsonMembers {
+public:
+    explicit JsonMembers(std::string& out) : out_(out) {}
+
+    /// Appends `"key":`, after a comma unless it is the first member, and
+    /// returns the buffer for the value.
+    std::string& key(std::string_view key)
+    {
+        if (!first_) out_ += ',';
+        first_ = false;
+        out_ += '"';
+        append_json_escaped(out_, key);
+        out_ += "\":";
+        return out_;
+    }
+    void number(std::string_view k, double value) { append_json_number(key(k), value); }
+    void boolean(std::string_view k, bool value) { key(k) += value ? "true" : "false"; }
+    void string(std::string_view k, std::string_view value)
+    {
+        std::string& out = key(k);
+        out += '"';
+        append_json_escaped(out, value);
+        out += '"';
+    }
+
+private:
+    std::string& out_;
+    bool first_ = true;
+};
+
+/// The members of one decision.  A repeated input name keeps its first
+/// position and its last value, as in a Json object.
+void append_decision(JsonMembers& m, const AuditedDecision& d)
+{
+    const DecisionRecord& r = d.record;
+    m.number("id", static_cast<double>(d.id));
+    m.number("step", d.step);
+    m.string("policy", r.policy);
+    m.number("rank", r.rank);
+    m.string("function", fn_name(r.function));
+    std::string& candidates = m.key("candidate_mhz");
+    candidates += '[';
+    for (std::size_t i = 0; i < r.candidate_mhz.size(); ++i) {
+        if (i) candidates += ',';
+        append_json_number(candidates, r.candidate_mhz[i]);
+    }
+    candidates += ']';
+    m.number("chosen_mhz", r.chosen_mhz);
+    // Untraced runs omit the key entirely so pre-tracing consumers (and
+    // byte-identity tests) see unchanged documents.
+    if (!r.trace_id.empty()) m.string("trace_id", r.trace_id);
+    // Warmup / first-visit decisions carry no prediction; emitting the
+    // struct default (0) here made every warmup decision count as a
+    // misprediction downstream.  Mark them explicitly instead.
+    if (r.predicted_edp > 0.0) {
+        m.number("predicted_edp", r.predicted_edp);
+    }
+    else {
+        m.boolean("no_prediction", true);
+    }
+    std::string& inputs_text = m.key("inputs");
+    inputs_text += '{';
+    JsonMembers inputs(inputs_text);
+    for (std::size_t i = 0; i < r.inputs.size(); ++i) {
+        const std::string& name = r.inputs[i].first;
+        bool repeated = false;
+        for (std::size_t k = 0; k < i && !repeated; ++k) repeated = r.inputs[k].first == name;
+        if (repeated) continue;
+        double value = r.inputs[i].second;
+        for (std::size_t k = i + 1; k < r.inputs.size(); ++k) {
+            if (r.inputs[k].first == name) value = r.inputs[k].second;
+        }
+        inputs.number(name, value);
+    }
+    inputs_text += '}';
+    m.boolean("resolved", d.resolved);
+    m.number("realized_edp", d.realized_edp);
+    if (d.resolved && r.predicted_edp > 0.0) {
+        m.number("prediction_error", (d.realized_edp - r.predicted_edp) / r.predicted_edp);
+    }
+}
+
 } // namespace
 
 const char* to_string(LedgerPhase phase)
@@ -261,42 +345,6 @@ int AttributionLedger::steps_completed() const
     return steps_completed_;
 }
 
-Json AttributionLedger::decision_json_locked(const AuditedDecision& d) const
-{
-    Json j = Json::object();
-    j["id"] = static_cast<double>(d.id);
-    j["step"] = d.step;
-    j["policy"] = d.record.policy;
-    j["rank"] = d.record.rank;
-    j["function"] = fn_name(d.record.function);
-    Json candidates = Json::array();
-    for (double mhz : d.record.candidate_mhz) candidates.push_back(mhz);
-    j["candidate_mhz"] = std::move(candidates);
-    j["chosen_mhz"] = d.record.chosen_mhz;
-    // Untraced runs omit the key entirely so pre-tracing consumers (and
-    // byte-identity tests) see unchanged documents.
-    if (!d.record.trace_id.empty()) j["trace_id"] = d.record.trace_id;
-    // Warmup / first-visit decisions carry no prediction; emitting the
-    // struct default (0) here made every warmup decision count as a
-    // misprediction downstream.  Mark them explicitly instead.
-    if (d.record.predicted_edp > 0.0) {
-        j["predicted_edp"] = d.record.predicted_edp;
-    }
-    else {
-        j["no_prediction"] = true;
-    }
-    Json inputs = Json::object();
-    for (const auto& [name, value] : d.record.inputs) inputs[name] = value;
-    j["inputs"] = std::move(inputs);
-    j["resolved"] = d.resolved;
-    j["realized_edp"] = d.realized_edp;
-    if (d.resolved && d.record.predicted_edp > 0.0) {
-        j["prediction_error"] =
-            (d.realized_edp - d.record.predicted_edp) / d.record.predicted_edp;
-    }
-    return j;
-}
-
 Json AttributionLedger::attribution_json(std::size_t max_decisions) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -328,8 +376,14 @@ Json AttributionLedger::attribution_json(std::size_t max_decisions) const
     Json decisions = Json::array();
     const std::size_t start =
         decisions_.size() > max_decisions ? decisions_.size() - max_decisions : 0;
+    // The live view parses the JSONL writer's text: one encoder per record.
+    std::string text;
     for (std::size_t i = start; i < decisions_.size(); ++i) {
-        decisions.push_back(decision_json_locked(decisions_[i]));
+        text = "{";
+        JsonMembers members(text);
+        append_decision(members, decisions_[i]);
+        text += '}';
+        decisions.push_back(Json::parse(text));
     }
     j["decisions"] = std::move(decisions);
     return j;
@@ -414,23 +468,24 @@ bool AttributionLedger::write_jsonl(const std::string& path,
 
     std::string out = h.dump(-1) + "\n";
     for (const auto& [key, cell] : buckets_) {
-        Json b = Json::object();
-        b["type"] = "bucket";
-        b["rank"] = key.rank;
-        b["function"] = fn_name(key.function);
-        b["phase"] = to_string(static_cast<LedgerPhase>(key.phase));
-        b["freq_mhz"] = cell.freq_mhz;
-        b["energy_j"] = cell.energy_j;
-        b["time_s"] = cell.time_s;
-        b["calls"] = cell.calls;
-        out += b.dump(-1) + "\n";
+        out += '{';
+        JsonMembers b(out);
+        b.string("type", "bucket");
+        b.number("rank", key.rank);
+        b.string("function", fn_name(key.function));
+        b.string("phase", to_string(static_cast<LedgerPhase>(key.phase)));
+        b.number("freq_mhz", cell.freq_mhz);
+        b.number("energy_j", cell.energy_j);
+        b.number("time_s", cell.time_s);
+        b.number("calls", static_cast<double>(cell.calls));
+        out += "}\n";
     }
     for (const AuditedDecision& d : decisions_) {
-        Json j = decision_json_locked(d);
-        Json line = Json::object();
-        line["type"] = "decision";
-        for (const auto& [key, value] : j.members()) line[key] = value;
-        out += line.dump(-1) + "\n";
+        out += '{';
+        JsonMembers line(out);
+        line.string("type", "decision");
+        append_decision(line, d);
+        out += "}\n";
     }
     return util::atomic_write_file(path, out);
 }
@@ -463,38 +518,56 @@ void AttributionLedger::save_state(checkpoint::StateWriter& writer) const
         writer.put_i64(prefix + "calls", cell.calls);
         ++i;
     }
-    writer.put_u64("decisions", decisions_.size());
-    for (std::size_t d = 0; d < decisions_.size(); ++d) {
-        const AuditedDecision& dec = decisions_[d];
-        const std::string prefix = "decision." + std::to_string(d) + ".";
-        writer.put_i64(prefix + "id", dec.id);
-        writer.put_i64(prefix + "step", dec.step);
-        writer.put_str(prefix + "policy", dec.record.policy);
-        writer.put_i64(prefix + "rank", dec.record.rank);
-        writer.put_i64(prefix + "function", dec.record.function);
-        writer.put_f64_vec(prefix + "candidate_mhz", dec.record.candidate_mhz);
-        writer.put_f64(prefix + "chosen_mhz", dec.record.chosen_mhz);
-        writer.put_f64(prefix + "predicted_edp", dec.record.predicted_edp);
-        // Written only when set: older checkpoints (and untraced runs)
-        // simply lack the key, and restore tolerates that via has().
-        if (!dec.record.trace_id.empty()) {
-            writer.put_str(prefix + "trace_id", dec.record.trace_id);
-        }
-        writer.put_bool(prefix + "resolved", dec.resolved);
-        writer.put_f64(prefix + "realized_edp", dec.realized_edp);
-        writer.put_u64(prefix + "inputs", dec.record.inputs.size());
-        for (std::size_t k = 0; k < dec.record.inputs.size(); ++k) {
-            const std::string ip = prefix + "input." + std::to_string(k) + ".";
-            writer.put_str(ip + "name", dec.record.inputs[k].first);
-            writer.put_f64(ip + "value", dec.record.inputs[k].second);
-        }
+    // A decision's lines change only while a pending_ entry points at it,
+    // and an entry is only ever set to the decision just appended: the
+    // lines of the decisions before the first pending one are kept between
+    // saves.
+    std::size_t settled = decisions_.size();
+    for (const std::int64_t p : pending_) {
+        if (p >= 0) settled = std::min(settled, static_cast<std::size_t>(p));
     }
+    for (std::size_t d = saved_decisions_.size(); d < settled; ++d) {
+        checkpoint::StateWriter lines;
+        put_decision_locked(lines, d);
+        saved_decisions_.push_lines(lines);
+    }
+    writer.put_u64("decisions", decisions_.size());
+    writer.put_lines(saved_decisions_);
+    for (std::size_t d = settled; d < decisions_.size(); ++d) put_decision_locked(writer, d);
     // Pending-decision indices, shifted by one so "none" (-1) encodes as 0.
     std::vector<std::uint64_t> pending(pending_.size());
     for (std::size_t k = 0; k < pending_.size(); ++k) {
         pending[k] = static_cast<std::uint64_t>(pending_[k] + 1);
     }
     writer.put_u64_vec("pending", pending);
+}
+
+void AttributionLedger::put_decision_locked(checkpoint::StateWriter& writer,
+                                            std::size_t d) const
+{
+    const AuditedDecision& dec = decisions_[d];
+    const std::string prefix = "decision." + std::to_string(d) + ".";
+    writer.put_i64(prefix + "id", dec.id);
+    writer.put_i64(prefix + "step", dec.step);
+    writer.put_str(prefix + "policy", dec.record.policy);
+    writer.put_i64(prefix + "rank", dec.record.rank);
+    writer.put_i64(prefix + "function", dec.record.function);
+    writer.put_f64_vec(prefix + "candidate_mhz", dec.record.candidate_mhz);
+    writer.put_f64(prefix + "chosen_mhz", dec.record.chosen_mhz);
+    writer.put_f64(prefix + "predicted_edp", dec.record.predicted_edp);
+    // Written only when set: older checkpoints (and untraced runs)
+    // simply lack the key, and restore tolerates that via has().
+    if (!dec.record.trace_id.empty()) {
+        writer.put_str(prefix + "trace_id", dec.record.trace_id);
+    }
+    writer.put_bool(prefix + "resolved", dec.resolved);
+    writer.put_f64(prefix + "realized_edp", dec.realized_edp);
+    writer.put_u64(prefix + "inputs", dec.record.inputs.size());
+    for (std::size_t k = 0; k < dec.record.inputs.size(); ++k) {
+        const std::string ip = prefix + "input." + std::to_string(k) + ".";
+        writer.put_str(ip + "name", dec.record.inputs[k].first);
+        writer.put_f64(ip + "value", dec.record.inputs[k].second);
+    }
 }
 
 void AttributionLedger::restore_state(const checkpoint::StateReader& reader)
@@ -533,6 +606,7 @@ void AttributionLedger::restore_state(const checkpoint::StateReader& reader)
         cell.calls = static_cast<long>(reader.get_i64(prefix + "calls"));
     }
     decisions_.clear();
+    saved_decisions_.clear();
     const std::uint64_t n_decisions = reader.get_u64("decisions");
     decisions_.reserve(n_decisions);
     for (std::uint64_t d = 0; d < n_decisions; ++d) {

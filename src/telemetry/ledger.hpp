@@ -157,7 +157,8 @@ private:
     void sweep_locked(RankState& rs, int rank, int function, LedgerPhase phase,
                       bool count_call);
     Cell& cell_locked(int rank, int function, LedgerPhase phase, double freq_mhz);
-    Json decision_json_locked(const AuditedDecision& d) const;
+    /// The checkpoint lines of decisions_[d].
+    void put_decision_locked(checkpoint::StateWriter& writer, std::size_t d) const;
 
     int n_ranks_;
     mutable std::mutex mutex_;
@@ -168,6 +169,8 @@ private:
     /// decision awaiting its realized window (-1: none).
     std::vector<std::int64_t> pending_;
     std::int64_t next_decision_id_ = 0;
+    /// Checkpoint lines of the settled decisions (save_state).
+    mutable checkpoint::EncodeCache saved_decisions_;
     int steps_completed_ = 0;
     bool sink_installed_ = false;
 };

@@ -203,23 +203,45 @@ Json LiveSampler::live_summary_json() const
 }
 
 void LiveSampler::save_ring(checkpoint::StateWriter& writer,
-                            const std::string& prefix,
-                            const RingSeries& ring) const
+                            const std::string& prefix, const RingSeries& ring,
+                            RingText& text)
 {
-    const RingSeries::State s = ring.state();
-    writer.put_u64(prefix + "total", s.total);
-    writer.put_u64(prefix + "window_width", s.window_width);
-    writer.put_f64_vec(prefix + "t_start", s.t_start);
-    writer.put_f64_vec(prefix + "t_end", s.t_end);
-    writer.put_f64_vec(prefix + "min", s.min);
-    writer.put_f64_vec(prefix + "max", s.max);
-    writer.put_f64_vec(prefix + "sum", s.sum);
-    writer.put_u64_vec(prefix + "count", s.count);
+    if (text.window_width != ring.window_width()) {
+        text = {};
+        text.window_width = ring.window_width();
+    }
+    const auto push = [](RingText& to, const RingEntry& e) {
+        to.t_start.push_f64(e.t_start);
+        to.t_end.push_f64(e.t_end);
+        to.min.push_f64(e.min);
+        to.max.push_f64(e.max);
+        to.sum.push_f64(e.sum);
+        to.count.push_u64(e.count);
+    };
+    // The last entry may still absorb samples: encode it for this save only.
+    const std::vector<RingEntry>& entries = ring.entries();
+    RingText last;
+    if (!entries.empty()) {
+        for (std::size_t i = text.t_start.size(); i + 1 < entries.size(); ++i) {
+            push(text, entries[i]);
+        }
+        push(last, entries.back());
+    }
+    writer.put_u64(prefix + "total", ring.total_appended());
+    writer.put_u64(prefix + "window_width", ring.window_width());
+    writer.put_vec(prefix + "t_start", text.t_start, last.t_start);
+    writer.put_vec(prefix + "t_end", text.t_end, last.t_end);
+    writer.put_vec(prefix + "min", text.min, last.min);
+    writer.put_vec(prefix + "max", text.max, last.max);
+    writer.put_vec(prefix + "sum", text.sum, last.sum);
+    writer.put_vec(prefix + "count", text.count, last.count);
 }
 
 void LiveSampler::restore_ring(const checkpoint::StateReader& reader,
-                               const std::string& prefix, RingSeries& ring)
+                               const std::string& prefix, RingSeries& ring,
+                               RingText& text)
 {
+    text = {};
     RingSeries::State s;
     s.total = reader.get_u64(prefix + "total");
     s.window_width = reader.get_u64(prefix + "window_width");
@@ -242,7 +264,7 @@ void LiveSampler::save_state(checkpoint::StateWriter& writer) const
     writer.put_bool("step_baseline_primed", step_baseline_primed_);
     writer.put_f64("prev_verify_mismatches", prev_verify_mismatches_);
     writer.put_f64("prev_degraded_ranks", prev_degraded_ranks_);
-    save_ring(writer, "step_energy.", step_energy_);
+    save_ring(writer, "step_energy.", step_energy_, step_energy_text_);
     for (int r = 0; r < n_ranks_; ++r) {
         const RankState& rs = ranks_[static_cast<std::size_t>(r)];
         const std::string prefix = "rank." + std::to_string(r) + ".";
@@ -252,9 +274,9 @@ void LiveSampler::save_state(checkpoint::StateWriter& writer) const
         writer.put_f64(prefix + "last_sample_t", rs.last_sample_t);
         writer.put_f64(prefix + "busy_since_sample_s", rs.busy_since_sample_s);
         writer.put_f64(prefix + "last_applied_clock_mhz", rs.last_applied_clock_mhz);
-        save_ring(writer, prefix + "power.", rs.power);
-        save_ring(writer, prefix + "clock.", rs.clock);
-        save_ring(writer, prefix + "utilization.", rs.utilization);
+        save_ring(writer, prefix + "power.", rs.power, rs.power_text);
+        save_ring(writer, prefix + "clock.", rs.clock, rs.clock_text);
+        save_ring(writer, prefix + "utilization.", rs.utilization, rs.utilization_text);
     }
 }
 
@@ -273,7 +295,7 @@ void LiveSampler::restore_state(const checkpoint::StateReader& reader)
     step_baseline_primed_ = reader.get_bool("step_baseline_primed");
     prev_verify_mismatches_ = reader.get_f64("prev_verify_mismatches");
     prev_degraded_ranks_ = reader.get_f64("prev_degraded_ranks");
-    restore_ring(reader, "step_energy.", step_energy_);
+    restore_ring(reader, "step_energy.", step_energy_, step_energy_text_);
     for (int r = 0; r < n_ranks_; ++r) {
         RankState& rs = ranks_[static_cast<std::size_t>(r)];
         const std::string prefix = "rank." + std::to_string(r) + ".";
@@ -283,9 +305,10 @@ void LiveSampler::restore_state(const checkpoint::StateReader& reader)
         rs.last_sample_t = reader.get_f64(prefix + "last_sample_t");
         rs.busy_since_sample_s = reader.get_f64(prefix + "busy_since_sample_s");
         rs.last_applied_clock_mhz = reader.get_f64(prefix + "last_applied_clock_mhz");
-        restore_ring(reader, prefix + "power.", rs.power);
-        restore_ring(reader, prefix + "clock.", rs.clock);
-        restore_ring(reader, prefix + "utilization.", rs.utilization);
+        restore_ring(reader, prefix + "power.", rs.power, rs.power_text);
+        restore_ring(reader, prefix + "clock.", rs.clock, rs.clock_text);
+        restore_ring(reader, prefix + "utilization.", rs.utilization,
+                     rs.utilization_text);
         rs.dev = nullptr; // re-bound by the first before_function hook
     }
 }

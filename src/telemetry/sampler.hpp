@@ -84,6 +84,13 @@ public:
     void restore_state(const checkpoint::StateReader& reader);
 
 private:
+    /// A ring's checkpoint text (save_state).  Entries before the last one
+    /// change only when the ring compacts, which doubles its window width;
+    /// so the text keeps every entry but the last until the width changes.
+    struct RingText {
+        std::uint64_t window_width = 0; ///< of the ring when the text was encoded
+        checkpoint::EncodeCache t_start, t_end, min, max, sum, count;
+    };
     struct RankState {
         const gpusim::GpuDevice* dev = nullptr; ///< seen via hooks; not owned
         bool primed = false;
@@ -95,21 +102,23 @@ private:
         RingSeries power{512};
         RingSeries clock{512};
         RingSeries utilization{512};
+        mutable RingText power_text, clock_text, utilization_text;
     };
 
     void on_before(int rank, gpusim::GpuDevice& dev);
     void on_after(int rank, gpusim::GpuDevice& dev, const gpusim::KernelResult& res);
     void on_step_end(int step);
-    void save_ring(checkpoint::StateWriter& writer, const std::string& prefix,
-                   const RingSeries& ring) const;
-    void restore_ring(const checkpoint::StateReader& reader, const std::string& prefix,
-                      RingSeries& ring);
+    static void save_ring(checkpoint::StateWriter& writer, const std::string& prefix,
+                          const RingSeries& ring, RingText& text);
+    static void restore_ring(const checkpoint::StateReader& reader,
+                             const std::string& prefix, RingSeries& ring, RingText& text);
 
     int n_ranks_;
     SamplerConfig config_;
     mutable std::mutex mutex_;
     std::vector<RankState> ranks_;
     RingSeries step_energy_;
+    mutable RingText step_energy_text_;
     AnomalyDetector anomaly_;
     int steps_completed_ = 0;
     double last_step_end_t_ = 0.0;

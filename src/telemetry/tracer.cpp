@@ -1,88 +1,53 @@
 #include "telemetry/tracer.hpp"
 
-#include "checkpoint/state.hpp"
 #include "telemetry/json.hpp"
 #include "util/atomic_file.hpp"
 
 #include <algorithm>
 #include <climits>
-#include <cstdint>
 #include <cstring>
 #include <stdexcept>
-#include <string_view>
-#include <unordered_map>
+#include <type_traits>
 
 namespace gsph::telemetry {
 
 namespace {
 
+/// Typical rendered size of one event; only sizes the initial reservation.
+constexpr std::size_t kChromeBytesPerEvent = 96;
+
+std::uint64_t time_bits(double t)
+{
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &t, sizeof(bits));
+    return bits;
+}
+
 /// Args as a Json object holds them: a repeated key keeps the position of
-/// its first occurrence and the value of its last.
-void append_args(std::string& out,
-                 const std::vector<std::pair<std::string, std::string>>& args)
+/// its first occurrence and the value of its last.  `pairs` holds
+/// `n` key/value id pairs; `quoted` is the escaped string table.
+void append_args(std::string& out, const std::uint32_t* pairs, std::size_t n,
+                 const std::vector<std::string>& quoted)
 {
     bool first = true;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string& key = args[i].first;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint32_t key = pairs[2 * i];
         bool repeated = false;
-        for (std::size_t j = 0; j < i && !repeated; ++j) repeated = args[j].first == key;
+        for (std::size_t j = 0; j < i && !repeated; ++j) repeated = pairs[2 * j] == key;
         if (repeated) continue;
-        const std::string* value = &args[i].second;
-        for (std::size_t j = i + 1; j < args.size(); ++j) {
-            if (args[j].first == key) value = &args[j].second;
+        std::uint32_t value = pairs[2 * i + 1];
+        for (std::size_t j = i + 1; j < n; ++j) {
+            if (pairs[2 * j] == key) value = pairs[2 * j + 1];
         }
         if (!first) out += ',';
         first = false;
         out += '"';
-        append_json_escaped(out, key);
+        out += quoted[key];
         out += "\":\"";
-        append_json_escaped(out, *value);
+        out += quoted[value];
         out += '"';
     }
 }
-
-/// One event object, key for key as Json::dump writes it.
-void append_event(std::string& out, const TraceEvent& e)
-{
-    out += "{\"name\":\"";
-    append_json_escaped(out, e.name);
-    out += '"';
-    if (!e.category.empty()) {
-        out += ",\"cat\":\"";
-        append_json_escaped(out, e.category);
-        out += '"';
-    }
-    out += ",\"ph\":\"";
-    append_json_escaped(out, std::string_view(&e.phase, 1));
-    out += "\",\"ts\":";
-    append_json_number(out, e.time_s * 1e6); // trace-event format: microseconds
-    out += ",\"pid\":";
-    append_json_number(out, e.pid);
-    out += ",\"tid\":";
-    append_json_number(out, e.tid);
-    if (e.phase == 'C') {
-        out += ",\"args\":{\"value\":";
-        append_json_number(out, e.counter_value);
-        out += '}';
-    }
-    else if (e.phase == 'M') {
-        out += ",\"args\":{\"name\":\"";
-        append_json_escaped(out, e.metadata);
-        out += "\"}";
-    }
-    else {
-        if (e.phase == 'i') out += ",\"s\":\"t\""; // thread-scoped instant
-        if (!e.args.empty()) {
-            out += ",\"args\":{";
-            append_args(out, e.args);
-            out += '}';
-        }
-    }
-    out += '}';
-}
-
-/// Typical rendered size of one event; only sizes the initial reservation.
-constexpr std::size_t kChromeBytesPerEvent = 96;
 
 [[noreturn]] void malformed(const std::string& why)
 {
@@ -98,101 +63,119 @@ int checked_int(std::int64_t value, const char* key)
     return static_cast<int>(value);
 }
 
-} // namespace
-
-void SpanTracer::record(TraceEvent event)
+/// Encodes values[cache.size(), end) onto `cache`.
+template <typename T>
+void extend(checkpoint::EncodeCache& cache, const std::vector<T>& values, std::size_t end)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const std::thread::id self = std::this_thread::get_id();
-    auto it = by_thread_.find(self);
-    if (it == by_thread_.end()) {
-        buffers_.push_back(std::make_unique<ThreadBuffer>());
-        it = by_thread_.emplace(self, buffers_.back().get()).first;
+    for (std::size_t i = cache.size(); i < end; ++i) {
+        if constexpr (std::is_floating_point_v<T>) {
+            cache.push_f64(values[i]);
+        }
+        else if constexpr (std::is_signed_v<T>) {
+            cache.push_i64(values[i]);
+        }
+        else {
+            cache.push_u64(values[i]);
+        }
     }
-    it->second->events.push_back(std::move(event));
 }
 
-void SpanTracer::begin(int pid, int tid, const std::string& name, double t_s,
-                       const std::string& category,
-                       std::vector<std::pair<std::string, std::string>> args)
+template <typename T>
+void extend(checkpoint::EncodeCache& cache, const std::vector<T>& values)
 {
-    TraceEvent e;
-    e.name = name;
-    e.category = category;
-    e.phase = 'B';
-    e.time_s = t_s;
-    e.pid = pid;
-    e.tid = tid;
-    e.args = std::move(args);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++open_[{pid, tid}];
+    extend(cache, values, values.size());
+}
+
+} // namespace
+
+std::uint32_t SpanTracer::Columns::add_string(std::string_view s)
+{
+    const auto id = static_cast<std::uint32_t>(strings.size());
+    strings.emplace_back(s);
+    ids.emplace(strings.back(), id);
+    if (s.empty() && !empty_id) empty_id = id;
+    return id;
+}
+
+std::uint32_t SpanTracer::intern_locked(std::string_view s)
+{
+    Columns& c = columns_;
+    // Every 'E' event and most categories are empty: skip their hashing.
+    if (s.empty() && c.empty_id) return *c.empty_id;
+    const auto it = c.ids.find(s);
+    return it != c.ids.end() ? it->second : c.add_string(s);
+}
+
+void SpanTracer::record_locked(char phase, int pid, int tid, std::string_view name,
+                               double t_s, std::string_view category, Args args)
+{
+    Columns& c = columns_;
+    c.phase.push_back(phase);
+    c.name.push_back(intern_locked(name));
+    c.category.push_back(intern_locked(category));
+    c.pid.push_back(pid);
+    c.tid.push_back(tid);
+    c.n_args.push_back(static_cast<std::uint32_t>(args.size()));
+    for (const auto& [key, value] : args) {
+        c.args.push_back(intern_locked(key));
+        c.args.push_back(intern_locked(value));
     }
-    record(std::move(e));
+    // A span's end, its counter samples and the next span's begin share one
+    // timestamp: store each run of bit-equal times once.
+    if (!c.run_time.empty() && time_bits(t_s) == time_bits(c.run_time.back())) {
+        ++c.run_length.back();
+    }
+    else {
+        c.run_time.push_back(t_s);
+        c.run_length.push_back(1);
+    }
+}
+
+void SpanTracer::begin(int pid, int tid, std::string_view name, double t_s,
+                       std::string_view category, Args args)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++open_[{pid, tid}];
+    record_locked('B', pid, tid, name, t_s, category, args);
 }
 
 void SpanTracer::end(int pid, int tid, double t_s)
 {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = open_.find({pid, tid});
-        if (it == open_.end() || it->second <= 0) {
-            throw std::logic_error("SpanTracer: end with no open span on pid " +
-                                   std::to_string(pid) + " tid " + std::to_string(tid));
-        }
-        --it->second;
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = open_.find({pid, tid});
+    if (it == open_.end() || it->second <= 0) {
+        throw std::logic_error("SpanTracer: end with no open span on pid " +
+                               std::to_string(pid) + " tid " + std::to_string(tid));
     }
-    TraceEvent e;
-    e.phase = 'E';
-    e.time_s = t_s;
-    e.pid = pid;
-    e.tid = tid;
-    record(std::move(e));
+    --it->second;
+    record_locked('E', pid, tid, {}, t_s, {}, {});
 }
 
-void SpanTracer::counter(int pid, const std::string& name, double t_s, double value)
+void SpanTracer::counter(int pid, std::string_view name, double t_s, double value)
 {
-    TraceEvent e;
-    e.name = name;
-    e.phase = 'C';
-    e.time_s = t_s;
-    e.pid = pid;
-    e.counter_value = value;
-    record(std::move(e));
+    std::lock_guard<std::mutex> lock(mutex_);
+    record_locked('C', pid, 0, name, t_s, {}, {});
+    columns_.value.push_back(value);
 }
 
-void SpanTracer::instant(int pid, int tid, const std::string& name, double t_s,
-                         std::vector<std::pair<std::string, std::string>> args)
+void SpanTracer::instant(int pid, int tid, std::string_view name, double t_s, Args args)
 {
-    TraceEvent e;
-    e.name = name;
-    e.phase = 'i';
-    e.time_s = t_s;
-    e.pid = pid;
-    e.tid = tid;
-    e.args = std::move(args);
-    record(std::move(e));
+    std::lock_guard<std::mutex> lock(mutex_);
+    record_locked('i', pid, tid, name, t_s, {}, args);
 }
 
-void SpanTracer::set_process_name(int pid, const std::string& name)
+void SpanTracer::set_process_name(int pid, std::string_view name)
 {
-    TraceEvent e;
-    e.name = "process_name";
-    e.phase = 'M';
-    e.pid = pid;
-    e.metadata = name;
-    record(std::move(e));
+    std::lock_guard<std::mutex> lock(mutex_);
+    record_locked('M', pid, 0, "process_name", 0.0, {}, {});
+    columns_.metadata.push_back(intern_locked(name));
 }
 
-void SpanTracer::set_thread_name(int pid, int tid, const std::string& name)
+void SpanTracer::set_thread_name(int pid, int tid, std::string_view name)
 {
-    TraceEvent e;
-    e.name = "thread_name";
-    e.phase = 'M';
-    e.pid = pid;
-    e.tid = tid;
-    e.metadata = name;
-    record(std::move(e));
+    std::lock_guard<std::mutex> lock(mutex_);
+    record_locked('M', pid, tid, "thread_name", 0.0, {}, {});
+    columns_.metadata.push_back(intern_locked(name));
 }
 
 int SpanTracer::open_spans(int pid, int tid) const
@@ -202,46 +185,112 @@ int SpanTracer::open_spans(int pid, int tid) const
     return it == open_.end() ? 0 : it->second;
 }
 
-std::size_t SpanTracer::count_locked() const
-{
-    std::size_t total = 0;
-    for (const auto& b : buffers_) total += b->events.size();
-    return total;
-}
-
 std::size_t SpanTracer::event_count() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return count_locked();
+    return columns_.phase.size();
+}
+
+template <typename Visit>
+void SpanTracer::for_each_locked(Visit visit) const
+{
+    const Columns& c = columns_;
+    std::size_t run = 0, left_in_run = c.run_length.empty() ? 0 : c.run_length[0];
+    std::size_t next_value = 0, next_metadata = 0, next_arg = 0;
+    for (std::size_t i = 0; i < c.phase.size(); ++i) {
+        if (left_in_run == 0) left_in_run = c.run_length[++run];
+        --left_in_run;
+        const char phase = c.phase[i];
+        visit(EventRef{phase, c.name[i], c.category[i], run, c.run_time[run], c.pid[i],
+                       c.tid[i], phase == 'C' ? c.value[next_value++] : 0.0,
+                       phase == 'M' ? c.metadata[next_metadata++] : 0,
+                       c.args.data() + next_arg, c.n_args[i]});
+        next_arg += 2 * std::size_t{c.n_args[i]};
+    }
 }
 
 std::vector<TraceEvent> SpanTracer::events() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<TraceEvent> merged;
-    merged.reserve(count_locked());
-    for (const auto& b : buffers_) {
-        merged.insert(merged.end(), b->events.begin(), b->events.end());
-    }
-    return merged;
+    const auto& strings = columns_.strings;
+    std::vector<TraceEvent> out;
+    out.reserve(columns_.phase.size());
+    for_each_locked([&](const EventRef& e) {
+        TraceEvent& t = out.emplace_back();
+        t.name = strings[e.name];
+        t.category = strings[e.category];
+        t.phase = e.phase;
+        t.time_s = e.time_s;
+        t.pid = e.pid;
+        t.tid = e.tid;
+        t.counter_value = e.value;
+        if (e.phase == 'M') t.metadata = strings[e.metadata];
+        for (std::uint32_t k = 0; k < e.n_args; ++k) {
+            t.args.emplace_back(strings[e.args[2 * k]], strings[e.args[2 * k + 1]]);
+        }
+    });
+    return out;
 }
 
 std::string SpanTracer::to_chrome_json() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    const std::size_t total = count_locked();
-    if (total == 0) return "[]";
+    const Columns& c = columns_;
+    if (c.phase.empty()) return "[]";
+
+    // Each table string is escaped once, and each run's timestamp is
+    // formatted once.
+    std::vector<std::string> quoted(c.strings.size());
+    for (std::size_t s = 0; s < quoted.size(); ++s) append_json_escaped(quoted[s], c.strings[s]);
+
     std::string out;
-    out.reserve(total * kChromeBytesPerEvent);
+    out.reserve(c.phase.size() * kChromeBytesPerEvent);
     out += '[';
-    bool first = true;
-    for (const auto& b : buffers_) {
-        for (const TraceEvent& e : b->events) {
-            if (!first) out += ',';
-            first = false;
-            append_event(out, e);
+    std::string ts;
+    std::size_t ts_run = 0;
+    for_each_locked([&](const EventRef& e) {
+        if (ts.empty() || e.run != ts_run) {
+            ts.clear();
+            append_json_number(ts, e.time_s * 1e6); // trace-event format: us
+            ts_run = e.run;
         }
-    }
+        if (out.size() > 1) out += ',';
+        out += "{\"name\":\"";
+        out += quoted[e.name];
+        out += '"';
+        if (!c.strings[e.category].empty()) {
+            out += ",\"cat\":\"";
+            out += quoted[e.category];
+            out += '"';
+        }
+        out += ",\"ph\":\"";
+        out += e.phase; // one of "BECiM": nothing to escape
+        out += "\",\"ts\":";
+        out += ts;
+        out += ",\"pid\":";
+        append_json_number(out, e.pid);
+        out += ",\"tid\":";
+        append_json_number(out, e.tid);
+        if (e.phase == 'C') {
+            out += ",\"args\":{\"value\":";
+            append_json_number(out, e.value);
+            out += '}';
+        }
+        else if (e.phase == 'M') {
+            out += ",\"args\":{\"name\":\"";
+            out += quoted[e.metadata];
+            out += "\"}";
+        }
+        else {
+            if (e.phase == 'i') out += ",\"s\":\"t\""; // thread-scoped instant
+            if (e.n_args != 0) {
+                out += ",\"args\":{";
+                append_args(out, e.args, e.n_args, quoted);
+                out += '}';
+            }
+        }
+        out += '}';
+    });
     out += ']';
     return out;
 }
@@ -256,73 +305,41 @@ bool SpanTracer::write_file(const std::string& path) const
 void SpanTracer::save_state(checkpoint::StateWriter& writer) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    const std::size_t n = count_locked();
+    const Columns& c = columns_;
+    SavedText& saved = saved_;
 
-    // Strings repeat across events (function names, categories, arg keys),
-    // so each is stored once and the columns hold indices into the table.
-    std::vector<std::string_view> table;
-    std::unordered_map<std::string_view, std::uint64_t> index;
-    const auto intern = [&](const std::string& s) {
-        const auto [it, inserted] = index.try_emplace(s, table.size());
-        if (inserted) table.push_back(s);
-        return it->second;
-    };
-    std::string phases;
-    std::vector<std::uint64_t> names, categories, n_args, args, time_runs, metadata;
-    std::vector<std::int64_t> pids, tids;
-    std::vector<double> times, values;
-    phases.reserve(n);
-    names.reserve(n);
-    categories.reserve(n);
-    n_args.reserve(n);
-    pids.reserve(n);
-    tids.reserve(n);
-    std::uint64_t last_time_bits = 0;
-    for (const auto& b : buffers_) {
-        for (const TraceEvent& e : b->events) {
-            phases.push_back(e.phase);
-            names.push_back(intern(e.name));
-            categories.push_back(intern(e.category));
-            pids.push_back(e.pid);
-            tids.push_back(e.tid);
-            n_args.push_back(e.args.size());
-            for (const auto& [key, value] : e.args) {
-                args.push_back(intern(key));
-                args.push_back(intern(value));
-            }
-            // A span's end, its counter samples and the next span's begin
-            // share one timestamp: store each run of bit-equal times once.
-            std::uint64_t bits = 0;
-            std::memcpy(&bits, &e.time_s, sizeof(bits));
-            if (!time_runs.empty() && bits == last_time_bits) {
-                ++time_runs.back();
-            }
-            else {
-                times.push_back(e.time_s);
-                time_runs.push_back(1);
-                last_time_bits = bits;
-            }
-            // Only counters carry a value and only metadata events a name.
-            if (e.phase == 'C') values.push_back(e.counter_value);
-            if (e.phase == 'M') metadata.push_back(intern(e.metadata));
-        }
+    for (std::size_t s = saved.strings.size(); s < c.strings.size(); ++s) {
+        checkpoint::StateWriter line;
+        line.put_str("str." + std::to_string(s), c.strings[s]);
+        saved.strings.push_lines(line);
     }
-
-    writer.put_u64("strings", table.size());
-    for (std::size_t i = 0; i < table.size(); ++i) {
-        writer.put_str("str." + std::to_string(i), table[i]);
-    }
-    writer.put_str("ev.ph", phases);
-    writer.put_u64_vec("ev.name", names);
-    writer.put_u64_vec("ev.cat", categories);
-    writer.put_i64_vec("ev.pid", pids);
-    writer.put_i64_vec("ev.tid", tids);
-    writer.put_f64_vec("ev.t", times);
-    writer.put_u64_vec("ev.trun", time_runs);
-    writer.put_f64_vec("ev.cv", values);
-    writer.put_u64_vec("ev.md", metadata);
-    writer.put_u64_vec("ev.nargs", n_args);
-    writer.put_u64_vec("ev.args", args);
+    writer.put_u64("strings", c.strings.size());
+    writer.put_lines(saved.strings);
+    writer.put_str("ev.ph", c.phase); // "BECiM" letters encode as themselves
+    extend(saved.name, c.name);
+    writer.put_vec("ev.name", saved.name);
+    extend(saved.category, c.category);
+    writer.put_vec("ev.cat", saved.category);
+    extend(saved.pid, c.pid);
+    writer.put_vec("ev.pid", saved.pid);
+    extend(saved.tid, c.tid);
+    writer.put_vec("ev.tid", saved.tid);
+    extend(saved.run_time, c.run_time);
+    writer.put_vec("ev.t", saved.run_time);
+    // The last run stays open: the next event may extend it.
+    const std::size_t closed_runs = c.run_length.empty() ? 0 : c.run_length.size() - 1;
+    extend(saved.run_length, c.run_length, closed_runs);
+    checkpoint::EncodeCache open_run;
+    if (!c.run_length.empty()) open_run.push_u64(c.run_length.back());
+    writer.put_vec("ev.trun", saved.run_length, open_run);
+    extend(saved.value, c.value);
+    writer.put_vec("ev.cv", saved.value);
+    extend(saved.metadata, c.metadata);
+    writer.put_vec("ev.md", saved.metadata);
+    extend(saved.n_args, c.n_args);
+    writer.put_vec("ev.nargs", saved.n_args);
+    extend(saved.args, c.args);
+    writer.put_vec("ev.args", saved.args);
 
     std::vector<std::int64_t> open;
     open.reserve(open_.size() * 3);
@@ -336,22 +353,22 @@ void SpanTracer::save_state(checkpoint::StateWriter& writer) const
 
 void SpanTracer::restore_state(const checkpoint::StateReader& reader)
 {
-    std::vector<std::string> table;
+    Columns c;
     const std::uint64_t n_strings = reader.get_u64("strings");
-    for (std::uint64_t i = 0; i < n_strings; ++i) {
-        table.push_back(reader.get_str("str." + std::to_string(i)));
+    for (std::uint64_t s = 0; s < n_strings; ++s) {
+        c.add_string(reader.get_str("str." + std::to_string(s)));
     }
-    const auto string_at = [&](std::uint64_t i, const char* key) -> const std::string& {
-        if (i >= table.size()) {
-            malformed(std::string(key) + " index " + std::to_string(i) +
-                      " is past the string table (" + std::to_string(table.size()) +
+    const auto string_id = [&](std::uint64_t id, const char* key) {
+        if (id >= c.strings.size()) {
+            malformed(std::string(key) + " index " + std::to_string(id) +
+                      " is past the string table (" + std::to_string(c.strings.size()) +
                       " strings)");
         }
-        return table[i];
+        return static_cast<std::uint32_t>(id);
     };
 
-    const std::string phases = reader.get_str("ev.ph");
-    const std::size_t n = phases.size();
+    c.phase = reader.get_str("ev.ph");
+    const std::size_t n = c.phase.size();
     const auto column = [](auto values, std::size_t expected, const char* key,
                            const char* per) {
         if (values.size() != expected) {
@@ -361,62 +378,54 @@ void SpanTracer::restore_state(const checkpoint::StateReader& reader)
         return values;
     };
     const auto count_phase = [&](char phase) {
-        return static_cast<std::size_t>(std::count(phases.begin(), phases.end(), phase));
+        return static_cast<std::size_t>(std::count(c.phase.begin(), c.phase.end(), phase));
     };
     const auto names = column(reader.get_u64_vec("ev.name"), n, "ev.name", "events");
     const auto categories = column(reader.get_u64_vec("ev.cat"), n, "ev.cat", "events");
     const auto pids = column(reader.get_i64_vec("ev.pid"), n, "ev.pid", "events");
     const auto tids = column(reader.get_i64_vec("ev.tid"), n, "ev.tid", "events");
-    const auto time_runs = reader.get_u64_vec("ev.trun");
-    const auto times = column(reader.get_f64_vec("ev.t"), time_runs.size(), "ev.t",
-                              "timestamp runs");
-    const auto values =
-        column(reader.get_f64_vec("ev.cv"), count_phase('C'), "ev.cv", "counter events");
+    c.run_length = reader.get_u64_vec("ev.trun");
+    c.run_time = column(reader.get_f64_vec("ev.t"), c.run_length.size(), "ev.t",
+                        "timestamp runs");
+    c.value = column(reader.get_f64_vec("ev.cv"), count_phase('C'), "ev.cv", "counter events");
     const auto metadata =
         column(reader.get_u64_vec("ev.md"), count_phase('M'), "ev.md", "metadata events");
     const auto n_args = column(reader.get_u64_vec("ev.nargs"), n, "ev.nargs", "events");
     const auto args = reader.get_u64_vec("ev.args");
 
-    std::vector<TraceEvent> events(n);
-    std::size_t filled = 0;
-    for (std::size_t r = 0; r < time_runs.size(); ++r) {
-        if (time_runs[r] == 0 || time_runs[r] > n - filled) {
+    std::size_t covered = 0;
+    for (const std::uint64_t length : c.run_length) {
+        if (length == 0 || length > n - covered) {
             malformed("ev.trun does not split the events into runs");
         }
-        for (std::uint64_t k = 0; k < time_runs[r]; ++k) events[filled++].time_s = times[r];
+        covered += length;
     }
-    if (filled != n) {
-        malformed("ev.trun covers " + std::to_string(filled) + " of " +
+    if (covered != n) {
+        malformed("ev.trun covers " + std::to_string(covered) + " of " +
                   std::to_string(n) + " events");
     }
 
-    std::size_t next_value = 0;
-    std::size_t next_metadata = 0;
     std::size_t next_arg = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        TraceEvent& e = events[i];
-        e.phase = phases[i];
-        if (std::string_view("BECiM").find(e.phase) == std::string_view::npos) {
+        if (std::string_view("BECiM").find(c.phase[i]) == std::string_view::npos) {
             malformed("event " + std::to_string(i) + " has unknown phase '" +
-                      std::string(1, e.phase) + "'");
+                      std::string(1, c.phase[i]) + "'");
         }
-        e.name = string_at(names[i], "ev.name");
-        e.category = string_at(categories[i], "ev.cat");
-        e.pid = checked_int(pids[i], "ev.pid");
-        e.tid = checked_int(tids[i], "ev.tid");
-        if (e.phase == 'C') e.counter_value = values[next_value++];
-        if (e.phase == 'M') e.metadata = string_at(metadata[next_metadata++], "ev.md");
+        c.name.push_back(string_id(names[i], "ev.name"));
+        c.category.push_back(string_id(categories[i], "ev.cat"));
+        c.pid.push_back(checked_int(pids[i], "ev.pid"));
+        c.tid.push_back(checked_int(tids[i], "ev.tid"));
         if (n_args[i] > (args.size() - next_arg) / 2) {
             malformed("ev.args holds fewer key/value pairs than ev.nargs counts");
         }
-        for (std::uint64_t k = 0; k < n_args[i]; ++k, next_arg += 2) {
-            e.args.emplace_back(string_at(args[next_arg], "ev.args"),
-                                string_at(args[next_arg + 1], "ev.args"));
-        }
+        c.n_args.push_back(static_cast<std::uint32_t>(n_args[i]));
+        next_arg += 2 * n_args[i];
     }
     if (next_arg != args.size()) {
         malformed("ev.args holds more key/value pairs than ev.nargs counts");
     }
+    for (const std::uint64_t id : metadata) c.metadata.push_back(string_id(id, "ev.md"));
+    for (const std::uint64_t id : args) c.args.push_back(string_id(id, "ev.args"));
 
     const auto open_triples = reader.get_i64_vec("open");
     if (open_triples.size() % 3 != 0) {
@@ -432,19 +441,16 @@ void SpanTracer::restore_state(const checkpoint::StateReader& reader)
     }
 
     std::lock_guard<std::mutex> lock(mutex_);
-    buffers_.clear();
-    by_thread_.clear();
-    buffers_.push_back(std::make_unique<ThreadBuffer>());
-    buffers_.back()->events = std::move(events);
-    by_thread_.emplace(std::this_thread::get_id(), buffers_.back().get());
+    columns_ = std::move(c);
+    saved_ = {};
     open_ = std::move(open);
 }
 
 void SpanTracer::clear()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    buffers_.clear();
-    by_thread_.clear();
+    columns_ = {};
+    saved_ = {};
     open_.clear();
 }
 

@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -91,6 +93,28 @@ TEST(CheckpointIo, LatestWinsAndOldDataFilesArePruned)
     EXPECT_TRUE(slurp(dir.path() + "/checkpoint-000004.gsc").empty());
     EXPECT_FALSE(slurp(dir.path() + "/checkpoint-000006.gsc").empty());
     EXPECT_FALSE(slurp(dir.path() + "/checkpoint-000008.gsc").empty());
+}
+
+TEST(CheckpointIo, PruningOrdersDataFilesByStepPastSixDigits)
+{
+    // Names pad steps to six digits only, so checkpoint-1000000.gsc sorts
+    // before checkpoint-999999.gsc as text; pruning must go by step.
+    TempDir dir;
+    CheckpointWriter writer(dir.path(), "h", /*keep_last=*/2);
+    for (int step = 999998; step <= 1000002; ++step) {
+        StateWriter w;
+        w.put_i64("step", step);
+        writer.write(step, {{"driver", w.take()}});
+    }
+    std::vector<std::string> kept;
+    for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
+        const std::string name = entry.path().filename().string();
+        if (name != kManifestName) kept.push_back(name);
+    }
+    std::sort(kept.begin(), kept.end());
+    EXPECT_EQ(kept, (std::vector<std::string>{"checkpoint-1000001.gsc",
+                                              "checkpoint-1000002.gsc"}));
+    EXPECT_EQ(read_latest(dir.path()).step, 1000002);
 }
 
 TEST(CheckpointIo, MissingDirectoryOrManifestRejected)

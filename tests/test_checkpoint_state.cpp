@@ -148,6 +148,97 @@ TEST(CheckpointState, MalformedPayloadRejected)
     EXPECT_THROW(r.get_f64("f"), CheckpointError);  // not hex-encoded
 }
 
+TEST(CheckpointState, IntegerGettersParseTheWholeToken)
+{
+    // The writer never writes a '+', a space around a number or trailing
+    // bytes; every integer getter rejects them and holds its type's limits.
+    const StateReader r("s",
+                        "plus=+5\nlead= 5\ntrail=5 \nsuffix=5x\nempty=\nneg=-1\n"
+                        "i64min=-9223372036854775808\ni64max=9223372036854775807\n"
+                        "i64over=9223372036854775808\ni64under=-9223372036854775809\n"
+                        "u64max=18446744073709551615\nu64over=18446744073709551616\n"
+                        "vplus=1 +2\nvlead= 1 2\nvtrail=1 2 \nvsuffix=1 5x\n");
+    for (const char* key : {"plus", "lead", "trail", "suffix", "empty"}) {
+        EXPECT_THROW(r.get_i64(key), CheckpointError) << key;
+        EXPECT_THROW(r.get_u64(key), CheckpointError) << key;
+    }
+    for (const char* key :
+         {"plus", "lead", "trail", "suffix", "vplus", "vlead", "vtrail", "vsuffix"}) {
+        EXPECT_THROW(r.get_i64_vec(key), CheckpointError) << key;
+        EXPECT_THROW(r.get_u64_vec(key), CheckpointError) << key;
+    }
+
+    constexpr auto i64_min = std::numeric_limits<std::int64_t>::min();
+    constexpr auto i64_max = std::numeric_limits<std::int64_t>::max();
+    constexpr auto u64_max = std::numeric_limits<std::uint64_t>::max();
+    EXPECT_EQ(r.get_i64("i64min"), i64_min);
+    EXPECT_EQ(r.get_i64("i64max"), i64_max);
+    EXPECT_EQ(r.get_i64("neg"), -1);
+    EXPECT_THROW(r.get_i64("i64over"), CheckpointError);
+    EXPECT_THROW(r.get_i64("i64under"), CheckpointError);
+    EXPECT_EQ(r.get_i64_vec("i64min"), std::vector<std::int64_t>{i64_min});
+    EXPECT_EQ(r.get_i64_vec("i64max"), std::vector<std::int64_t>{i64_max});
+    EXPECT_THROW(r.get_i64_vec("i64over"), CheckpointError);
+    EXPECT_THROW(r.get_i64_vec("i64under"), CheckpointError);
+
+    EXPECT_EQ(r.get_u64("u64max"), u64_max);
+    EXPECT_EQ(r.get_u64("i64over"), std::uint64_t{1} << 63);
+    EXPECT_THROW(r.get_u64("u64over"), CheckpointError);
+    EXPECT_THROW(r.get_u64("neg"), CheckpointError);
+    EXPECT_EQ(r.get_u64_vec("u64max"), std::vector<std::uint64_t>{u64_max});
+    EXPECT_THROW(r.get_u64_vec("u64over"), CheckpointError);
+    EXPECT_THROW(r.get_u64_vec("neg"), CheckpointError);
+    EXPECT_THROW(r.get_u64_vec("i64min"), CheckpointError);
+}
+
+TEST(CheckpointState, CachedColumnsWriteWhatPutVecWrites)
+{
+    const std::vector<double> f = {1.5, -0.0, bits_to_double(0x7ff80000deadbeefULL)};
+    const std::vector<std::int64_t> i = {0, -1, std::numeric_limits<std::int64_t>::min()};
+    const std::vector<std::uint64_t> u = {7, 0, 0xffffffffffffffffULL};
+    StateWriter plain;
+    plain.put_f64_vec("f", f);
+    plain.put_i64_vec("i", i);
+    plain.put_u64_vec("u", u);
+    plain.put_u64_vec("empty", {});
+    plain.put_str("line.0", "a b%");
+    plain.put_u64("line.1", 3);
+
+    // Cache the first entries, then write the rest as an uncached tail.
+    EncodeCache cf, ci, cu, lines, tf, ti, tu;
+    cf.push_f64(f[0]);
+    cf.push_f64(f[1]);
+    tf.push_f64(f[2]);
+    ci.push_i64(i[0]);
+    ti.push_i64(i[1]);
+    ti.push_i64(i[2]);
+    for (const std::uint64_t v : u) cu.push_u64(v);
+    StateWriter entry;
+    entry.put_str("line.0", "a b%");
+    lines.push_lines(entry);
+    entry = StateWriter();
+    entry.put_u64("line.1", 3);
+    lines.push_lines(entry);
+    EXPECT_EQ(cf.size(), 2u);
+    EXPECT_EQ(lines.size(), 2u);
+
+    StateWriter cached;
+    cached.put_vec("f", cf, tf);
+    cached.put_vec("i", ci, ti);
+    cached.put_vec("u", cu, EncodeCache());
+    cached.put_vec("empty", EncodeCache());
+    cached.put_lines(lines);
+    EXPECT_EQ(cached.str(), plain.str());
+
+    const std::string taken = cached.take();
+    EXPECT_EQ(taken, plain.str());
+    EXPECT_TRUE(cached.str().empty());
+    cf.clear();
+    EXPECT_EQ(cf.size(), 0u);
+    cached.put_vec("f", cf, tf);
+    EXPECT_EQ(cached.str(), "f=x7ff80000deadbeef\n");
+}
+
 TEST(CheckpointState, KeysWithPrefixInFileOrder)
 {
     StateWriter w;

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <algorithm>
+#include <string>
 
 namespace gsph::gpusim {
 namespace {
@@ -134,6 +135,74 @@ TEST(Device, TracingRecordsClockSamples)
     EXPECT_GT(dev.clock_trace().size(), 5u);
     dev.clear_traces();
     EXPECT_TRUE(dev.clock_trace().empty());
+}
+
+/// Ops [from, to) of one fixed sequence of governed kernels and idles.
+void drive(GpuDevice& dev, int from, int to)
+{
+    const KernelWork kernel = big_kernel();
+    for (int k = from; k < to; ++k) {
+        if (k % 3 == 2) {
+            dev.idle(0.05 * (k % 4 + 1));
+        }
+        else {
+            dev.execute(kernel);
+        }
+    }
+}
+
+/// Governed clocks, so every tick lands in the traces.
+void trace_governed(GpuDevice& dev)
+{
+    dev.set_clock_policy(ClockPolicy::kNativeDvfs);
+    dev.enable_tracing(true);
+}
+
+std::string saved(const GpuDevice& dev)
+{
+    checkpoint::StateWriter writer;
+    dev.save_state(writer);
+    return writer.take();
+}
+
+TEST(Device, TraceSavesMatchAFreshSave)
+{
+    // Saves at several points encode only the samples appended since the
+    // last one; each must equal the one save of a device that never saved.
+    GpuDevice dev(a100_sxm4_80g());
+    trace_governed(dev);
+    int done = 0;
+    for (const int ops : {0, 1, 4, 7}) {
+        drive(dev, done, done + ops);
+        done += ops;
+        GpuDevice fresh(a100_sxm4_80g());
+        trace_governed(fresh);
+        drive(fresh, 0, done);
+        ASSERT_EQ(saved(dev), saved(fresh)) << done << " ops";
+    }
+    ASSERT_GT(dev.clock_trace().size(), 20u);
+
+    // clear_traces drops the saved text with the samples.
+    dev.clear_traces();
+    drive(dev, done, done + 3);
+    GpuDevice cleared(a100_sxm4_80g());
+    trace_governed(cleared);
+    drive(cleared, 0, done);
+    cleared.clear_traces();
+    drive(cleared, done, done + 3);
+    EXPECT_EQ(saved(dev), saved(cleared));
+    done += 3;
+
+    // A restored device drops the text its own saves kept, and continues
+    // as the original does.
+    GpuDevice restored(a100_sxm4_80g());
+    trace_governed(restored);
+    drive(restored, 0, 2);
+    saved(restored);
+    restored.restore_state(checkpoint::StateReader("gpu.0", saved(dev)));
+    drive(dev, done, done + 5);
+    drive(restored, done, done + 5);
+    EXPECT_EQ(saved(restored), saved(dev));
 }
 
 TEST(Device, NoTracesByDefault)

@@ -34,6 +34,34 @@ protected:
         cfg.rank_jitter = 0.01;
         return cfg;
     }
+
+    /// Runs `cfg` on both of the driver's execute paths, whatever the
+    /// host's core count: inline (one thread), then pooled (four).  The two
+    /// results must agree bit for bit; returns the inline one.
+    static RunResult run(RunConfig cfg, const RunHooks& hooks = {})
+    {
+        cfg.n_threads = 1;
+        const RunResult inline_run = run_instrumented(mini_hpc(), trace(), cfg, hooks);
+        cfg.n_threads = 4;
+        const RunResult pooled = run_instrumented(mini_hpc(), trace(), cfg, hooks);
+        EXPECT_EQ(pooled.loop_start_s, inline_run.loop_start_s);
+        EXPECT_EQ(pooled.loop_end_s, inline_run.loop_end_s);
+        EXPECT_EQ(pooled.total_wall_s, inline_run.total_wall_s);
+        EXPECT_EQ(pooled.gpu_energy_j, inline_run.gpu_energy_j);
+        EXPECT_EQ(pooled.cpu_energy_j, inline_run.cpu_energy_j);
+        EXPECT_EQ(pooled.memory_energy_j, inline_run.memory_energy_j);
+        EXPECT_EQ(pooled.other_energy_j, inline_run.other_energy_j);
+        EXPECT_EQ(pooled.node_energy_j, inline_run.node_energy_j);
+        EXPECT_EQ(pooled.pmt_loop_energy_j, inline_run.pmt_loop_energy_j);
+        EXPECT_EQ(pooled.step_start_times, inline_run.step_start_times);
+        for (std::size_t f = 0; f < inline_run.per_function.size(); ++f) {
+            EXPECT_EQ(pooled.per_function[f].time_s, inline_run.per_function[f].time_s);
+            EXPECT_EQ(pooled.per_function[f].gpu_energy_j,
+                      inline_run.per_function[f].gpu_energy_j);
+            EXPECT_EQ(pooled.per_function[f].calls, inline_run.per_function[f].calls);
+        }
+        return inline_run;
+    }
 };
 
 TEST(WorkJitter, GoldenValues)
@@ -73,7 +101,7 @@ TEST(WorkJitter, NoCollisionsWhereTheOldPackingCollided)
 
 TEST_F(DriverFixture, BasicRunProducesSaneResult)
 {
-    const auto r = run_instrumented(mini_hpc(), trace(), base_config());
+    const auto r = run(base_config());
     EXPECT_EQ(r.n_ranks, 2);
     EXPECT_EQ(r.n_steps, 4);
     EXPECT_GT(r.makespan_s(), 0.0);
@@ -91,7 +119,7 @@ TEST_F(DriverFixture, BasicRunProducesSaneResult)
 
 TEST_F(DriverFixture, EveryFunctionAccountedOncePerStepPerRank)
 {
-    const auto r = run_instrumented(mini_hpc(), trace(), base_config());
+    const auto r = run(base_config());
     for (sph::SphFunction fn : sph::function_order(false)) {
         EXPECT_EQ(r.fn(fn).calls, 4 * 2) << sph::to_string(fn);
         EXPECT_GT(r.fn(fn).time_s, 0.0) << sph::to_string(fn);
@@ -102,7 +130,7 @@ TEST_F(DriverFixture, EveryFunctionAccountedOncePerStepPerRank)
 
 TEST_F(DriverFixture, FunctionTimesSumToMakespan)
 {
-    const auto r = run_instrumented(mini_hpc(), trace(), base_config());
+    const auto r = run(base_config());
     double total = 0.0;
     for (const auto& a : r.per_function) total += a.time_s;
     EXPECT_NEAR(total, r.makespan_s(), 0.02 * r.makespan_s());
@@ -110,7 +138,7 @@ TEST_F(DriverFixture, FunctionTimesSumToMakespan)
 
 TEST_F(DriverFixture, FunctionGpuEnergySumsToTotal)
 {
-    const auto r = run_instrumented(mini_hpc(), trace(), base_config());
+    const auto r = run(base_config());
     double total = 0.0;
     for (const auto& a : r.per_function) total += a.gpu_energy_j;
     // Time outside functions (end-of-step straggler sync) is small.
@@ -119,7 +147,7 @@ TEST_F(DriverFixture, FunctionGpuEnergySumsToTotal)
 
 TEST_F(DriverFixture, SlurmSeesMoreThanLoopWindow)
 {
-    const auto r = run_instrumented(mini_hpc(), trace(), base_config());
+    const auto r = run(base_config());
     EXPECT_TRUE(r.slurm.completed);
     EXPECT_GT(r.slurm.consumed_energy_j, r.node_energy_j);
     // ... but the excess stays within a generous idle-node power envelope
@@ -131,14 +159,14 @@ TEST_F(DriverFixture, SlurmSeesMoreThanLoopWindow)
 
 TEST_F(DriverFixture, PmtMatchesGroundTruthWithinSamplingError)
 {
-    const auto r = run_instrumented(mini_hpc(), trace(), base_config());
+    const auto r = run(base_config());
     // PMT reads the 10 Hz pm_counters surface: small quantization error.
     EXPECT_NEAR(r.pmt_loop_energy_j, r.node_energy_j, 0.05 * r.node_energy_j);
 }
 
 TEST_F(DriverFixture, HooksFireInOrder)
 {
-    // One order at every thread count: within each function call, every
+    // One order on both execute paths: within each function call, every
     // rank's before-hook fires, in rank order, before the first after-hook;
     // the after-hooks then fire in rank order.
     struct Event {
@@ -146,53 +174,49 @@ TEST_F(DriverFixture, HooksFireInOrder)
         int rank;
         sph::SphFunction fn;
     };
-    for (const int threads : {1, 4}) {
-        SCOPED_TRACE("n_threads " + std::to_string(threads));
-        auto cfg = base_config();
-        cfg.n_threads = threads;
-        std::vector<Event> log;
-        RunHooks hooks;
-        hooks.before_function = [&](int rank, gpusim::GpuDevice&, sph::SphFunction fn) {
-            log.push_back({'B', rank, fn});
-        };
-        hooks.after_function = [&](int rank, gpusim::GpuDevice&, sph::SphFunction fn,
-                                   const gpusim::KernelResult&) {
-            log.push_back({'A', rank, fn});
-        };
-        hooks.after_step = [&](int) { log.push_back({'S', -1, {}}); };
-        run_instrumented(mini_hpc(), trace(), cfg, hooks);
+    const auto cfg = base_config();
+    std::vector<Event> log;
+    RunHooks hooks;
+    hooks.before_function = [&](int rank, gpusim::GpuDevice&, sph::SphFunction fn) {
+        log.push_back({'B', rank, fn});
+    };
+    hooks.after_function = [&](int rank, gpusim::GpuDevice&, sph::SphFunction fn,
+                               const gpusim::KernelResult&) {
+        log.push_back({'A', rank, fn});
+    };
+    hooks.after_step = [&](int) { log.push_back({'S', -1, {}}); };
+    run(cfg, hooks); // logs the inline run, then the pooled one
 
-        const auto count = [&](char kind) {
-            return std::count_if(log.begin(), log.end(),
-                                 [kind](const Event& e) { return e.kind == kind; });
-        };
-        const long expected =
-            4L * cfg.n_ranks * static_cast<long>(sph::function_order(false).size());
-        EXPECT_EQ(count('B'), expected);
-        EXPECT_EQ(count('A'), expected);
-        EXPECT_EQ(count('S'), 4);
+    const auto count = [&](char kind) {
+        return std::count_if(log.begin(), log.end(),
+                             [kind](const Event& e) { return e.kind == kind; });
+    };
+    const long expected =
+        2 * 4L * cfg.n_ranks * static_cast<long>(sph::function_order(false).size());
+    EXPECT_EQ(count('B'), expected);
+    EXPECT_EQ(count('A'), expected);
+    EXPECT_EQ(count('S'), 2 * 4);
 
-        const std::size_t n = static_cast<std::size_t>(cfg.n_ranks);
-        std::size_t i = 0;
-        while (i < log.size()) {
-            if (log[i].kind == 'S') {
-                ++i;
-                continue;
-            }
-            ASSERT_LE(i + 2 * n, log.size()) << "truncated call at event " << i;
-            const sph::SphFunction fn = log[i].fn;
-            for (std::size_t r = 0; r < n; ++r) {
-                const Event& before = log[i + r];
-                const Event& after = log[i + n + r];
-                EXPECT_EQ(before.kind, 'B') << "event " << i + r;
-                EXPECT_EQ(before.rank, static_cast<int>(r)) << "event " << i + r;
-                EXPECT_EQ(before.fn, fn) << "event " << i + r;
-                EXPECT_EQ(after.kind, 'A') << "event " << i + n + r;
-                EXPECT_EQ(after.rank, static_cast<int>(r)) << "event " << i + n + r;
-                EXPECT_EQ(after.fn, fn) << "event " << i + n + r;
-            }
-            i += 2 * n;
+    const std::size_t n = static_cast<std::size_t>(cfg.n_ranks);
+    std::size_t i = 0;
+    while (i < log.size()) {
+        if (log[i].kind == 'S') {
+            ++i;
+            continue;
         }
+        ASSERT_LE(i + 2 * n, log.size()) << "truncated call at event " << i;
+        const sph::SphFunction fn = log[i].fn;
+        for (std::size_t r = 0; r < n; ++r) {
+            const Event& before = log[i + r];
+            const Event& after = log[i + n + r];
+            EXPECT_EQ(before.kind, 'B') << "event " << i + r;
+            EXPECT_EQ(before.rank, static_cast<int>(r)) << "event " << i + r;
+            EXPECT_EQ(before.fn, fn) << "event " << i + r;
+            EXPECT_EQ(after.kind, 'A') << "event " << i + n + r;
+            EXPECT_EQ(after.rank, static_cast<int>(r)) << "event " << i + n + r;
+            EXPECT_EQ(after.fn, fn) << "event " << i + n + r;
+        }
+        i += 2 * n;
     }
 }
 
@@ -200,7 +224,7 @@ TEST_F(DriverFixture, StaticClockAppliesEverywhere)
 {
     auto cfg = base_config();
     cfg.app_clock_mhz = 1005.0;
-    const auto r = run_instrumented(mini_hpc(), trace(), cfg);
+    const auto r = run(cfg);
     for (sph::SphFunction fn : sph::function_order(false)) {
         // Halo/collective idle time at the park clock dilutes the mean for
         // the communication-bearing functions.
@@ -214,9 +238,9 @@ TEST_F(DriverFixture, StaticClockAppliesEverywhere)
 TEST_F(DriverFixture, LowerClockSlowerCheaper)
 {
     auto cfg = base_config();
-    const auto base = run_instrumented(mini_hpc(), trace(), cfg);
+    const auto base = run(cfg);
     cfg.app_clock_mhz = 1005.0;
-    const auto low = run_instrumented(mini_hpc(), trace(), cfg);
+    const auto low = run(cfg);
     EXPECT_GT(low.makespan_s(), base.makespan_s());
     EXPECT_LT(low.gpu_energy_j, base.gpu_energy_j);
 }
@@ -226,7 +250,7 @@ TEST_F(DriverFixture, DvfsPolicyTracesClock)
     auto cfg = base_config();
     cfg.clock_policy = gpusim::ClockPolicy::kNativeDvfs;
     cfg.enable_rank0_trace = true;
-    const auto r = run_instrumented(mini_hpc(), trace(), cfg);
+    const auto r = run(cfg);
     EXPECT_FALSE(r.rank0_clock_trace.empty());
     EXPECT_GT(r.rank0_clock_trace.max_value(), 1300.0); // boosts near max
     EXPECT_LT(r.rank0_clock_trace.min_value(), 1300.0); // dips during idle
@@ -237,9 +261,9 @@ TEST_F(DriverFixture, MoreRanksMoreEnergySimilarTime)
 {
     auto cfg = base_config();
     cfg.n_ranks = 2;
-    const auto small = run_instrumented(mini_hpc(), trace(), cfg);
+    const auto small = run(cfg);
     cfg.n_ranks = 4;
-    const auto large = run_instrumented(mini_hpc(), trace(), cfg);
+    const auto large = run(cfg);
     // Weak scaling: same per-rank work, double the ranks.
     EXPECT_NEAR(large.gpu_energy_j / small.gpu_energy_j, 2.0, 0.1);
     EXPECT_NEAR(large.makespan_s() / small.makespan_s(), 1.0, 0.05);
@@ -247,8 +271,8 @@ TEST_F(DriverFixture, MoreRanksMoreEnergySimilarTime)
 
 TEST_F(DriverFixture, JitterIsDeterministic)
 {
-    const auto a = run_instrumented(mini_hpc(), trace(), base_config());
-    const auto b = run_instrumented(mini_hpc(), trace(), base_config());
+    const auto a = run(base_config());
+    const auto b = run(base_config());
     EXPECT_DOUBLE_EQ(a.makespan_s(), b.makespan_s());
     EXPECT_DOUBLE_EQ(a.gpu_energy_j, b.gpu_energy_j);
 }
@@ -257,7 +281,7 @@ TEST_F(DriverFixture, StepsCanExceedTraceLength)
 {
     auto cfg = base_config();
     cfg.n_steps = 10; // trace has 4: cycles
-    const auto r = run_instrumented(mini_hpc(), trace(), cfg);
+    const auto r = run(cfg);
     EXPECT_EQ(r.n_steps, 10);
     EXPECT_EQ(r.fn(sph::SphFunction::kMomentumEnergy).calls, 10 * 2);
 }
@@ -271,7 +295,7 @@ TEST_F(DriverFixture, EmptyTraceThrows)
 
 TEST_F(DriverFixture, CpuEnergyApportionedByDuration)
 {
-    const auto r = run_instrumented(mini_hpc(), trace(), base_config());
+    const auto r = run(base_config());
     double cpu_total = 0.0;
     for (const auto& a : r.per_function) cpu_total += a.cpu_energy_j;
     EXPECT_NEAR(cpu_total, r.cpu_energy_j + r.memory_energy_j, 1.0);

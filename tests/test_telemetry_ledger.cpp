@@ -13,6 +13,7 @@
 #include "checkpoint/state.hpp"
 #include "sim/driver.hpp"
 #include "sim/system.hpp"
+#include "telemetry/audit.hpp"
 #include "telemetry/ledger.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/prometheus.hpp"
@@ -23,7 +24,9 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -100,6 +103,122 @@ std::string temp_path(const char* tag)
 {
     return testing::TempDir() + "gsph_ledger_" + tag + "_" +
            std::to_string(::getpid()) + ".jsonl";
+}
+
+/// The JSONL writer the ledger used before it appended lines directly:
+/// build a Json object per bucket and per decision, then dump it.  Kept as
+/// the reference that write_jsonl must match byte for byte.
+std::string reference_jsonl(const AttributionLedger& ledger, const Json& header)
+{
+    const auto fn_name = [](int function) -> std::string {
+        if (function >= 0 && function < sph::kSphFunctionCount) {
+            return sph::to_string(static_cast<sph::SphFunction>(function));
+        }
+        return "none";
+    };
+    const auto buckets = ledger.buckets();
+    const auto decisions = ledger.decisions();
+    Json h = Json::object();
+    h["schema"] = kLedgerSchema;
+    if (header.is_object()) {
+        for (const auto& [key, value] : header.members()) h[key] = value;
+    }
+    h["n_ranks"] = ledger.n_ranks();
+    h["steps_completed"] = ledger.steps_completed();
+    double energy = 0.0;
+    double time = 0.0;
+    for (const AttributionBucket& b : buckets) {
+        energy += b.energy_j;
+        time += b.time_s;
+    }
+    h["attributed_energy_j"] = energy;
+    h["attributed_time_s"] = time;
+    h["bucket_count"] = buckets.size();
+    h["decision_count"] = decisions.size();
+    std::string out = h.dump(-1) + "\n";
+    for (const AttributionBucket& bucket : buckets) {
+        Json b = Json::object();
+        b["type"] = "bucket";
+        b["rank"] = bucket.rank;
+        b["function"] = fn_name(bucket.function);
+        b["phase"] = to_string(bucket.phase);
+        b["freq_mhz"] = bucket.freq_mhz;
+        b["energy_j"] = bucket.energy_j;
+        b["time_s"] = bucket.time_s;
+        b["calls"] = bucket.calls;
+        out += b.dump(-1) + "\n";
+    }
+    for (const AuditedDecision& d : decisions) {
+        Json j = Json::object();
+        j["type"] = "decision";
+        j["id"] = static_cast<double>(d.id);
+        j["step"] = d.step;
+        j["policy"] = d.record.policy;
+        j["rank"] = d.record.rank;
+        j["function"] = fn_name(d.record.function);
+        Json candidates = Json::array();
+        for (double mhz : d.record.candidate_mhz) candidates.push_back(mhz);
+        j["candidate_mhz"] = std::move(candidates);
+        j["chosen_mhz"] = d.record.chosen_mhz;
+        if (!d.record.trace_id.empty()) j["trace_id"] = d.record.trace_id;
+        if (d.record.predicted_edp > 0.0) {
+            j["predicted_edp"] = d.record.predicted_edp;
+        }
+        else {
+            j["no_prediction"] = true;
+        }
+        Json inputs = Json::object();
+        for (const auto& [name, value] : d.record.inputs) inputs[name] = value;
+        j["inputs"] = std::move(inputs);
+        j["resolved"] = d.resolved;
+        j["realized_edp"] = d.realized_edp;
+        if (d.resolved && d.record.predicted_edp > 0.0) {
+            j["prediction_error"] =
+                (d.realized_edp - d.record.predicted_edp) / d.record.predicted_edp;
+        }
+        out += j.dump(-1) + "\n";
+    }
+    return out;
+}
+
+std::string jsonl(const AttributionLedger& ledger, const Json& header = {})
+{
+    const std::string path = temp_path("jsonl");
+    EXPECT_TRUE(ledger.write_jsonl(path, header));
+    const std::string text = slurp(path);
+    std::remove(path.c_str());
+    return text;
+}
+
+std::string saved(const AttributionLedger& ledger)
+{
+    checkpoint::StateWriter writer;
+    ledger.save_state(writer);
+    return writer.take();
+}
+
+/// A ManDyn run whose ledger saves at the listed before-hook calls (call k
+/// is the k-th before_function hook of the run).  Each save lands after the
+/// policy's decision for that call and before the after-hook that resolves
+/// it, so one decision is still pending.  Returns the saves and a final one.
+std::vector<std::string> ledger_saves(const std::set<int>& at_calls)
+{
+    MetricsRegistry::global().reset();
+    AttributionLedger ledger(2);
+    sim::RunHooks hooks;
+    ledger.attach(hooks);
+    std::vector<std::string> saves;
+    int call = 0;
+    auto ledger_before = hooks.before_function;
+    hooks.before_function = [&, ledger_before](int rank, gpusim::GpuDevice& dev,
+                                               sph::SphFunction fn) {
+        ledger_before(rank, dev, fn);
+        if (at_calls.count(call++) != 0) saves.push_back(saved(ledger));
+    };
+    auto policy = core::make_mandyn_policy(tuned().table, tuned().audit);
+    core::run_with_policy(sim::mini_hpc(), trace(), cfg(2), *policy, hooks);
+    saves.push_back(saved(ledger));
+    return saves;
 }
 
 // ------------------------------------------------------------ attribution ---
@@ -302,6 +421,76 @@ TEST(AttributionLedger, CheckpointRoundTripIsBitExact)
     EXPECT_THROW(
         wrong_shape.restore_state(checkpoint::StateReader("ledger", saved.str())),
         checkpoint::CheckpointError);
+}
+
+TEST(AttributionLedger, SavesKeepSettledDecisionsAndMatchAFreshSave)
+{
+    // Saves with a decision pending, spread over the run: each must equal
+    // the one save of a ledger that never saved before that point.
+    const std::set<int> points = {0, 1, 5, 26, 27, 60, 120};
+    const std::vector<std::string> saves = ledger_saves(points);
+    ASSERT_EQ(saves.size(), points.size() + 1);
+    std::size_t i = 0;
+    for (const int point : points) {
+        const std::vector<std::string> fresh = ledger_saves({point});
+        ASSERT_EQ(fresh.size(), 2u);
+        EXPECT_EQ(saves[i], fresh[0]) << "save at call " << point;
+        EXPECT_EQ(saves.back(), fresh[1]) << "final save after call " << point;
+        ++i;
+    }
+    EXPECT_EQ(saves.back(), ledger_saves({}).back());
+
+    // A restore drops the text earlier saves kept: same bytes again.
+    AttributionLedger restored(2);
+    for (const std::size_t k : {6u, 3u}) {
+        restored.restore_state(checkpoint::StateReader("ledger", saves[k]));
+        EXPECT_EQ(saved(restored), saves[k]) << "save " << k;
+    }
+}
+
+TEST(AttributionLedger, JsonlMatchesTheJsonObjectWriter)
+{
+    MetricsRegistry::global().reset();
+    AttributionLedger ledger(2);
+    run_with_ledger(ledger, 2);
+    // Records no policy writes: escapes, a trace id, repeated and odd input
+    // names, non-finite values, no prediction, and an out-of-range rank.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    DecisionRecord odd;
+    odd.policy = "quote\" back\\ \x01 \xff";
+    odd.rank = 7;
+    odd.function = -1;
+    odd.chosen_mhz = -0.0;
+    odd.predicted_edp = 0.0;
+    odd.inputs = {{"a", 1.0}, {"b\n", nan}, {"a", inf}, {"", -inf}, {"b\n", 2.5e15}};
+    odd.trace_id = "4bf92f3577b34da6a3ce929d0e0e4736";
+    audit_decision(odd);
+    DecisionRecord plain;
+    plain.policy = "Test";
+    plain.rank = 1;
+    plain.function = 3;
+    plain.candidate_mhz = {1005.0, 1410.5};
+    plain.chosen_mhz = 1410.5;
+    plain.predicted_edp = 0.1;
+    audit_decision(plain);
+
+    Json header = Json::object();
+    header["policy"] = "ManDyn \"tuned\"";
+    header["n_ranks"] = 99; // overwritten in place by the ledger
+    header["ranks"] = 2;
+    EXPECT_EQ(jsonl(ledger, header), reference_jsonl(ledger, header));
+    EXPECT_EQ(jsonl(ledger), reference_jsonl(ledger, Json{}));
+
+    // The live view holds the same decision objects, without "type".
+    const Json live = ledger.attribution_json(2);
+    ASSERT_EQ(live.at("decisions").size(), 2u);
+    const std::string text = jsonl(ledger);
+    const std::string last_line = text.substr(text.rfind('\n', text.size() - 2) + 1);
+    const std::string type = "{\"type\":\"decision\",";
+    ASSERT_EQ(last_line.rfind(type, 0), 0u) << last_line;
+    EXPECT_EQ(live.at("decisions").items()[1].dump(-1) + "\n",
+              "{" + last_line.substr(type.size()));
 }
 
 // -------------------------------------------------------------- exposures ---

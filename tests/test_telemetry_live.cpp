@@ -16,8 +16,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace gsph::telemetry {
 namespace {
@@ -332,6 +336,71 @@ TEST(LiveSampler, SaveRestoreRoundTripsBitExactly)
     EXPECT_THROW(
         wrong_shape.restore_state(checkpoint::StateReader("sampler", saved.str())),
         checkpoint::CheckpointError);
+}
+
+/// Small rings that compact every few steps.
+SamplerConfig small_rings()
+{
+    SamplerConfig config;
+    config.period_s = 0.02;
+    config.ring_capacity = 16;
+    return config;
+}
+
+/// A ManDyn run whose sampler, with small rings, saves at the end of the
+/// listed steps.  Returns each save and the power ring's window width at
+/// that save, by step.
+std::map<int, std::pair<std::string, std::uint64_t>> sampler_saves(const std::set<int>& at_steps)
+{
+    MetricsRegistry::global().reset();
+    LiveSampler sampler(2, small_rings());
+    sim::RunHooks hooks;
+    sampler.attach(hooks);
+    std::map<int, std::pair<std::string, std::uint64_t>> saves;
+    auto sampler_step = hooks.after_step;
+    hooks.after_step = [&, sampler_step](int step) {
+        sampler_step(step);
+        if (at_steps.count(step) == 0) return;
+        checkpoint::StateWriter writer;
+        sampler.save_state(writer);
+        saves[step] = {writer.take(), sampler.power_ring(0).window_width()};
+    };
+    auto policy = core::make_mandyn_policy(core::reference_a100_turbulence_table());
+    core::run_with_policy(sim::mini_hpc(), trace(), cfg(2), *policy, hooks);
+    return saves;
+}
+
+TEST(LiveSampler, SavesAcrossRingCompactionsMatchAFreshSave)
+{
+    // A save at every step keeps each ring's settled entries encoded; each
+    // must equal the one save of a sampler that never saved before.
+    const std::set<int> steps = {0, 1, 2, 3, 4, 5};
+    const auto saves = sampler_saves(steps);
+    ASSERT_EQ(saves.size(), steps.size());
+    int compactions = 0;
+    int appends_only = 0;
+    for (const int step : steps) {
+        const auto fresh = sampler_saves({step});
+        ASSERT_EQ(fresh.size(), 1u);
+        EXPECT_EQ(saves.at(step).first, fresh.at(step).first) << "step " << step;
+        if (step > 0) {
+            const bool compacted = saves.at(step).second != saves.at(step - 1).second;
+            (compacted ? compactions : appends_only) += 1;
+        }
+    }
+    // Both cases ran between two saves: rings that compacted, and rings that
+    // only grew.
+    EXPECT_GT(compactions, 0);
+    EXPECT_GT(appends_only, 0);
+
+    // A restore drops the text earlier saves kept: same bytes again.
+    LiveSampler restored(2, small_rings());
+    for (const int step : {5, 3}) {
+        restored.restore_state(checkpoint::StateReader("sampler", saves.at(step).first));
+        checkpoint::StateWriter again;
+        restored.save_state(again);
+        EXPECT_EQ(again.str(), saves.at(step).first) << "step " << step;
+    }
 }
 
 // --------------------------------------------------- fault alert oracles ---

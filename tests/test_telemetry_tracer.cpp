@@ -10,10 +10,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <limits>
+#include <map>
+#include <random>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 
 namespace gsph::telemetry {
 namespace {
@@ -53,6 +59,294 @@ std::string reference_chrome_json(const std::vector<TraceEvent>& events)
         array.push_back(std::move(obj));
     }
     return array.dump();
+}
+
+/// The tracer as it was before it stored events by column: a TraceEvent per
+/// event, interned into columns afresh at every save.  Kept as the
+/// reference that SpanTracer's saves and renders must match byte for byte.
+class ReferenceTracer {
+public:
+    using Args = std::vector<std::pair<std::string, std::string>>;
+
+    void begin(int pid, int tid, const std::string& name, double t_s,
+               const std::string& category, Args args)
+    {
+        ++open_[{pid, tid}];
+        TraceEvent e;
+        e.name = name;
+        e.category = category;
+        e.phase = 'B';
+        e.time_s = t_s;
+        e.pid = pid;
+        e.tid = tid;
+        e.args = std::move(args);
+        events_.push_back(std::move(e));
+    }
+    void end(int pid, int tid, double t_s)
+    {
+        --open_.at({pid, tid});
+        TraceEvent e;
+        e.phase = 'E';
+        e.time_s = t_s;
+        e.pid = pid;
+        e.tid = tid;
+        events_.push_back(std::move(e));
+    }
+    void counter(int pid, const std::string& name, double t_s, double value)
+    {
+        TraceEvent e;
+        e.name = name;
+        e.phase = 'C';
+        e.time_s = t_s;
+        e.pid = pid;
+        e.counter_value = value;
+        events_.push_back(std::move(e));
+    }
+    void instant(int pid, int tid, const std::string& name, double t_s, Args args)
+    {
+        TraceEvent e;
+        e.name = name;
+        e.phase = 'i';
+        e.time_s = t_s;
+        e.pid = pid;
+        e.tid = tid;
+        e.args = std::move(args);
+        events_.push_back(std::move(e));
+    }
+    void set_name(int pid, int tid, bool process, const std::string& name)
+    {
+        TraceEvent e;
+        e.name = process ? "process_name" : "thread_name";
+        e.phase = 'M';
+        e.pid = pid;
+        e.tid = process ? 0 : tid;
+        e.metadata = name;
+        events_.push_back(std::move(e));
+    }
+    int open_spans(int pid, int tid) const
+    {
+        const auto it = open_.find({pid, tid});
+        return it == open_.end() ? 0 : it->second;
+    }
+
+    const std::vector<TraceEvent>& events() const { return events_; }
+
+    void save_state(checkpoint::StateWriter& writer) const
+    {
+        std::vector<std::string_view> table;
+        std::unordered_map<std::string_view, std::uint64_t> index;
+        const auto intern = [&](const std::string& s) {
+            const auto [it, inserted] = index.try_emplace(s, table.size());
+            if (inserted) table.push_back(s);
+            return it->second;
+        };
+        std::string phases;
+        std::vector<std::uint64_t> names, categories, n_args, args, time_runs, metadata;
+        std::vector<std::int64_t> pids, tids;
+        std::vector<double> times, values;
+        std::uint64_t last_time_bits = 0;
+        for (const TraceEvent& e : events_) {
+            phases.push_back(e.phase);
+            names.push_back(intern(e.name));
+            categories.push_back(intern(e.category));
+            pids.push_back(e.pid);
+            tids.push_back(e.tid);
+            n_args.push_back(e.args.size());
+            for (const auto& [key, value] : e.args) {
+                args.push_back(intern(key));
+                args.push_back(intern(value));
+            }
+            std::uint64_t bits = 0;
+            std::memcpy(&bits, &e.time_s, sizeof(bits));
+            if (!time_runs.empty() && bits == last_time_bits) {
+                ++time_runs.back();
+            }
+            else {
+                times.push_back(e.time_s);
+                time_runs.push_back(1);
+                last_time_bits = bits;
+            }
+            if (e.phase == 'C') values.push_back(e.counter_value);
+            if (e.phase == 'M') metadata.push_back(intern(e.metadata));
+        }
+        writer.put_u64("strings", table.size());
+        for (std::size_t i = 0; i < table.size(); ++i) {
+            writer.put_str("str." + std::to_string(i), table[i]);
+        }
+        writer.put_str("ev.ph", phases);
+        writer.put_u64_vec("ev.name", names);
+        writer.put_u64_vec("ev.cat", categories);
+        writer.put_i64_vec("ev.pid", pids);
+        writer.put_i64_vec("ev.tid", tids);
+        writer.put_f64_vec("ev.t", times);
+        writer.put_u64_vec("ev.trun", time_runs);
+        writer.put_f64_vec("ev.cv", values);
+        writer.put_u64_vec("ev.md", metadata);
+        writer.put_u64_vec("ev.nargs", n_args);
+        writer.put_u64_vec("ev.args", args);
+        std::vector<std::int64_t> open;
+        for (const auto& [track, depth] : open_) {
+            open.push_back(track.first);
+            open.push_back(track.second);
+            open.push_back(depth);
+        }
+        writer.put_i64_vec("open", open);
+    }
+
+private:
+    std::vector<TraceEvent> events_;
+    std::map<std::pair<int, int>, int> open_;
+};
+
+/// Records one random stream into both tracers: every phase, args with
+/// repeated keys and strings that need escaping in JSON or in the
+/// checkpoint, -0.0, NaN, +-inf, several pids and tids, and runs of equal
+/// timestamps.
+class RandomStream {
+public:
+    explicit RandomStream(std::uint64_t seed) : rng_(seed) {}
+
+    void record(int n, SpanTracer& tracer, ReferenceTracer& reference)
+    {
+        for (int k = 0; k < n; ++k) record_one(tracer, reference);
+    }
+
+private:
+    std::size_t pick(std::size_t n) { return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng_); }
+
+    const std::string& word() { return words_[pick(words_.size())]; }
+
+    double number()
+    {
+        const double special[] = {0.0,
+                                  -0.0,
+                                  1.0,
+                                  0.1,
+                                  -2.5e15,
+                                  1e300,
+                                  std::numeric_limits<double>::quiet_NaN(),
+                                  std::numeric_limits<double>::infinity(),
+                                  -std::numeric_limits<double>::infinity()};
+        if (pick(3) == 0) return std::uniform_real_distribution<double>(-1e4, 1e4)(rng_);
+        return special[pick(std::size(special))];
+    }
+
+    /// Mostly the previous time again, so runs of bit-equal times form.
+    double time()
+    {
+        if (pick(3) != 0) return time_;
+        time_ = pick(8) == 0 ? number() : time_ + 0.125 * static_cast<double>(pick(4));
+        return time_;
+    }
+
+    ReferenceTracer::Args args()
+    {
+        ReferenceTracer::Args out;
+        const std::size_t n = pick(4);
+        for (std::size_t i = 0; i < n; ++i) {
+            // A small key pool makes repeated keys common.
+            out.emplace_back(keys_[pick(std::size(keys_))], word());
+        }
+        return out;
+    }
+
+    void record_one(SpanTracer& tracer, ReferenceTracer& reference)
+    {
+        const int pid = pids_[pick(std::size(pids_))];
+        const int tid = tids_[pick(std::size(tids_))];
+        switch (pick(6)) {
+            case 0: {
+                const std::string& name = word();
+                const std::string& category = pick(2) == 0 ? word() : empty_;
+                const double t = time();
+                const ReferenceTracer::Args a = args();
+                reference.begin(pid, tid, name, t, category, a);
+                record_with_args(a, [&](SpanTracer::Args view) {
+                    tracer.begin(pid, tid, name, t, category, view);
+                });
+                return;
+            }
+            case 1: {
+                if (reference.open_spans(pid, tid) == 0) return;
+                const double t = time();
+                reference.end(pid, tid, t);
+                tracer.end(pid, tid, t);
+                return;
+            }
+            case 2:
+            case 3: {
+                const std::string& name = word();
+                const double t = time();
+                const double v = number();
+                reference.counter(pid, name, t, v);
+                tracer.counter(pid, name, t, v);
+                return;
+            }
+            case 4: {
+                const std::string& name = word();
+                const double t = time();
+                const ReferenceTracer::Args a = args();
+                reference.instant(pid, tid, name, t, a);
+                record_with_args(a, [&](SpanTracer::Args view) {
+                    tracer.instant(pid, tid, name, t, view);
+                });
+                return;
+            }
+            default: {
+                const std::string& name = word();
+                const bool process = pick(2) == 0;
+                reference.set_name(pid, tid, process, name);
+                if (process) {
+                    tracer.set_process_name(pid, name);
+                }
+                else {
+                    tracer.set_thread_name(pid, tid, name);
+                }
+                return;
+            }
+        }
+    }
+
+    /// SpanTracer takes args as an initializer list; pass up to three.
+    template <typename Record>
+    static void record_with_args(const ReferenceTracer::Args& a, Record record)
+    {
+        using P = std::pair<std::string_view, std::string_view>;
+        switch (a.size()) {
+            case 0: record({}); return;
+            case 1: record({P(a[0].first, a[0].second)}); return;
+            case 2: record({P(a[0].first, a[0].second), P(a[1].first, a[1].second)}); return;
+            default:
+                record({P(a[0].first, a[0].second), P(a[1].first, a[1].second),
+                        P(a[2].first, a[2].second)});
+                return;
+        }
+    }
+
+    std::mt19937_64 rng_;
+    double time_ = 0.0;
+    const std::string empty_;
+    const std::vector<std::string> words_ = {
+        "Density",       "IADVelocityDivCurl", "",         "step 7",
+        "quote\"back\\", "line\nbreak\ttab",   "100%=done", std::string("nul\0byte", 8),
+        "\xff\xfe bad",   "\xcf\x80 pi",          "\x01\x1f",  "applied_clock_mhz"};
+    const char* keys_[3] = {"trace_id", "span_id", "k=v%"};
+    const int pids_[4] = {0, 1, 7, -1};
+    const int tids_[3] = {0, 1, 3};
+};
+
+std::string save(const SpanTracer& tracer)
+{
+    checkpoint::StateWriter writer;
+    tracer.save_state(writer);
+    return writer.take();
+}
+
+std::string save(const ReferenceTracer& tracer)
+{
+    checkpoint::StateWriter writer;
+    tracer.save_state(writer);
+    return writer.take();
 }
 
 /// Every event kind, both category cases, a repeated args key, strings that
@@ -196,6 +490,56 @@ TEST(SpanTracer, CheckpointRoundTripsEveryField)
     second.restore_state(checkpoint::StateReader("runtracer", writer.str()));
     second.save_state(again);
     EXPECT_EQ(again.str(), writer.str());
+}
+
+TEST(SpanTracer, SavesAndRenderMatchTheEventTracerOnRandomStreams)
+{
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        RandomStream stream(seed);
+        SpanTracer tracer;
+        ReferenceTracer reference;
+        // Saves at several points: each encodes only what is new, and each
+        // must equal a save that encodes everything.
+        for (const int n : {0, 1, 7, 40, 3, 150}) {
+            stream.record(n, tracer, reference);
+            ASSERT_EQ(save(tracer), save(reference));
+            ASSERT_EQ(tracer.to_chrome_json(), reference_chrome_json(reference.events()));
+        }
+        EXPECT_EQ(tracer.event_count(), reference.events().size());
+    }
+}
+
+TEST(SpanTracer, RestoredTracerContinuesAsAnUninterruptedOne)
+{
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        RandomStream stream(seed);
+        SpanTracer uninterrupted;
+        ReferenceTracer reference;
+        stream.record(60, uninterrupted, reference);
+        const std::string first = save(uninterrupted);
+
+        // A resumed run: restore into a tracer whose saves kept text of
+        // other events, then record the same events as the uninterrupted one.
+        SpanTracer resumed;
+        ReferenceTracer discarded;
+        RandomStream(seed + 500).record(30, resumed, discarded);
+        save(resumed);
+        resumed.restore_state(checkpoint::StateReader("runtracer", first));
+        ReferenceTracer resumed_reference = reference; // same open spans
+        RandomStream after_a(seed + 1000);
+        RandomStream after_b(seed + 1000);
+        after_a.record(80, uninterrupted, reference);
+        after_b.record(80, resumed, resumed_reference);
+        EXPECT_EQ(save(resumed), save(uninterrupted));
+        EXPECT_EQ(save(resumed), save(reference));
+        EXPECT_EQ(resumed.to_chrome_json(), uninterrupted.to_chrome_json());
+
+        // clear() drops the saved text along with the events.
+        resumed.clear();
+        EXPECT_EQ(save(resumed), save(ReferenceTracer()));
+    }
 }
 
 TEST(SpanTracer, RestoreRejectsMalformedColumns)
@@ -408,8 +752,7 @@ TEST(SpanTracerThreadSafety, ConcurrentRecordingLosesNoEvents)
 
 TEST(SpanTracerThreadSafety, SingleThreadedOrderMatchesLegacy)
 {
-    // One recording thread -> one buffer -> events come back in exactly
-    // the order they were recorded (the legacy contract).
+    // Events come back in exactly the order they were recorded.
     SpanTracer tracer;
     tracer.begin(0, 0, "a", 1.0);
     tracer.instant(0, 0, "mark", 1.2);
