@@ -111,19 +111,14 @@ void OnlineManDynPolicy::attach(sim::RunHooks& hooks, int n_ranks)
     rank_current_mhz_.assign(static_cast<std::size_t>(n_ranks), -1.0);
     probe_.reset();
 
-    auto prev_before = hooks.before_function;
-    auto prev_after = hooks.after_function;
-    hooks.before_function = [this, prev_before](int rank, gpusim::GpuDevice& dev,
-                                                sph::SphFunction fn) {
-        before(rank, dev, fn);
-        if (prev_before) prev_before(rank, dev, fn);
-    };
-    hooks.after_function = [this, prev_after](int rank, gpusim::GpuDevice& dev,
-                                              sph::SphFunction fn,
-                                              const gpusim::KernelResult& res) {
-        after(rank, dev, fn, res);
-        if (prev_after) prev_after(rank, dev, fn, res);
-    };
+    hooks.prepend({
+        .before_function = [this](int rank, gpusim::GpuDevice& dev,
+                                  sph::SphFunction fn) { before(rank, dev, fn); },
+        .after_function = [this](int rank, gpusim::GpuDevice& dev, sph::SphFunction fn,
+                                 const gpusim::KernelResult& res) {
+            after(rank, dev, fn, res);
+        },
+    });
 }
 
 void OnlineManDynPolicy::assign_model_stage(FunctionLearner& learner,

@@ -82,12 +82,10 @@ public:
             table_, n_ranks, make_clock_backend(vendor_, n_ranks));
         controller_->set_audit_info(audit_);
         auto* ctl = controller_.get();
-        auto previous = hooks.before_function; // compose with existing hooks
-        hooks.before_function = [ctl, previous](int rank, gpusim::GpuDevice& dev,
+        hooks.prepend({.before_function = [ctl](int rank, gpusim::GpuDevice&,
                                                 sph::SphFunction fn) {
             ctl->apply(rank, fn);
-            if (previous) previous(rank, dev, fn);
-        };
+        }});
     }
 
     const FrequencyController* controller() const { return controller_.get(); }
@@ -141,32 +139,27 @@ public:
         nvmlsim::nvmlInit();
         ++nvml_inits_;
         applied_.assign(static_cast<std::size_t>(n_ranks), false);
-        auto previous = hooks.before_function;
-        const double watts = watts_;
-        auto* applied = &applied_;
-        hooks.before_function = [watts, applied, previous](int rank,
-                                                           gpusim::GpuDevice& dev,
-                                                           sph::SphFunction fn) {
-            if (!(*applied)[static_cast<std::size_t>(rank)]) {
-                nvmlsim::nvmlDevice_t handle = nullptr;
-                if (nvmlsim::getNvmlDevice(static_cast<unsigned int>(rank), &handle) ==
-                    nvmlsim::NVML_SUCCESS) {
-                    nvmlsim::nvmlDeviceSetPowerManagementLimit(
-                        handle, static_cast<unsigned int>(watts * 1000.0));
-                    if (telemetry::decision_audited()) {
-                        telemetry::DecisionRecord rec;
-                        rec.policy = "PowerCap";
-                        rec.rank = rank;
-                        rec.function = -1; // run-wide: caps every function
-                        rec.chosen_mhz = 0.0; // firmware governs the clock
-                        rec.inputs.emplace_back("power_cap_w", watts);
-                        telemetry::audit_decision(std::move(rec));
-                    }
-                }
-                (*applied)[static_cast<std::size_t>(rank)] = true;
+        hooks.prepend({.before_function = [this](int rank, gpusim::GpuDevice&,
+                                                 sph::SphFunction) {
+            if (applied_[static_cast<std::size_t>(rank)]) return;
+            applied_[static_cast<std::size_t>(rank)] = true;
+            nvmlsim::nvmlDevice_t handle = nullptr;
+            if (nvmlsim::getNvmlDevice(static_cast<unsigned int>(rank), &handle) !=
+                nvmlsim::NVML_SUCCESS) {
+                return;
             }
-            if (previous) previous(rank, dev, fn);
-        };
+            nvmlsim::nvmlDeviceSetPowerManagementLimit(
+                handle, static_cast<unsigned int>(watts_ * 1000.0));
+            if (telemetry::decision_audited()) {
+                telemetry::DecisionRecord rec;
+                rec.policy = "PowerCap";
+                rec.rank = rank;
+                rec.function = -1; // run-wide: caps every function
+                rec.chosen_mhz = 0.0; // firmware governs the clock
+                rec.inputs.emplace_back("power_cap_w", watts_);
+                telemetry::audit_decision(std::move(rec));
+            }
+        }});
     }
 
     void save_state(checkpoint::StateWriter& writer) const override
@@ -231,13 +224,6 @@ std::unique_ptr<FrequencyPolicy> make_mandyn_policy(FrequencyTable table,
 std::unique_ptr<FrequencyPolicy> make_power_cap_policy(double watts)
 {
     return std::make_unique<PowerCapPolicy>(watts);
-}
-
-sim::RunResult run_with_policy(const sim::SystemSpec& system,
-                               const sim::WorkloadTrace& trace, sim::RunConfig config,
-                               FrequencyPolicy& policy)
-{
-    return run_with_policy(system, trace, std::move(config), policy, sim::RunHooks{});
 }
 
 sim::RunResult run_with_policy(const sim::SystemSpec& system,

@@ -26,7 +26,7 @@ public:
     virtual std::string name() const = 0;
     /// Adjust the run configuration (clock policy / static clock).
     virtual void configure(sim::RunConfig& config) const = 0;
-    /// Install per-function hooks (ManDyn's controller); default: none.
+    /// Prepend per-function hooks (ManDyn's controller); default: none.
     virtual void attach(sim::RunHooks& hooks, int n_ranks);
 
     /// Checkpoint policy-internal state (controller clock cache, learner
@@ -57,16 +57,10 @@ std::unique_ptr<FrequencyPolicy> make_mandyn_policy(
 /// strategy to ManDyn (which slows the *light* kernels instead).
 std::unique_ptr<FrequencyPolicy> make_power_cap_policy(double watts);
 
-/// Convenience: run `trace` on `system` under `policy`.
+/// Run `trace` on `system` under `policy`, whose hooks join the observers
+/// already attached to `base_hooks` (a span tracer, a profiler, ...).
 sim::RunResult run_with_policy(const sim::SystemSpec& system,
                                const sim::WorkloadTrace& trace, sim::RunConfig config,
-                               FrequencyPolicy& policy);
-
-/// Same, but the policy's hooks are layered on top of `base_hooks` (a span
-/// tracer, a profiler, ...).  The policy wraps them so its clock control
-/// runs before any observer for each function.
-sim::RunResult run_with_policy(const sim::SystemSpec& system,
-                               const sim::WorkloadTrace& trace, sim::RunConfig config,
-                               FrequencyPolicy& policy, sim::RunHooks base_hooks);
+                               FrequencyPolicy& policy, sim::RunHooks base_hooks = {});
 
 } // namespace gsph::core

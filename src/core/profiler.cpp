@@ -44,38 +44,31 @@ void EnergyProfiler::ensure_sensor(int rank)
 
 void EnergyProfiler::attach(sim::RunHooks& hooks)
 {
-    auto prev_before = hooks.before_function;
-    auto prev_after = hooks.after_function;
+    hooks.append({
+        .before_function = [this](int rank, gpusim::GpuDevice&, sph::SphFunction) {
+            ensure_sensor(rank);
+            open_state_[static_cast<std::size_t>(rank)] =
+                sensors_[static_cast<std::size_t>(rank)]->Read();
+        },
+        .after_function = [this](int rank, gpusim::GpuDevice&, sph::SphFunction fn,
+                                 const gpusim::KernelResult&) {
+            const pmt::State end = sensors_[static_cast<std::size_t>(rank)]->Read();
+            const pmt::State& start = open_state_[static_cast<std::size_t>(rank)];
+            const std::size_t fi = static_cast<std::size_t>(fn);
 
-    hooks.before_function = [this, prev_before](int rank, gpusim::GpuDevice& dev,
-                                                sph::SphFunction fn) {
-        if (prev_before) prev_before(rank, dev, fn); // controller first
-        ensure_sensor(rank);
-        open_state_[static_cast<std::size_t>(rank)] =
-            sensors_[static_cast<std::size_t>(rank)]->Read();
-    };
+            FunctionEnergy& rank_slot = per_rank_[static_cast<std::size_t>(rank)][fi];
+            const double joules = pmt::Pmt::joules(start, end);
+            const double seconds = pmt::Pmt::seconds(start, end);
+            rank_slot.gpu_energy_j += joules;
+            rank_slot.time_s += seconds;
+            ++rank_slot.calls;
 
-    hooks.after_function = [this, prev_after](int rank, gpusim::GpuDevice& dev,
-                                              sph::SphFunction fn,
-                                              const gpusim::KernelResult& res) {
-        const pmt::State end = sensors_[static_cast<std::size_t>(rank)]->Read();
-        const pmt::State& start = open_state_[static_cast<std::size_t>(rank)];
-        const std::size_t fi = static_cast<std::size_t>(fn);
-
-        FunctionEnergy& rank_slot = per_rank_[static_cast<std::size_t>(rank)][fi];
-        const double joules = pmt::Pmt::joules(start, end);
-        const double seconds = pmt::Pmt::seconds(start, end);
-        rank_slot.gpu_energy_j += joules;
-        rank_slot.time_s += seconds;
-        ++rank_slot.calls;
-
-        totals_[fi].gpu_energy_j += joules;
-        totals_[fi].time_s += seconds;
-        ++totals_[fi].calls;
-        fn_energy_histogram(fn).observe(joules);
-
-        if (prev_after) prev_after(rank, dev, fn, res);
-    };
+            totals_[fi].gpu_energy_j += joules;
+            totals_[fi].time_s += seconds;
+            ++totals_[fi].calls;
+            fn_energy_histogram(fn).observe(joules);
+        },
+    });
 }
 
 double EnergyProfiler::total_gpu_energy_j() const

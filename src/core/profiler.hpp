@@ -38,7 +38,7 @@ class EnergyProfiler {
 public:
     explicit EnergyProfiler(int n_ranks);
 
-    /// Install the probe hooks (composes with whatever is already there).
+    /// Append the probe hooks (sim::RunHooks states the order).
     void attach(sim::RunHooks& hooks);
 
     /// Per-function totals summed over ranks.

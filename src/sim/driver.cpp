@@ -14,6 +14,7 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace gsph::sim {
@@ -35,6 +36,21 @@ double work_jitter(double j, int rank, int step, int call)
 
 namespace {
 
+/// `first` then `second` as one callback.  When either is empty the other
+/// is returned as it is, so composing never installs a call that does
+/// nothing.
+template <typename... Args>
+std::function<void(Args...)> chain(std::function<void(Args...)> first,
+                                   std::function<void(Args...)> second)
+{
+    if (!first) return second;
+    if (!second) return first;
+    return [first = std::move(first), second = std::move(second)](Args... args) {
+        first(args...);
+        second(args...);
+    };
+}
+
 struct NodeBaseline {
     double cpu_j = 0.0;
     double dram_j = 0.0;
@@ -43,6 +59,19 @@ struct NodeBaseline {
 };
 
 } // namespace
+
+void RunHooks::append(RunHooks later)
+{
+    before_function = chain(std::move(before_function), std::move(later.before_function));
+    after_function = chain(std::move(after_function), std::move(later.after_function));
+    after_step = chain(std::move(after_step), std::move(later.after_step));
+}
+
+void RunHooks::prepend(RunHooks earlier)
+{
+    earlier.append(std::move(*this));
+    *this = std::move(earlier);
+}
 
 RunResult run_instrumented(const SystemSpec& system, const WorkloadTrace& trace,
                            const RunConfig& config, const RunHooks& hooks)

@@ -72,16 +72,33 @@ struct RunConfig {
     const checkpoint::StateRegistry* checkpoint_participants = nullptr;
 };
 
+/// The callbacks a run fires, each composed from every attached component.
+///
+/// One rule orders them: a frequency policy *prepends* its hooks, so its
+/// clock control runs first in both the before- and the after-hooks; an
+/// observer (profiler, tracer, sampler, ledger) *appends* its hooks, so
+/// observers run after every policy, in attach order, for all three
+/// callbacks.  Attach order between a policy and an observer therefore does
+/// not matter, and an observer always sees the clock the policy just set.
+/// Every field defaults to empty, so an attach() names only the callbacks it
+/// sets (`hooks.append({.after_step = ...})`).
 struct RunHooks {
     /// Fired before a function executes on a rank; the ManDyn controller
     /// sets application clocks here.
-    std::function<void(int rank, gpusim::GpuDevice&, sph::SphFunction)> before_function;
+    std::function<void(int rank, gpusim::GpuDevice&, sph::SphFunction)>
+        before_function = {};
     /// Fired after the function's kernels (and attributed communication)
     /// completed on the rank.
     std::function<void(int rank, gpusim::GpuDevice&, sph::SphFunction,
                        const gpusim::KernelResult&)>
-        after_function;
-    std::function<void(int step)> after_step;
+        after_function = {};
+    std::function<void(int step)> after_step = {};
+
+    /// Run `later`'s callbacks after this chain's (how an observer attaches).
+    /// A callback `later` leaves empty adds no call.
+    void append(RunHooks later);
+    /// Run `earlier`'s callbacks before this chain's (how a policy attaches).
+    void prepend(RunHooks earlier);
 };
 
 struct FunctionAggregate {

@@ -149,28 +149,13 @@ AttributionLedger::~AttributionLedger()
 
 void AttributionLedger::attach(sim::RunHooks& hooks)
 {
-    auto prev_before = std::move(hooks.before_function);
-    hooks.before_function = [this, prev_before = std::move(prev_before)](
-                                int rank, gpusim::GpuDevice& dev,
-                                sph::SphFunction fn) {
-        // Run the policy chain first: its clock decision (and audit record)
-        // must land before the ledger reads the applied clock.
-        if (prev_before) prev_before(rank, dev, fn);
-        on_before(rank, dev, fn);
-    };
-    auto prev_after = std::move(hooks.after_function);
-    hooks.after_function = [this, prev_after = std::move(prev_after)](
-                               int rank, gpusim::GpuDevice& dev,
-                               sph::SphFunction fn,
-                               const gpusim::KernelResult& res) {
-        if (prev_after) prev_after(rank, dev, fn, res);
-        on_after(rank, dev, fn);
-    };
-    auto prev_step = std::move(hooks.after_step);
-    hooks.after_step = [this, prev_step = std::move(prev_step)](int step) {
-        if (prev_step) prev_step(step);
-        on_step_end(step);
-    };
+    hooks.append({
+        .before_function = [this](int rank, gpusim::GpuDevice& dev,
+                                  sph::SphFunction fn) { on_before(rank, dev, fn); },
+        .after_function = [this](int rank, gpusim::GpuDevice& dev, sph::SphFunction fn,
+                                 const gpusim::KernelResult&) { on_after(rank, dev, fn); },
+        .after_step = [this](int step) { on_step_end(step); },
+    });
     set_decision_sink(
         [this](DecisionRecord&& record) { on_decision(std::move(record)); });
     sink_installed_ = true;

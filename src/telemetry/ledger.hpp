@@ -81,10 +81,9 @@ public:
     AttributionLedger(const AttributionLedger&) = delete;
     AttributionLedger& operator=(const AttributionLedger&) = delete;
 
-    /// Install attribution hooks (composing with whatever is already there)
-    /// and the process-wide decision sink.  Call after the policy's
-    /// attach() wrapped the hooks so the ledger observes post-decision
-    /// clocks (run_with_policy and the CLI guarantee this order).
+    /// Append the attribution hooks and install the process-wide decision
+    /// sink.  The ledger reads the clock the policy just applied; the order
+    /// rule of sim::RunHooks runs policies first however the two attach.
     void attach(sim::RunHooks& hooks);
 
     int n_ranks() const { return n_ranks_; }

@@ -28,25 +28,15 @@ RunTracer::RunTracer(int n_ranks, RunTracerConfig config)
 
 void RunTracer::attach(sim::RunHooks& hooks)
 {
-    auto prev_before = hooks.before_function;
-    auto prev_after = hooks.after_function;
-    auto prev_step = hooks.after_step;
-
-    hooks.before_function = [this, prev_before](int rank, gpusim::GpuDevice& dev,
-                                                sph::SphFunction fn) {
-        if (prev_before) prev_before(rank, dev, fn); // controller sets clocks first
-        on_before(rank, dev, fn);
-    };
-    hooks.after_function = [this, prev_after](int rank, gpusim::GpuDevice& dev,
-                                              sph::SphFunction fn,
-                                              const gpusim::KernelResult& res) {
-        on_after(rank, dev, fn, res);
-        if (prev_after) prev_after(rank, dev, fn, res);
-    };
-    hooks.after_step = [this, prev_step](int step) {
-        on_step_end(step);
-        if (prev_step) prev_step(step);
-    };
+    hooks.append({
+        .before_function = [this](int rank, gpusim::GpuDevice& dev,
+                                  sph::SphFunction fn) { on_before(rank, dev, fn); },
+        .after_function = [this](int rank, gpusim::GpuDevice& dev, sph::SphFunction fn,
+                                 const gpusim::KernelResult& res) {
+            on_after(rank, dev, fn, res);
+        },
+        .after_step = [this](int step) { on_step_end(step); },
+    });
 }
 
 void RunTracer::on_before(int rank, gpusim::GpuDevice& dev, sph::SphFunction fn)

@@ -30,8 +30,7 @@ class RunTracer {
 public:
     explicit RunTracer(int n_ranks, RunTracerConfig config = {});
 
-    /// Install the tracing hooks, composing with whatever is already there
-    /// (existing hooks run first, so ManDyn's clock set precedes the span).
+    /// Append the tracing hooks (sim::RunHooks states the order).
     void attach(sim::RunHooks& hooks);
 
     SpanTracer& tracer() { return tracer_; }

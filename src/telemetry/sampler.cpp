@@ -39,26 +39,15 @@ LiveSampler::~LiveSampler()
 
 void LiveSampler::attach(sim::RunHooks& hooks)
 {
-    auto prev_before = std::move(hooks.before_function);
-    hooks.before_function = [this, prev_before = std::move(prev_before)](
-                                int rank, gpusim::GpuDevice& dev,
-                                sph::SphFunction fn) {
-        if (prev_before) prev_before(rank, dev, fn);
-        on_before(rank, dev);
-    };
-    auto prev_after = std::move(hooks.after_function);
-    hooks.after_function = [this, prev_after = std::move(prev_after)](
-                               int rank, gpusim::GpuDevice& dev,
-                               sph::SphFunction fn,
-                               const gpusim::KernelResult& res) {
-        if (prev_after) prev_after(rank, dev, fn, res);
-        on_after(rank, dev, res);
-    };
-    auto prev_step = std::move(hooks.after_step);
-    hooks.after_step = [this, prev_step = std::move(prev_step)](int step) {
-        if (prev_step) prev_step(step);
-        on_step_end(step);
-    };
+    hooks.append({
+        .before_function = [this](int rank, gpusim::GpuDevice& dev,
+                                  sph::SphFunction) { on_before(rank, dev); },
+        .after_function = [this](int rank, gpusim::GpuDevice& dev, sph::SphFunction,
+                                 const gpusim::KernelResult& res) {
+            on_after(rank, dev, res);
+        },
+        .after_step = [this](int step) { on_step_end(step); },
+    });
     set_call_latency_observer(
         [this](const char*, double seconds) { anomaly_.observe_call_latency(seconds); });
     observer_installed_ = true;

@@ -56,8 +56,8 @@ public:
     LiveSampler(const LiveSampler&) = delete;
     LiveSampler& operator=(const LiveSampler&) = delete;
 
-    /// Install sampling hooks (composing with whatever is already there)
-    /// and the management-call latency observer.
+    /// Append the sampling hooks and install the management-call latency
+    /// observer.
     void attach(sim::RunHooks& hooks);
 
     int n_ranks() const { return n_ranks_; }

@@ -153,8 +153,8 @@ TEST(OnlineTuner, FollowerRanksWarmupAtTopClock)
     cfg.rank_jitter = 0.0;
     std::vector<double> rank1_mhz;
     sim::RunHooks hooks;
-    // The policy wraps these hooks, so the observer runs after the clock
-    // was applied for the call.
+    // The policy prepends its hooks, so this observer sees the clock applied
+    // for the call.
     hooks.before_function = [&](int rank, gpusim::GpuDevice& dev, sph::SphFunction) {
         if (rank == 1) rank1_mhz.push_back(dev.application_clock_mhz());
     };

@@ -71,12 +71,9 @@ TEST(FailureInjection, PermissionDeniedMidRunFallsBackGracefully)
     mandyn->attach(hooks, 1);
 
     int calls = 0;
-    auto prev_before = hooks.before_function;
-    hooks.before_function = [&calls, prev_before](int rank, gpusim::GpuDevice& dev,
-                                                  sph::SphFunction fn) {
+    hooks.prepend({.before_function = [&calls](int, gpusim::GpuDevice&, sph::SphFunction) {
         if (++calls == 5) nvmlsim::set_user_clock_permission(false);
-        if (prev_before) prev_before(rank, dev, fn);
-    };
+    }});
 
     const auto r = sim::run_instrumented(sim::mini_hpc(), trace(), c, hooks);
     EXPECT_GT(r.makespan_s(), 0.0);
@@ -99,12 +96,9 @@ TEST(FailureInjection, OnlineTunerSurvivesDeniedClocks)
     online->configure(c);
     sim::RunHooks hooks;
     online->attach(hooks, 1);
-    auto prev_before = hooks.before_function;
-    hooks.before_function = [prev_before](int rank, gpusim::GpuDevice& dev,
-                                          sph::SphFunction fn) {
+    hooks.prepend({.before_function = [](int, gpusim::GpuDevice&, sph::SphFunction) {
         nvmlsim::set_user_clock_permission(false);
-        if (prev_before) prev_before(rank, dev, fn);
-    };
+    }});
     const auto r = sim::run_instrumented(sim::mini_hpc(), trace(), c, hooks);
     EXPECT_GT(r.gpu_energy_j, 0.0);
     nvmlsim::set_user_clock_permission(true);

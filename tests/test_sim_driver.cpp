@@ -5,6 +5,8 @@
 #include <cmath>
 #include <algorithm>
 #include <string>
+#include <string_view>
+#include <typeinfo>
 #include <vector>
 
 namespace gsph::sim {
@@ -218,6 +220,60 @@ TEST_F(DriverFixture, HooksFireInOrder)
         }
         i += 2 * n;
     }
+}
+
+/// Hooks that append `id` to `log`; `callbacks` names the ones set:
+/// 'B' before, 'A' after, 'S' end of step.
+RunHooks logging_hooks(std::string& log, char id, std::string_view callbacks)
+{
+    RunHooks hooks;
+    if (callbacks.find('B') != std::string_view::npos) {
+        hooks.before_function = [&log, id](int, gpusim::GpuDevice&, sph::SphFunction) {
+            log += id;
+        };
+    }
+    if (callbacks.find('A') != std::string_view::npos) {
+        hooks.after_function = [&log, id](int, gpusim::GpuDevice&, sph::SphFunction,
+                                          const gpusim::KernelResult&) { log += id; };
+    }
+    if (callbacks.find('S') != std::string_view::npos) {
+        hooks.after_step = [&log, id](int) { log += id; };
+    }
+    return hooks;
+}
+
+TEST(RunHooks, AppendAndPrependKeepOneOrder)
+{
+    // Observers a and b append; policy P (before and after, as online
+    // ManDyn) and policy Q (before only, as ManDyn) prepend, interleaved.
+    std::string log;
+    RunHooks hooks;
+    hooks.append(logging_hooks(log, 'a', "BAS"));
+    hooks.prepend(logging_hooks(log, 'P', "BA"));
+    hooks.append(logging_hooks(log, 'b', "BAS"));
+    hooks.prepend(logging_hooks(log, 'Q', "B"));
+
+    gpusim::GpuDevice dev(gpusim::a100_sxm4_80g());
+    hooks.before_function(0, dev, sph::SphFunction::kXMass);
+    EXPECT_EQ(log, "QPab");
+    log.clear();
+    hooks.after_function(0, dev, sph::SphFunction::kXMass, gpusim::KernelResult{});
+    EXPECT_EQ(log, "Pab");
+    log.clear();
+    hooks.after_step(0);
+    EXPECT_EQ(log, "ab");
+
+    // A callback a component leaves empty adds no call: the before-only
+    // policy leaves the observer's own after-hook installed as it was, and
+    // a callback nobody sets stays empty, so the driver skips it.
+    const RunHooks observer = logging_hooks(log, 'a', "A");
+    RunHooks observed;
+    observed.append(observer);
+    observed.prepend(logging_hooks(log, 'Q', "B"));
+    EXPECT_TRUE(observed.after_function.target_type() ==
+                observer.after_function.target_type());
+    EXPECT_TRUE(observed.before_function);
+    EXPECT_FALSE(observed.after_step);
 }
 
 TEST_F(DriverFixture, StaticClockAppliesEverywhere)

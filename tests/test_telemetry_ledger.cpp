@@ -209,12 +209,9 @@ std::vector<std::string> ledger_saves(const std::set<int>& at_calls)
     ledger.attach(hooks);
     std::vector<std::string> saves;
     int call = 0;
-    auto ledger_before = hooks.before_function;
-    hooks.before_function = [&, ledger_before](int rank, gpusim::GpuDevice& dev,
-                                               sph::SphFunction fn) {
-        ledger_before(rank, dev, fn);
+    hooks.append({.before_function = [&](int, gpusim::GpuDevice&, sph::SphFunction) {
         if (at_calls.count(call++) != 0) saves.push_back(saved(ledger));
-    };
+    }});
     auto policy = core::make_mandyn_policy(tuned().table, tuned().audit);
     core::run_with_policy(sim::mini_hpc(), trace(), cfg(2), *policy, hooks);
     saves.push_back(saved(ledger));

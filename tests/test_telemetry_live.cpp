@@ -357,14 +357,12 @@ std::map<int, std::pair<std::string, std::uint64_t>> sampler_saves(const std::se
     sim::RunHooks hooks;
     sampler.attach(hooks);
     std::map<int, std::pair<std::string, std::uint64_t>> saves;
-    auto sampler_step = hooks.after_step;
-    hooks.after_step = [&, sampler_step](int step) {
-        sampler_step(step);
+    hooks.append({.after_step = [&](int step) {
         if (at_steps.count(step) == 0) return;
         checkpoint::StateWriter writer;
         sampler.save_state(writer);
         saves[step] = {writer.take(), sampler.power_ring(0).window_width()};
-    };
+    }});
     auto policy = core::make_mandyn_policy(core::reference_a100_turbulence_table());
     core::run_with_policy(sim::mini_hpc(), trace(), cfg(2), *policy, hooks);
     return saves;

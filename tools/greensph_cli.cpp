@@ -1073,18 +1073,33 @@ int cmd_run(Options opt, const std::vector<std::string>& argv)
     }
     if (resuming) cfg.resume = &snapshot;
 
+    // Checkpoint participants beyond the driver's own simulated state, saved
+    // at every checkpoint boundary and restored in this order by the driver
+    // before the first resumed step, after the attach() calls that create
+    // the state being restored.  Each observer registers where it attaches.
+    // Observers exist only when their flags are given, and a resume may add
+    // or drop flags, so their sections are optional: absent from the
+    // snapshot means "start fresh".  When present on both sides of a kill,
+    // traces, rings, alert records and ledgers resume bit-identically.
+    checkpoint::StateRegistry registry;
+    add_participant(registry, "policy", policy.get());
+    add_command_participants(registry, opt, kRun);
+    cfg.checkpoint_participants = &registry;
+
     sim::RunHooks hooks;
     std::unique_ptr<core::EnergyProfiler> profiler;
     if (!opt.metrics_json.empty()) {
         // PMT probes around every function fill the fn.energy_j histograms.
         profiler = std::make_unique<core::EnergyProfiler>(opt.ranks);
         profiler->attach(hooks);
+        add_participant(registry, "profiler", profiler.get(), /*optional=*/true);
     }
     std::unique_ptr<telemetry::RunTracer> tracer;
     if (!opt.trace_json.empty()) {
         cfg.enable_rank0_trace = true; // replayed as a counter track below
         tracer = std::make_unique<telemetry::RunTracer>(opt.ranks);
         tracer->attach(hooks);
+        add_participant(registry, "runtracer", tracer.get(), /*optional=*/true);
     }
     // Live observability plane: deterministic sampler (+ anomaly detector)
     // driven by the run hooks, and optionally an HTTP exporter serving the
@@ -1097,6 +1112,8 @@ int cmd_run(Options opt, const std::vector<std::string>& argv)
         if (opt.sample_every > 0.0) sampler_cfg.period_s = opt.sample_every;
         sampler = std::make_unique<telemetry::LiveSampler>(opt.ranks, sampler_cfg);
         sampler->attach(hooks);
+        add_participant(registry, "sampler", sampler.get(), /*optional=*/true);
+        add_participant(registry, "anomaly", &sampler->anomaly(), /*optional=*/true);
     }
     // Attribution ledger: every joule/second bucketed by (rank, function,
     // phase, applied clock) plus the audited decision trail.  Enabled by
@@ -1105,6 +1122,7 @@ int cmd_run(Options opt, const std::vector<std::string>& argv)
     if (!opt.ledger_out.empty() || opt.metrics_port >= 0) {
         ledger = std::make_unique<telemetry::AttributionLedger>(opt.ranks);
         ledger->attach(hooks);
+        add_participant(registry, "ledger", ledger.get(), /*optional=*/true);
     }
     if (opt.metrics_port >= 0) {
         telemetry::ExporterConfig exp_cfg;
@@ -1119,30 +1137,6 @@ int cmd_run(Options opt, const std::vector<std::string>& argv)
         std::cout << "Metrics exporter listening on 127.0.0.1:" << exporter->port()
                   << std::endl;
     }
-
-    // Checkpoint participants beyond the driver's own simulated state.
-    // Saved at every checkpoint boundary and restored (in this order) by
-    // the driver before the first resumed step — after the policy's
-    // attach(), which is what creates the state being restored.
-    checkpoint::StateRegistry registry;
-    add_participant(registry, "policy", policy.get());
-    add_command_participants(registry, opt, kRun);
-    // Profiler and tracer exist only when their output flags are given, and
-    // a resume may add flags the interrupted run lacked — so their sections
-    // are optional: absent from the snapshot means "start fresh".
-    add_participant(registry, "profiler", profiler.get(), /*optional=*/true);
-    add_participant(registry, "runtracer", tracer.get(), /*optional=*/true);
-    // The live plane's sections are optional for the same reason: a resume
-    // may enable or disable the plane.  When enabled on both sides, rings,
-    // digest feeds, baselines and alert records resume bit-identically.
-    add_participant(registry, "sampler", sampler.get(), /*optional=*/true);
-    add_participant(registry, "anomaly", sampler ? &sampler->anomaly() : nullptr,
-                    /*optional=*/true);
-    // Optional like the others; when present on both sides of a kill, the
-    // resumed run's final JSONL ledger is byte-identical to an
-    // uninterrupted one's.
-    add_participant(registry, "ledger", ledger.get(), /*optional=*/true);
-    cfg.checkpoint_participants = &registry;
 
     std::cout << "Running " << trace.workload_name << " on " << system.name << " with "
               << opt.ranks << " rank(s) under " << policy->name() << "...\n\n";
