@@ -49,7 +49,6 @@ int main()
         if (lang.on_gpu) {
             gpusim::GpuDevice gpu(gpusim::a100_sxm4_80g());
             gpusim::KernelWork work;
-            work.name = lang.name;
             work.flops = kFlops;
             work.dram_bytes = kFlops / 50.0; // compute-bound pair interactions
             work.flop_efficiency = lang.efficiency;

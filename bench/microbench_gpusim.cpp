@@ -16,7 +16,6 @@ using namespace gsph;
 gpusim::KernelWork sample_work()
 {
     gpusim::KernelWork w;
-    w.name = "bench";
     w.flops = 2e11;
     w.dram_bytes = 3e10;
     w.flop_efficiency = 0.6;

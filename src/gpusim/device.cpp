@@ -48,6 +48,24 @@ GpuDevice::GpuDevice(GpuDeviceSpec spec, int index)
 {
 }
 
+GpuDevice::~GpuDevice()
+{
+    publish_counters();
+}
+
+void GpuDevice::publish_counters()
+{
+    // Skipping zero counts keeps a device that did no work off the registry.
+    if (unpublished_batches_ > 0) {
+        kernel_batches_counter().inc(static_cast<double>(unpublished_batches_));
+        unpublished_batches_ = 0;
+    }
+    if (unpublished_transitions_ > 0) {
+        transitions_counter().inc(static_cast<double>(unpublished_transitions_));
+        unpublished_transitions_ = 0;
+    }
+}
+
 void GpuDevice::set_clock_policy(ClockPolicy policy)
 {
     policy_ = policy;
@@ -135,7 +153,7 @@ void GpuDevice::transition_to(double mhz)
 {
     if (mhz == current_clock_mhz_) return;
     current_clock_mhz_ = mhz;
-    transitions_counter().inc();
+    ++unpublished_transitions_;
 }
 
 void GpuDevice::clear_traces()
@@ -149,7 +167,7 @@ void GpuDevice::clear_traces()
 KernelResult GpuDevice::execute(const KernelWork& work)
 {
     kernels_launched_ += std::max<std::int64_t>(work.launches, 1);
-    kernel_batches_counter().inc();
+    ++unpublished_batches_;
     return policy_ == ClockPolicy::kLockedAppClock ? execute_locked(work)
                                                    : execute_governed(work);
 }
@@ -337,6 +355,8 @@ void GpuDevice::restore_state(const checkpoint::StateReader& reader)
     energy_.restore(reader.get_f64("energy_j"), reader.get_f64("energy_c"));
     last_power_w_ = reader.get_f64("last_power_w");
     kernels_launched_ = reader.get_i64("kernels_launched");
+    unpublished_batches_ = 0;
+    unpublished_transitions_ = 0;
     governor_.restore(reader.get_f64("governor.cap_mhz"),
                       reader.get_f64("governor.current_mhz"),
                       reader.get_i64("governor.transitions"));

@@ -42,6 +42,12 @@ struct KernelResult {
 class GpuDevice {
 public:
     explicit GpuDevice(GpuDeviceSpec spec, int index = 0);
+    /// Publishes the counts publish_counters() has not yet added.
+    ~GpuDevice();
+    // Non-copyable: the power model and governor point at this device's
+    // spec_, and a copy would publish the same counts twice.
+    GpuDevice(const GpuDevice&) = delete;
+    GpuDevice& operator=(const GpuDevice&) = delete;
 
     // --- clock control (NVML semantics) ----------------------------------
     void set_clock_policy(ClockPolicy policy);
@@ -84,6 +90,15 @@ public:
     long kernels_launched() const { return kernels_launched_; }
     long clock_transitions() const { return governor_.transition_count(); }
 
+    // --- telemetry --------------------------------------------------------
+    /// Add the kernel batches and compute-clock transitions counted since the
+    /// last call to the registry's "gpusim.kernel_batches" and
+    /// "governor.transitions" (one inc each), then zero the counts.  The
+    /// device counts in plain members, so executing a rank on a pool thread
+    /// touches nothing shared; sim::Node::sync_to publishes on the driving
+    /// thread at every step end, the destructor publishes the rest.
+    void publish_counters();
+
     // --- tracing (paper Fig. 9) -------------------------------------------
     void enable_tracing(bool on) { tracing_ = on; }
     const util::TimeSeries& clock_trace() const { return clock_trace_; }
@@ -94,14 +109,16 @@ public:
     /// Serialize / overwrite all mutable device state (clock mode, energy
     /// accumulator with its Kahan compensation, governor, traces).  The spec
     /// and tracing flag are construction-time configuration and not saved.
+    /// restore_state drops the unpublished counts: the metrics registry's
+    /// own checkpoint section already holds the totals of the restored run.
     void save_state(checkpoint::StateWriter& writer) const;
     void restore_state(const checkpoint::StateReader& reader);
 
 private:
     KernelResult execute_locked(const KernelWork& work);
     KernelResult execute_governed(const KernelWork& work);
-    /// Move the effective compute clock, counting distinct transitions into
-    /// the telemetry registry ("governor.transitions").
+    /// Move the effective compute clock, counting distinct transitions for
+    /// "governor.transitions".
     void transition_to(double mhz);
     /// Highest grid clock <= quantize_clock(`requested_mhz`) whose busy power
     /// for `work` fits under the power limit, or the minimum clock if none
@@ -135,6 +152,8 @@ private:
     util::KahanSum energy_;
     double last_power_w_ = 0.0;
     long kernels_launched_ = 0;
+    long unpublished_batches_ = 0;     ///< for "gpusim.kernel_batches"
+    long unpublished_transitions_ = 0; ///< for "governor.transitions"
 
     bool tracing_ = false;
     util::TimeSeries clock_trace_{"clock_mhz"};

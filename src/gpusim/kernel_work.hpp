@@ -10,13 +10,14 @@
 /// DESIGN.md "Operation-count coupling".
 
 #include <cstdint>
-#include <string>
+#include <type_traits>
 
 namespace gsph::gpusim {
 
+/// Plain numbers only: the replay loop copies one per rank-kernel
+/// (gpusim::scaled), so it must stay trivially copyable.  Which function a
+/// batch belongs to is the caller's record (sim::FunctionRecord::fn).
 struct KernelWork {
-    std::string name; ///< function name, used in traces and reports
-
     double flops = 0.0;      ///< floating-point operations (FP64-equivalent)
     double dram_bytes = 0.0; ///< bytes moved to/from device memory
     /// Fraction of the DRAM traffic that is scattered (gather/scatter through
@@ -43,5 +44,7 @@ struct KernelWork {
 /// measured on a small real simulation and scaled to the paper's particle
 /// counts.  Launches scale sub-linearly (they depend on grid size, not N).
 KernelWork scaled(const KernelWork& work, double s);
+
+static_assert(std::is_trivially_copyable_v<KernelWork>);
 
 } // namespace gsph::gpusim

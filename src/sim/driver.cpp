@@ -329,7 +329,6 @@ RunResult run_instrumented(const SystemSpec& system, const WorkloadTrace& trace,
             auto merge_rank = [&](int r) {
                 const gpusim::KernelResult& res =
                     rank_results[static_cast<std::size_t>(r)];
-                calls_counter.inc();
                 const double duration = res.end_s - res.start_s;
                 agg[fi].time_s += duration;
                 agg[fi].gpu_energy_j += res.energy_j;
@@ -356,6 +355,7 @@ RunResult run_instrumented(const SystemSpec& system, const WorkloadTrace& trace,
                     merge_rank(r);
                 }
             }
+            calls_counter.inc(static_cast<double>(config.n_ranks));
             if (hooks.after_function) {
                 for (int r = 0; r < config.n_ranks; ++r) {
                     hooks.after_function(r, cluster.rank_gpu(r), fr.fn,
@@ -398,7 +398,8 @@ RunResult run_instrumented(const SystemSpec& system, const WorkloadTrace& trace,
             ++call_index;
         }
 
-        // End of step: host/sampler catch up on every node.
+        // End of step: host/sampler catch up on every node, and every device
+        // publishes its counts before the hooks and the checkpoint read them.
         const double t_step = cluster.max_gpu_time();
         cluster.sync_all_to(t_step);
         steps_counter.inc();

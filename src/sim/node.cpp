@@ -41,6 +41,7 @@ void Node::sync_to(double t, double cpu_utilization, double mem_activity)
     for (auto& g : gpus_) {
         const double gap = t - g->now();
         if (gap > 0.0) g->idle(gap);
+        g->publish_counters();
     }
     const double cpu_gap = t - cpu_.now();
     if (cpu_gap > 0.0) {

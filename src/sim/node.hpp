@@ -35,8 +35,8 @@ public:
     double max_gpu_time() const;
 
     /// Bring every component of the node to wall time `t`: GPUs idle up to
-    /// t, the CPU advances (host driver activity on `busy_cores`), and the
-    /// out-of-band sampler catches up.
+    /// t and publish their telemetry counts, the CPU advances (host driver
+    /// activity on `busy_cores`), and the out-of-band sampler catches up.
     void sync_to(double t, double cpu_utilization = 0.12, double mem_activity = 0.06);
 
     std::vector<gpusim::GpuDevice*> gpu_pointers();

@@ -254,7 +254,6 @@ WorkloadTrace WorkloadTrace::parse(const std::string& text)
         }
         FunctionRecord fr;
         fr.fn = static_cast<sph::SphFunction>(fn_id);
-        fr.work.name = sph::to_string(fr.fn);
         fr.work.flops = parse_double(parts[2], line_no, "flops");
         fr.work.dram_bytes = parse_double(parts[3], line_no, "dram_bytes");
         fr.work.gather_fraction = parse_double(parts[4], line_no, "gather_fraction");

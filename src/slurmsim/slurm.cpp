@@ -106,7 +106,11 @@ std::string format_consumed_energy(double joules)
         GSPH_LOG_WARN("slurm", "negative ConsumedEnergy " << joules
                                << " J - accounting bug upstream of the "
                                   "per-node wrap clamp");
-        return "-" + format_consumed_energy(-joules);
+        // Insert the sign into the built string: GCC 12 flags `"-" + ...`
+        // here with a false -Wrestrict.
+        std::string out = format_consumed_energy(-joules);
+        out.insert(out.begin(), '-');
+        return out;
     }
     if (joules >= 1e9) return util::format_fixed(joules / 1e9, 2) + "G";
     if (joules >= 1e6) return util::format_fixed(joules / 1e6, 2) + "M";

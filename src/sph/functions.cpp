@@ -48,11 +48,10 @@ constexpr CostSpec kUpdateHCost{0.0, 0.0, 12.0, 24.0, 0.0, 0.15, 1};
 // Dominated by many lightweight launches -> low utilization (paper Fig. 9).
 constexpr CostSpec kDomainCost{0.0, 0.0, 46.0, 420.0, 0.30, 0.12, 1};
 
-gpusim::KernelWork make_work(SphFunction fn, const CostSpec& cost, double pairs,
-                             double particles, std::int64_t launches)
+gpusim::KernelWork make_work(const CostSpec& cost, double pairs, double particles,
+                             std::int64_t launches)
 {
     gpusim::KernelWork w;
-    w.name = to_string(fn);
     w.flops = cost.flops_per_pair * pairs + cost.flops_per_particle * particles;
     w.dram_bytes = cost.bytes_per_pair * pairs + cost.bytes_per_particle * particles;
     w.gather_fraction = cost.gather;
@@ -150,16 +149,14 @@ gpusim::KernelWork SphSimulation::domain_decomp_and_sync()
     neighbors_valid_ = false;
 
     const auto launches = static_cast<std::int64_t>(tree_build_launch_count(octree_));
-    return make_work(SphFunction::kDomainDecompAndSync, kDomainCost, 0.0,
-                     static_cast<double>(n), launches);
+    return make_work(kDomainCost, 0.0, static_cast<double>(n), launches);
 }
 
 gpusim::KernelWork SphSimulation::find_neighbors()
 {
     const std::size_t pre_cap_pairs = find_all_neighbors(particles_, box_, neighbors_);
     neighbors_valid_ = true;
-    return make_work(SphFunction::kFindNeighbors, kFindNeighborsCost,
-                     static_cast<double>(pre_cap_pairs),
+    return make_work(kFindNeighborsCost, static_cast<double>(pre_cap_pairs),
                      static_cast<double>(particles_.size()), kFindNeighborsCost.launches);
 }
 
@@ -183,9 +180,8 @@ gpusim::KernelWork SphSimulation::xmass()
         // Density from the volume-element sum (equal-mass scheme).
         particles_.rho[i] = xm;
     }
-    return make_work(SphFunction::kXMass, kXMassCost,
-                     static_cast<double>(neighbors_.total_pairs()), static_cast<double>(n),
-                     kXMassCost.launches);
+    return make_work(kXMassCost, static_cast<double>(neighbors_.total_pairs()),
+                     static_cast<double>(n), kXMassCost.launches);
 }
 
 gpusim::KernelWork SphSimulation::normalization_gradh()
@@ -206,9 +202,8 @@ gpusim::KernelWork SphSimulation::normalization_gradh()
         const double omega = 1.0 + hi / (3.0 * rho) * dsum;
         particles_.gradh[i] = std::clamp(omega, 0.2, 3.0);
     }
-    return make_work(SphFunction::kNormalizationGradh, kGradhCost,
-                     static_cast<double>(neighbors_.total_pairs()), static_cast<double>(n),
-                     kGradhCost.launches);
+    return make_work(kGradhCost, static_cast<double>(neighbors_.total_pairs()),
+                     static_cast<double>(n), kGradhCost.launches);
 }
 
 gpusim::KernelWork SphSimulation::equation_of_state()
@@ -222,8 +217,7 @@ gpusim::KernelWork SphSimulation::equation_of_state()
         particles_.c[i] = std::sqrt(config_.gamma * particles_.p[i] / rho);
         if (particles_.vsig[i] <= 0.0) particles_.vsig[i] = particles_.c[i];
     }
-    return make_work(SphFunction::kEquationOfState, kEosCost, 0.0, static_cast<double>(n),
-                     kEosCost.launches);
+    return make_work(kEosCost, 0.0, static_cast<double>(n), kEosCost.launches);
 }
 
 gpusim::KernelWork SphSimulation::iad_velocity_div_curl()
@@ -291,8 +285,7 @@ gpusim::KernelWork SphSimulation::iad_velocity_div_curl()
         const Vec3 curl{gzy - gyz, gxz - gzx, gyx - gxy};
         particles_.curl_v[i] = curl.norm();
     }
-    return make_work(SphFunction::kIadVelocityDivCurl, kIadCost,
-                     2.0 * static_cast<double>(neighbors_.total_pairs()),
+    return make_work(kIadCost, 2.0 * static_cast<double>(neighbors_.total_pairs()),
                      static_cast<double>(n), kIadCost.launches);
 }
 
@@ -321,8 +314,7 @@ gpusim::KernelWork SphSimulation::av_switches()
             alpha += (config_.av_alpha_min - alpha) * std::min(1.0, decay);
         }
     }
-    return make_work(SphFunction::kAVswitches, kAvSwitchCost, 0.0, static_cast<double>(n),
-                     kAvSwitchCost.launches);
+    return make_work(kAvSwitchCost, 0.0, static_cast<double>(n), kAvSwitchCost.launches);
 }
 
 gpusim::KernelWork SphSimulation::momentum_energy()
@@ -388,7 +380,7 @@ gpusim::KernelWork SphSimulation::momentum_energy()
         particles_.du[i] = pi_term * du_press + 0.5 * du_av;
         particles_.vsig[i] = vsig_max;
     }
-    return make_work(SphFunction::kMomentumEnergy, kMomentumEnergyCost,
+    return make_work(kMomentumEnergyCost,
                      static_cast<double>(neighbors_.total_pairs()), static_cast<double>(n),
                      kMomentumEnergyCost.launches);
 }
@@ -397,7 +389,6 @@ gpusim::KernelWork SphSimulation::gravity()
 {
     if (!config_.gravity) {
         gpusim::KernelWork w;
-        w.name = to_string(SphFunction::kGravity);
         w.launches = 0;
         return w;
     }
@@ -405,8 +396,8 @@ gpusim::KernelWork SphSimulation::gravity()
     const double interactions =
         static_cast<double>(gravity_stats_.particle_node_interactions +
                             gravity_stats_.particle_particle_interactions);
-    return make_work(SphFunction::kGravity, kGravityCost, interactions,
-                     static_cast<double>(particles_.size()), kGravityCost.launches);
+    return make_work(kGravityCost, interactions, static_cast<double>(particles_.size()),
+                     kGravityCost.launches);
 }
 
 gpusim::KernelWork SphSimulation::energy_conservation()
@@ -426,8 +417,8 @@ gpusim::KernelWork SphSimulation::energy_conservation()
     d.e_gravitational = config_.gravity ? gravity_stats_.potential : 0.0;
     d.e_total = d.e_kinetic + d.e_internal + d.e_gravitational;
     diagnostics_ = d;
-    return make_work(SphFunction::kEnergyConservation, kEnergyConsCost, 0.0,
-                     static_cast<double>(n), kEnergyConsCost.launches);
+    return make_work(kEnergyConsCost, 0.0, static_cast<double>(n),
+                     kEnergyConsCost.launches);
 }
 
 gpusim::KernelWork SphSimulation::timestep()
@@ -444,8 +435,7 @@ gpusim::KernelWork SphSimulation::timestep()
     }
     // Limit growth between steps (SPH-EXA uses a similar clamp).
     dt_ = std::min(dt_min, dt_ * 1.2);
-    return make_work(SphFunction::kTimestep, kTimestepCost, 0.0, static_cast<double>(n),
-                     kTimestepCost.launches);
+    return make_work(kTimestepCost, 0.0, static_cast<double>(n), kTimestepCost.launches);
 }
 
 gpusim::KernelWork SphSimulation::update_quantities()
@@ -468,8 +458,8 @@ gpusim::KernelWork SphSimulation::update_quantities()
     }
     time_ += dt_;
     ++step_index_;
-    return make_work(SphFunction::kUpdateQuantities, kUpdateQuantCost, 0.0,
-                     static_cast<double>(n), kUpdateQuantCost.launches);
+    return make_work(kUpdateQuantCost, 0.0, static_cast<double>(n),
+                     kUpdateQuantCost.launches);
 }
 
 gpusim::KernelWork SphSimulation::update_smoothing_length()
@@ -482,8 +472,7 @@ gpusim::KernelWork SphSimulation::update_smoothing_length()
         factor = std::clamp(factor, config_.min_h_factor, config_.max_h_factor);
         particles_.h[i] *= factor;
     }
-    return make_work(SphFunction::kUpdateSmoothingLength, kUpdateHCost, 0.0,
-                     static_cast<double>(n), kUpdateHCost.launches);
+    return make_work(kUpdateHCost, 0.0, static_cast<double>(n), kUpdateHCost.launches);
 }
 
 gpusim::KernelWork SphSimulation::run_function(SphFunction fn)

@@ -138,8 +138,8 @@ AttributionLedger::AttributionLedger(int n_ranks) : n_ranks_(n_ranks)
         static_cast<std::size_t>(n_ranks_) * sph::kSphFunctionCount, -1);
     // Pre-register so /metrics exposes them from the first scrape.
     MetricsRegistry& reg = MetricsRegistry::global();
-    reg.counter("ledger.decisions");
-    reg.counter("ledger.decisions_resolved");
+    decisions_counter_ = &reg.counter("ledger.decisions");
+    resolved_counter_ = &reg.counter("ledger.decisions_resolved");
 }
 
 AttributionLedger::~AttributionLedger()
@@ -210,7 +210,7 @@ void AttributionLedger::on_after(int rank, gpusim::GpuDevice& dev,
         d.resolved = true;
         d.realized_edp = window_energy_j * window_time_s;
         pending_.at(key) = -1;
-        MetricsRegistry::global().counter("ledger.decisions_resolved").inc();
+        resolved_counter_->inc();
     }
 }
 
@@ -274,7 +274,7 @@ void AttributionLedger::on_decision(DecisionRecord&& record)
                                 static_cast<std::size_t>(fi);
         pending_.at(key) = static_cast<std::int64_t>(decisions_.size()) - 1;
     }
-    MetricsRegistry::global().counter("ledger.decisions").inc();
+    decisions_counter_->inc();
 }
 
 std::vector<AttributionBucket> AttributionLedger::buckets() const

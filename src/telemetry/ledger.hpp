@@ -48,6 +48,8 @@
 
 namespace gsph::telemetry {
 
+class Counter;
+
 inline constexpr const char* kLedgerSchema = "greensph.ledger/v1";
 
 /// Attribution phases (serialized by name).
@@ -172,6 +174,10 @@ private:
     mutable checkpoint::EncodeCache saved_decisions_;
     int steps_completed_ = 0;
     bool sink_installed_ = false;
+    // The registry counters the constructor creates; the registry never
+    // frees an instrument, so the hooks skip the lookup by name.
+    Counter* decisions_counter_ = nullptr;
+    Counter* resolved_counter_ = nullptr;
 };
 
 } // namespace gsph::telemetry

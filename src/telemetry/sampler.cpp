@@ -26,10 +26,10 @@ LiveSampler::LiveSampler(int n_ranks, SamplerConfig config)
     // Pre-register the digests so /metrics exposes them from the first
     // scrape (empty until the first observation).
     MetricsRegistry& reg = MetricsRegistry::global();
-    reg.digest("kernel.duration_s");
-    reg.digest("kernel.power_w");
-    reg.digest("step.energy_j");
-    reg.digest("step.time_s");
+    kernel_duration_digest_ = &reg.digest("kernel.duration_s");
+    kernel_power_digest_ = &reg.digest("kernel.power_w");
+    step_energy_digest_ = &reg.digest("step.energy_j");
+    step_time_digest_ = &reg.digest("step.time_s");
 }
 
 LiveSampler::~LiveSampler()
@@ -91,9 +91,8 @@ void LiveSampler::on_after(int rank, gpusim::GpuDevice& dev,
                            const gpusim::KernelResult& res)
 {
     const double duration_s = res.end_s - res.start_s;
-    MetricsRegistry& reg = MetricsRegistry::global();
-    reg.digest("kernel.duration_s").observe(duration_s);
-    reg.digest("kernel.power_w").observe(res.mean_power_w);
+    kernel_duration_digest_->observe(duration_s);
+    kernel_power_digest_->observe(res.mean_power_w);
 
     std::lock_guard<std::mutex> lock(mutex_);
     RankState& rs = ranks_.at(static_cast<std::size_t>(rank));
@@ -138,8 +137,8 @@ void LiveSampler::on_step_end(int step)
     last_total_energy_j_ = total_energy_j;
     last_step_end_t_ = t_end;
 
-    reg.digest("step.energy_j").observe(step_energy_j);
-    reg.digest("step.time_s").observe(step_time_s);
+    step_energy_digest_->observe(step_energy_j);
+    step_time_digest_->observe(step_time_s);
     step_energy_.append(t_end, step_energy_j);
 
     const double mismatches = reg.value("clock.verify_mismatches");

@@ -40,6 +40,8 @@
 
 namespace gsph::telemetry {
 
+class Digest;
+
 struct SamplerConfig {
     /// Simulated seconds between device samples.
     double period_s = 0.25;
@@ -127,6 +129,12 @@ private:
     double prev_verify_mismatches_ = 0.0;
     double prev_degraded_ranks_ = 0.0;
     bool observer_installed_ = false;
+    // The registry digests the constructor creates; the registry never frees
+    // an instrument, so the hooks skip the lookup by name.
+    Digest* kernel_duration_digest_ = nullptr;
+    Digest* kernel_power_digest_ = nullptr;
+    Digest* step_energy_digest_ = nullptr;
+    Digest* step_time_digest_ = nullptr;
 };
 
 } // namespace gsph::telemetry

@@ -28,7 +28,6 @@ inline KernelWork random_kernel(util::Rng& rng)
         return std::exp(rng.uniform(std::log(lo), std::log(hi)));
     };
     KernelWork w;
-    w.name = "random";
     w.flops = rng.uniform() < 0.1 ? 0.0 : log_uniform(1e6, 1e13);
     w.dram_bytes = rng.uniform() < 0.1 ? 0.0 : log_uniform(1e5, 1e12);
     w.gather_fraction = rng.uniform();

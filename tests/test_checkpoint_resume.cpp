@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -436,6 +437,90 @@ TEST(CheckpointResumeTracer, ResumedRunReproducesTheTrace)
         sim::RunConfig resumed = base;
         resumed.resume = &snap;
         EXPECT_EQ(traced_run(resumed), reference);
+    }
+}
+
+// ---- published device counters across a checkpoint/resume boundary ---------
+
+/// The registry's counters, saved and restored as the CLI's "metrics"
+/// section does it.
+void save_counters(checkpoint::StateWriter& w)
+{
+    const telemetry::MetricsSnapshot snap = telemetry::MetricsRegistry::global().snapshot();
+    w.put_u64("counters", snap.counters.size());
+    std::size_t i = 0;
+    for (const auto& [name, value] : snap.counters) {
+        const std::string prefix = "counter." + std::to_string(i++) + ".";
+        w.put_str(prefix + "name", name);
+        w.put_f64(prefix + "value", value);
+    }
+}
+
+void restore_counters(const checkpoint::StateReader& r)
+{
+    telemetry::MetricsSnapshot snap;
+    const std::uint64_t n = r.get_u64("counters");
+    for (std::uint64_t i = 0; i < n; ++i) {
+        const std::string prefix = "counter." + std::to_string(i) + ".";
+        snap.counters[r.get_str(prefix + "name")] = r.get_f64(prefix + "value");
+    }
+    telemetry::MetricsRegistry::global().restore(snap);
+}
+
+TEST(CheckpointResumeCounters, ResumedRunEndsWithTheUninterruptedCounts)
+{
+    // Devices publish their kernel-batch and clock-transition counts at
+    // step ends, so every checkpoint commit holds the counts of the steps
+    // it covers, and a resumed run (whose devices drop what they counted
+    // before the restore) ends with the uninterrupted run's totals.
+    const std::array<const char*, 3> names = {
+        "driver.function_calls", "gpusim.kernel_batches", "governor.transitions"};
+    const auto counts = [&names] {
+        std::array<double, 3> v{};
+        for (std::size_t i = 0; i < names.size(); ++i) {
+            v[i] = telemetry::MetricsRegistry::global().value(names[i]);
+        }
+        return v;
+    };
+    for (const char* kind : {"mandyn", "dvfs"}) {
+        for (const int threads : {1, 4}) {
+            SCOPED_TRACE(std::string(kind) + ", " + std::to_string(threads) + " threads");
+            sim::RunConfig base;
+            base.n_ranks = 3;
+            base.n_threads = threads;
+            base.setup_s = 2.0;
+            const auto counted_run = [&](const sim::RunConfig& c) {
+                auto policy = std::string(kind) == "dvfs"
+                                  ? core::make_native_dvfs_policy()
+                                  : make_policy(kind);
+                checkpoint::StateRegistry registry;
+                registry.add(
+                    "policy", [&](checkpoint::StateWriter& w) { policy->save_state(w); },
+                    [&](const checkpoint::StateReader& r) { policy->restore_state(r); });
+                registry.add("metrics", save_counters, restore_counters);
+                sim::RunConfig run = c;
+                run.checkpoint_participants = &registry;
+                telemetry::MetricsRegistry::global().reset(); // a fresh process
+                core::run_with_policy(sim::mini_hpc(), trace(), run, *policy);
+                return counts();
+            };
+
+            const std::array<double, 3> reference = counted_run(base);
+            EXPECT_GT(reference[2], 0.0);
+
+            TempDir dir;
+            sim::RunConfig checkpointed = base;
+            checkpointed.checkpoint_every = 2;
+            checkpointed.checkpoint_dir = dir.path();
+            checkpointed.config_hash = "test";
+            EXPECT_EQ(counted_run(checkpointed), reference);
+
+            const checkpoint::Snapshot snap = checkpoint::read_latest(dir.path());
+            ASSERT_EQ(snap.step, 4);
+            sim::RunConfig resumed = base;
+            resumed.resume = &snap;
+            EXPECT_EQ(counted_run(resumed), reference);
+        }
     }
 }
 

@@ -293,8 +293,8 @@ TEST_P(OnlineTunerDeterminism, RunBitIdenticalAcrossThreadCounts)
 INSTANTIATE_TEST_SUITE_P(Strategies, OnlineTunerDeterminism,
                          testing::Values(TuneStrategy::kExhaustive,
                                          TuneStrategy::kModel),
-                         [](const testing::TestParamInfo<TuneStrategy>& info) {
-                             return info.param == TuneStrategy::kModel
+                         [](const testing::TestParamInfo<TuneStrategy>& param_info) {
+                             return param_info.param == TuneStrategy::kModel
                                         ? std::string("model")
                                         : std::string("exhaustive");
                          });

@@ -1,18 +1,25 @@
 #include "gpusim/device.hpp"
 
+#include "telemetry/metrics.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <algorithm>
 #include <string>
+#include <type_traits>
 
 namespace gsph::gpusim {
 namespace {
 
+// The power model and governor point at the device's own spec, so a copy
+// would dangle once its source is gone (and publish its counts twice).
+static_assert(!std::is_copy_constructible_v<GpuDevice>);
+static_assert(!std::is_copy_assignable_v<GpuDevice>);
+
 KernelWork big_kernel()
 {
     KernelWork w;
-    w.name = "k";
     w.flops = 5e11;
     w.dram_bytes = 8e10;
     w.flop_efficiency = 0.6;
@@ -203,6 +210,68 @@ TEST(Device, TraceSavesMatchAFreshSave)
     drive(dev, done, done + 5);
     drive(restored, done, done + 5);
     EXPECT_EQ(saved(restored), saved(dev));
+}
+
+/// The registry's kernel-batch and clock-transition totals.
+struct Published {
+    double batches;
+    double transitions;
+};
+
+Published published()
+{
+    const auto& reg = telemetry::MetricsRegistry::global();
+    return {reg.value("gpusim.kernel_batches"), reg.value("governor.transitions")};
+}
+
+TEST(Device, CountsReachTheRegistryOnlyWhenPublished)
+{
+    const Published before = published();
+    {
+        GpuDevice dev(a100_sxm4_80g());
+        dev.set_application_clocks(1593.0, 1110.0);
+        dev.execute(big_kernel()); // park -> 1110 MHz
+        dev.execute(big_kernel());
+        dev.idle(0.1);             // 1110 MHz -> park
+        EXPECT_EQ(published().batches, before.batches);
+        EXPECT_EQ(published().transitions, before.transitions);
+
+        dev.publish_counters();
+        EXPECT_EQ(published().batches, before.batches + 2.0);
+        EXPECT_EQ(published().transitions, before.transitions + 2.0);
+        dev.publish_counters(); // nothing new: adds nothing
+        EXPECT_EQ(published().batches, before.batches + 2.0);
+
+        dev.execute(big_kernel());
+    }
+    // The destructor publishes what was left.
+    EXPECT_EQ(published().batches, before.batches + 3.0);
+    EXPECT_EQ(published().transitions, before.transitions + 3.0);
+}
+
+TEST(Device, RestoreDropsCountsFromBeforeTheRestore)
+{
+    // The registry's own checkpoint section holds the restored run's
+    // totals, so work done before a device restore must not be added.
+    const Published before = published();
+    {
+        GpuDevice dev(a100_sxm4_80g());
+        const std::string fresh = saved(dev);
+        dev.set_clock_policy(ClockPolicy::kNativeDvfs);
+        dev.execute(big_kernel());
+        dev.idle(0.2);
+        ASSERT_GT(dev.clock_transitions(), 0);
+        dev.restore_state(checkpoint::StateReader("gpu.0", fresh));
+        dev.publish_counters();
+        EXPECT_EQ(published().batches, before.batches);
+        EXPECT_EQ(published().transitions, before.transitions);
+
+        // Work after the restore is counted as usual.
+        dev.set_application_clocks(1593.0, 1110.0);
+        dev.execute(big_kernel()); // park -> 1110 MHz
+    }
+    EXPECT_EQ(published().batches, before.batches + 1.0);
+    EXPECT_EQ(published().transitions, before.transitions + 1.0);
 }
 
 TEST(Device, NoTracesByDefault)

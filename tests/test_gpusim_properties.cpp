@@ -11,7 +11,6 @@ namespace {
 KernelWork mixed_kernel()
 {
     KernelWork w;
-    w.name = "mixed";
     w.flops = 2e11;
     w.dram_bytes = 3.5e10;
     w.flop_efficiency = 0.6;

@@ -8,7 +8,6 @@ namespace {
 KernelWork compute_heavy()
 {
     KernelWork w;
-    w.name = "compute";
     w.flops = 1e12;
     w.dram_bytes = 1e9; // intensity 1000 flops/B: far above any ridge
     w.flop_efficiency = 0.6;
@@ -20,7 +19,6 @@ KernelWork compute_heavy()
 KernelWork memory_heavy()
 {
     KernelWork w;
-    w.name = "memory";
     w.flops = 1e9;
     w.dram_bytes = 1e11; // intensity 0.01
     w.flop_efficiency = 0.3;

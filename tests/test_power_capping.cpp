@@ -17,7 +17,6 @@ namespace {
 gpusim::KernelWork hot_kernel()
 {
     gpusim::KernelWork w;
-    w.name = "hot";
     w.flops = 2e11;
     w.dram_bytes = 2e10;
     w.flop_efficiency = 0.6;

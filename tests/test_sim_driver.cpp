@@ -1,5 +1,7 @@
 #include "sim/driver.hpp"
 
+#include "telemetry/metrics.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -128,6 +130,51 @@ TEST_F(DriverFixture, EveryFunctionAccountedOncePerStepPerRank)
         EXPECT_GT(r.fn(fn).gpu_energy_j, 0.0) << sph::to_string(fn);
     }
     EXPECT_EQ(r.fn(sph::SphFunction::kGravity).calls, 0);
+}
+
+TEST_F(DriverFixture, DeviceCountsArePublishedByEveryStepEnd)
+{
+    // Devices count kernel batches and clock transitions in plain members
+    // and publish them at each step end, before the after_step hooks; the
+    // driver adds one function call per rank.  Three ranks leave one of the
+    // second node's two GPUs unused, idling under the clock policy.
+    const auto value = [](const char* name) {
+        return telemetry::MetricsRegistry::global().value(name);
+    };
+    struct Case {
+        gpusim::ClockPolicy policy;
+        double transitions; ///< as counted when every transition bumped the registry
+    };
+    for (const Case c : {Case{gpusim::ClockPolicy::kLockedAppClock, 90.0},
+                         Case{gpusim::ClockPolicy::kNativeDvfs, 204.0}}) {
+        for (const int threads : {1, 4}) {
+            SCOPED_TRACE(std::to_string(threads) + " threads, policy " +
+                         std::to_string(static_cast<int>(c.policy)));
+            RunConfig cfg = base_config();
+            cfg.n_ranks = 3;
+            cfg.n_threads = threads;
+            cfg.clock_policy = c.policy;
+            const double calls0 = value("driver.function_calls");
+            const double batches0 = value("gpusim.kernel_batches");
+            const double transitions0 = value("governor.transitions");
+            double rank_kernels = 0.0;
+            int steps_seen = 0;
+            RunHooks hooks;
+            hooks.after_step = [&](int step) {
+                rank_kernels += static_cast<double>(
+                    cfg.n_ranks * trace().steps[static_cast<std::size_t>(step)]
+                                      .functions.size());
+                EXPECT_EQ(value("driver.function_calls") - calls0, rank_kernels) << step;
+                EXPECT_EQ(value("gpusim.kernel_batches") - batches0, rank_kernels) << step;
+                ++steps_seen;
+            };
+            run_instrumented(mini_hpc(), trace(), cfg, hooks);
+            EXPECT_EQ(steps_seen, 4);
+            EXPECT_EQ(value("driver.function_calls") - calls0, rank_kernels);
+            EXPECT_EQ(value("gpusim.kernel_batches") - batches0, rank_kernels);
+            EXPECT_EQ(value("governor.transitions") - transitions0, c.transitions);
+        }
+    }
 }
 
 TEST_F(DriverFixture, FunctionTimesSumToMakespan)

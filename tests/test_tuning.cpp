@@ -11,7 +11,6 @@ namespace {
 gpusim::KernelWork compute_kernel()
 {
     gpusim::KernelWork w;
-    w.name = "compute";
     w.flops = 2e11;
     w.dram_bytes = 3e10; // near-ridge on the A100 model
     w.flop_efficiency = 0.6;
@@ -23,7 +22,6 @@ gpusim::KernelWork compute_kernel()
 gpusim::KernelWork memory_kernel()
 {
     gpusim::KernelWork w = compute_kernel();
-    w.name = "memory";
     w.flops = 5e9;
     w.dram_bytes = 8e10;
     return w;
