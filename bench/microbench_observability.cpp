@@ -1,6 +1,6 @@
-/// Live observability plane cost: digest observation, ring appends,
-/// Prometheus rendering, and — the acceptance metric — the end-to-end
-/// overhead the plane adds to an instrumented run.
+/// Live observability plane cost: digest observation, Prometheus rendering,
+/// and — the acceptance metric — the end-to-end overhead the plane adds to
+/// an instrumented run.
 ///
 /// The bar is < 1% step-time overhead with the sampler attached and the
 /// exporter serving scrapes.  The replay engine compresses each modeled
@@ -24,7 +24,6 @@
 #include "telemetry/exporter.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/prometheus.hpp"
-#include "telemetry/ring.hpp"
 #include "telemetry/sampler.hpp"
 
 #include <benchmark/benchmark.h>
@@ -71,17 +70,6 @@ void BM_DigestQuantile(benchmark::State& state)
     for (auto _ : state) {
         benchmark::DoNotOptimize(hist.quantile(99.0));
     }
-}
-
-void BM_RingAppend(benchmark::State& state)
-{
-    telemetry::RingSeries ring(512);
-    double t = 0.0;
-    for (auto _ : state) {
-        t += 0.25;
-        ring.append(t, 300.0 + t);
-    }
-    benchmark::DoNotOptimize(ring);
 }
 
 void BM_PrometheusRender(benchmark::State& state)
@@ -207,7 +195,6 @@ void BM_RunWithObservability(benchmark::State& state)
 
 BENCHMARK(BM_DigestObserve)->Unit(benchmark::kNanosecond);
 BENCHMARK(BM_DigestQuantile)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_RingAppend)->Unit(benchmark::kNanosecond);
 BENCHMARK(BM_PrometheusRender)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_RunBaseline)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RunWithObservability)->Unit(benchmark::kMillisecond);

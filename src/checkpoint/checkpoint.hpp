@@ -5,7 +5,7 @@
 /// A checkpoint is two files in the checkpoint directory:
 ///
 ///   * `checkpoint-<step>.gsc` — the data file: a one-line format header
-///     (`greensph-checkpoint 4`) followed by named sections, each introduced
+///     (`greensph-checkpoint 5`) followed by named sections, each introduced
 ///     by `section <name> <bytes> <crc32>` and carrying exactly `<bytes>`
 ///     of StateWriter payload.
 ///   * `MANIFEST.json` — schema `greensph.checkpoint/v1`: format version,
@@ -37,7 +37,11 @@ namespace gsph::checkpoint {
 /// version-2 run checkpoint would fail its hash check anyway.
 /// Version 4: the CLI's `cli` sections hold exactly the run-defining options
 /// as flag text, and a run's config hash always covers its tune strategy.
-inline constexpr int kFormatVersion = 4;
+/// Version 5: the `sampler` section holds one window per series instead of
+/// ring histories, and the `gpu.N`, `pmcounters.N` and `anomaly` sections
+/// drop state nothing read (power trace, launch count, previous counter
+/// tick, stalled-call total).
+inline constexpr int kFormatVersion = 5;
 inline constexpr const char* kManifestSchema = "greensph.checkpoint/v1";
 inline constexpr const char* kManifestName = "MANIFEST.json";
 

@@ -136,11 +136,9 @@ void GpuDevice::reset_application_clocks()
     governor_.set_cap_mhz(spec_.max_compute_mhz);
 }
 
-void GpuDevice::record(double time, double clock_mhz, double power_w)
+void GpuDevice::record(double time, double clock_mhz)
 {
-    if (!tracing_) return;
-    clock_trace_.append(time, clock_mhz);
-    power_trace_.append(time, power_w);
+    if (tracing_) clock_trace_.append(time, clock_mhz);
 }
 
 void GpuDevice::account(double dt, double power_w)
@@ -159,14 +157,11 @@ void GpuDevice::transition_to(double mhz)
 void GpuDevice::clear_traces()
 {
     clock_trace_.clear();
-    power_trace_.clear();
     clock_text_ = {};
-    power_text_ = {};
 }
 
 KernelResult GpuDevice::execute(const KernelWork& work)
 {
-    kernels_launched_ += std::max<std::int64_t>(work.launches, 1);
     ++unpublished_batches_;
     return policy_ == ClockPolicy::kLockedAppClock ? execute_locked(work)
                                                    : execute_governed(work);
@@ -184,7 +179,7 @@ KernelResult GpuDevice::execute_locked(const KernelWork& work)
     r.mean_clock_mhz = f;
 
     transition_to(f);
-    record(now_s_, f, 0.0);
+    record(now_s_, f);
 
     const PowerBreakdown busy = power_model_.busy_power(t, f, /*governor_managed=*/false);
     const PowerBreakdown gap = power_model_.idle_power(f, /*governor_managed=*/false);
@@ -197,7 +192,7 @@ KernelResult GpuDevice::execute_locked(const KernelWork& work)
     r.end_s = now_s_;
     r.energy_j = busy.total_w * t.busy_s + gap.total_w * t.overhead_s;
     r.mean_power_w = duration > 0.0 ? r.energy_j / duration : 0.0;
-    record(now_s_, f, busy.total_w);
+    record(now_s_, f);
     return r;
 }
 
@@ -239,7 +234,7 @@ KernelResult GpuDevice::execute_governed(const KernelWork& work)
         account(dt, p);
         energy += p * dt;
         clock_time_integral += f * dt;
-        record(now_s_, f, p);
+        record(now_s_, f);
         now_s_ += dt;
 
         governor_.step(dt, /*running=*/true, t.utilization);
@@ -262,7 +257,7 @@ KernelResult GpuDevice::execute_governed(const KernelWork& work)
     r.mean_power_w = duration > 0.0 ? energy / duration : 0.0;
     r.timing = rep;
     r.timing.total_s = duration;
-    record(now_s_, current_clock_mhz_, last_power_w_);
+    record(now_s_, current_clock_mhz_);
     return r;
 }
 
@@ -272,10 +267,10 @@ void GpuDevice::idle(double seconds)
     if (policy_ == ClockPolicy::kLockedAppClock) {
         transition_to(spec_.min_compute_mhz); // park
         const PowerBreakdown p = power_model_.idle_power(current_clock_mhz_, false);
-        record(now_s_, current_clock_mhz_, p.total_w);
+        record(now_s_, current_clock_mhz_);
         account(seconds, p.total_w);
         now_s_ += seconds;
-        record(now_s_, current_clock_mhz_, p.total_w);
+        record(now_s_, current_clock_mhz_);
         return;
     }
     // Governor mode: clock decays in ticks toward the idle target.
@@ -285,13 +280,13 @@ void GpuDevice::idle(double seconds)
         const double f = governor_.current_mhz();
         const PowerBreakdown p = power_model_.idle_power(f, true);
         account(dt, p.total_w);
-        record(now_s_, f, p.total_w);
+        record(now_s_, f);
         now_s_ += dt;
         remaining -= dt;
         governor_.step(dt, /*running=*/false, 0.0);
         transition_to(governor_.current_mhz());
     }
-    record(now_s_, current_clock_mhz_, last_power_w_);
+    record(now_s_, current_clock_mhz_);
 }
 
 void GpuDevice::save_series(checkpoint::StateWriter& writer, const std::string& key,
@@ -335,12 +330,10 @@ void GpuDevice::save_state(checkpoint::StateWriter& writer) const
     writer.put_f64("energy_j", energy_.value());
     writer.put_f64("energy_c", energy_.compensation());
     writer.put_f64("last_power_w", last_power_w_);
-    writer.put_i64("kernels_launched", kernels_launched_);
     writer.put_f64("governor.cap_mhz", governor_.cap_mhz());
     writer.put_f64("governor.current_mhz", governor_.current_mhz());
     writer.put_i64("governor.transitions", governor_.transition_count());
     save_series(writer, "clock_trace", clock_trace_, clock_text_);
-    save_series(writer, "power_trace", power_trace_, power_text_);
 }
 
 void GpuDevice::restore_state(const checkpoint::StateReader& reader)
@@ -354,16 +347,13 @@ void GpuDevice::restore_state(const checkpoint::StateReader& reader)
     now_s_ = reader.get_f64("now_s");
     energy_.restore(reader.get_f64("energy_j"), reader.get_f64("energy_c"));
     last_power_w_ = reader.get_f64("last_power_w");
-    kernels_launched_ = reader.get_i64("kernels_launched");
     unpublished_batches_ = 0;
     unpublished_transitions_ = 0;
     governor_.restore(reader.get_f64("governor.cap_mhz"),
                       reader.get_f64("governor.current_mhz"),
                       reader.get_i64("governor.transitions"));
     clock_text_ = {};
-    power_text_ = {};
     restore_series(reader, "clock_trace", clock_trace_);
-    restore_series(reader, "power_trace", power_trace_);
 }
 
 } // namespace gsph::gpusim

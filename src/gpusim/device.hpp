@@ -3,7 +3,7 @@
 /// \brief The simulated GPU device.
 ///
 /// A GpuDevice owns a simulated clock (seconds since construction), a DVFS
-/// governor, an energy accumulator and optional clock/power traces.  Work is
+/// governor, an energy accumulator and an optional clock trace.  Work is
 /// submitted as KernelWork batches; the device advances its clock by the
 /// modelled duration and integrates energy at the modelled power.
 ///
@@ -87,7 +87,6 @@ public:
 
     const GpuDeviceSpec& spec() const { return spec_; }
     int index() const { return index_; }
-    long kernels_launched() const { return kernels_launched_; }
     long clock_transitions() const { return governor_.transition_count(); }
 
     // --- telemetry --------------------------------------------------------
@@ -102,13 +101,12 @@ public:
     // --- tracing (paper Fig. 9) -------------------------------------------
     void enable_tracing(bool on) { tracing_ = on; }
     const util::TimeSeries& clock_trace() const { return clock_trace_; }
-    const util::TimeSeries& power_trace() const { return power_trace_; }
     void clear_traces();
 
     // --- checkpointing ----------------------------------------------------
     /// Serialize / overwrite all mutable device state (clock mode, energy
-    /// accumulator with its Kahan compensation, governor, traces).  The spec
-    /// and tracing flag are construction-time configuration and not saved.
+    /// accumulator with its Kahan compensation, governor, clock trace).  The
+    /// spec and tracing flag are construction-time configuration and not saved.
     /// restore_state drops the unpublished counts: the metrics registry's
     /// own checkpoint section already holds the totals of the restored run.
     void save_state(checkpoint::StateWriter& writer) const;
@@ -126,11 +124,11 @@ private:
     /// which relies on busy power never falling as the clock rises.
     double throttle_for_power(const KernelWork& work, double requested_mhz,
                               bool governor_managed) const;
-    void record(double time, double clock_mhz, double power_w);
+    void record(double time, double clock_mhz);
     void account(double dt, double power_w);
 
-    /// A trace's checkpoint text (save_state).  Traces only grow, so a save
-    /// encodes only the samples appended since the previous one.
+    /// The clock trace's checkpoint text (save_state).  The trace only grows,
+    /// so a save encodes only the samples appended since the previous one.
     struct SeriesText {
         checkpoint::EncodeCache times, values;
     };
@@ -151,14 +149,12 @@ private:
     double now_s_ = 0.0;
     util::KahanSum energy_;
     double last_power_w_ = 0.0;
-    long kernels_launched_ = 0;
     long unpublished_batches_ = 0;     ///< for "gpusim.kernel_batches"
     long unpublished_transitions_ = 0; ///< for "governor.transitions"
 
     bool tracing_ = false;
     util::TimeSeries clock_trace_{"clock_mhz"};
-    util::TimeSeries power_trace_{"power_w"};
-    mutable SeriesText clock_text_, power_text_;
+    mutable SeriesText clock_text_;
 };
 
 } // namespace gsph::gpusim

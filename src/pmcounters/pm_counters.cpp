@@ -22,7 +22,6 @@ PmCounters::PmCounters(PmCountersConfig config, cpusim::CpuDevice* cpu,
         throw std::invalid_argument("PmCounters: GPU count not divisible by GCDs per file");
     }
     published_ = capture(0.0);
-    previous_ = published_;
     next_tick_ = 1.0 / config_.sample_hz;
 }
 
@@ -83,7 +82,6 @@ void PmCounters::sample_to(double now)
             snap.accel_power_w[i] = (snap.accel_energy_j[i] - prev) / dt;
         }
     }
-    previous_ = published_;
     published_ = std::move(snap);
 }
 
@@ -165,41 +163,31 @@ std::optional<std::string> PmCounters::read_file(const std::string& name) const
 void PmCounters::save_state(checkpoint::StateWriter& writer) const
 {
     writer.put_f64("next_tick", next_tick_);
-    const auto save_snapshot = [&writer](const std::string& prefix,
-                                         const Snapshot& snap) {
-        writer.put_f64(prefix + ".time", snap.time);
-        writer.put_f64(prefix + ".node_j", snap.node_energy_j);
-        writer.put_f64(prefix + ".cpu_j", snap.cpu_energy_j);
-        writer.put_f64(prefix + ".mem_j", snap.memory_energy_j);
-        writer.put_f64_vec(prefix + ".accel_j", snap.accel_energy_j);
-        writer.put_f64(prefix + ".node_w", snap.node_power_w);
-        writer.put_f64(prefix + ".cpu_w", snap.cpu_power_w);
-        writer.put_f64(prefix + ".mem_w", snap.memory_power_w);
-        writer.put_f64_vec(prefix + ".accel_w", snap.accel_power_w);
-        writer.put_i64(prefix + ".freshness", snap.freshness);
-    };
-    save_snapshot("published", published_);
-    save_snapshot("previous", previous_);
+    writer.put_f64("published.time", published_.time);
+    writer.put_f64("published.node_j", published_.node_energy_j);
+    writer.put_f64("published.cpu_j", published_.cpu_energy_j);
+    writer.put_f64("published.mem_j", published_.memory_energy_j);
+    writer.put_f64_vec("published.accel_j", published_.accel_energy_j);
+    writer.put_f64("published.node_w", published_.node_power_w);
+    writer.put_f64("published.cpu_w", published_.cpu_power_w);
+    writer.put_f64("published.mem_w", published_.memory_power_w);
+    writer.put_f64_vec("published.accel_w", published_.accel_power_w);
+    writer.put_i64("published.freshness", published_.freshness);
 }
 
 void PmCounters::restore_state(const checkpoint::StateReader& reader)
 {
     next_tick_ = reader.get_f64("next_tick");
-    const auto restore_snapshot = [&reader](const std::string& prefix,
-                                            Snapshot& snap) {
-        snap.time = reader.get_f64(prefix + ".time");
-        snap.node_energy_j = reader.get_f64(prefix + ".node_j");
-        snap.cpu_energy_j = reader.get_f64(prefix + ".cpu_j");
-        snap.memory_energy_j = reader.get_f64(prefix + ".mem_j");
-        snap.accel_energy_j = reader.get_f64_vec(prefix + ".accel_j");
-        snap.node_power_w = reader.get_f64(prefix + ".node_w");
-        snap.cpu_power_w = reader.get_f64(prefix + ".cpu_w");
-        snap.memory_power_w = reader.get_f64(prefix + ".mem_w");
-        snap.accel_power_w = reader.get_f64_vec(prefix + ".accel_w");
-        snap.freshness = reader.get_i64(prefix + ".freshness");
-    };
-    restore_snapshot("published", published_);
-    restore_snapshot("previous", previous_);
+    published_.time = reader.get_f64("published.time");
+    published_.node_energy_j = reader.get_f64("published.node_j");
+    published_.cpu_energy_j = reader.get_f64("published.cpu_j");
+    published_.memory_energy_j = reader.get_f64("published.mem_j");
+    published_.accel_energy_j = reader.get_f64_vec("published.accel_j");
+    published_.node_power_w = reader.get_f64("published.node_w");
+    published_.cpu_power_w = reader.get_f64("published.cpu_w");
+    published_.memory_power_w = reader.get_f64("published.mem_w");
+    published_.accel_power_w = reader.get_f64_vec("published.accel_w");
+    published_.freshness = reader.get_i64("published.freshness");
 }
 
 } // namespace gsph::pmcounters

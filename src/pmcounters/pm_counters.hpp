@@ -73,8 +73,8 @@ public:
 
     const PmCountersConfig& config() const { return config_; }
 
-    /// Checkpoint the sampler position and both published snapshots (the
-    /// power computation needs the previous tick too).
+    /// Checkpoint the sampler position and the published snapshot (the next
+    /// tick's power is its energy delta from this one).
     void save_state(checkpoint::StateWriter& writer) const;
     void restore_state(const checkpoint::StateReader& reader);
 
@@ -99,7 +99,6 @@ private:
     std::vector<gpusim::GpuDevice*> gpus_;
     double next_tick_ = 0.0;
     Snapshot published_;
-    Snapshot previous_; ///< previous tick, for power computation
 };
 
 } // namespace gsph::pmcounters

@@ -122,14 +122,11 @@ void AnomalyDetector::observe_step(int step, double step_time_s, double step_ene
                  "landing (stuck clocks?)");
     }
     const std::uint64_t stalls = pending_stalls_.exchange(0, std::memory_order_acq_rel);
-    if (stalls > 0) {
-        stalled_calls_total_ += stalls;
-        if (!in_cooldown(AlertKind::kMgmtCallStall, step)) {
-            fire(AlertKind::kMgmtCallStall, step, static_cast<double>(stalls), 0.0,
-                 config_.stall_threshold_s,
-                 std::to_string(stalls) + " management call(s) stalled past " +
-                     util::format_fixed(config_.stall_threshold_s * 1e3, 1) + " ms");
-        }
+    if (stalls > 0 && !in_cooldown(AlertKind::kMgmtCallStall, step)) {
+        fire(AlertKind::kMgmtCallStall, step, static_cast<double>(stalls), 0.0,
+             config_.stall_threshold_s,
+             std::to_string(stalls) + " management call(s) stalled past " +
+                 util::format_fixed(config_.stall_threshold_s * 1e3, 1) + " ms");
     }
 
     // Baselines learn after detection so the spike itself is not absorbed
@@ -168,7 +165,6 @@ void AnomalyDetector::save_state(checkpoint::StateWriter& writer) const
     writer.put_f64("edp.abs_dev", edp_.abs_dev);
     writer.put_i64("steps_observed", steps_observed_);
     writer.put_i64("last_clock_change_step", last_clock_change_step_);
-    writer.put_u64("stalled_calls_total", stalled_calls_total_);
     for (int k = 0; k < 4; ++k) {
         const std::string prefix = "kind." + std::to_string(k) + ".";
         writer.put_i64(prefix + "last_fired_step", last_fired_step_[k]);
@@ -198,7 +194,6 @@ void AnomalyDetector::restore_state(const checkpoint::StateReader& reader)
     steps_observed_ = static_cast<int>(reader.get_i64("steps_observed"));
     last_clock_change_step_ =
         static_cast<int>(reader.get_i64("last_clock_change_step"));
-    stalled_calls_total_ = reader.get_u64("stalled_calls_total");
     for (int k = 0; k < 4; ++k) {
         const std::string prefix = "kind." + std::to_string(k) + ".";
         last_fired_step_[k] = static_cast<int>(reader.get_i64(prefix + "last_fired_step"));

@@ -138,7 +138,6 @@ private:
     int last_fired_step_[5] = {-1, -1, -1, -1, -1};
     std::uint64_t fired_[5] = {0, 0, 0, 0, 0};
     std::atomic<std::uint64_t> pending_stalls_{0}; ///< calls past threshold
-    std::uint64_t stalled_calls_total_ = 0;
     std::vector<Alert> alerts_;
 };
 

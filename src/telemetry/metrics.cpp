@@ -2,7 +2,10 @@
 
 #include "util/strings.hpp"
 
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 namespace gsph::telemetry {
 
@@ -140,6 +143,101 @@ void MetricsRegistry::restore(const MetricsSnapshot& snap)
         std::lock_guard<std::mutex> digest_lock(dig.mutex_);
         dig.hist_.restore(state);
     }
+}
+
+void MetricsRegistry::save_state(checkpoint::StateWriter& w) const
+{
+    const MetricsSnapshot snap = snapshot();
+    w.put_u64("counters", snap.counters.size());
+    std::size_t i = 0;
+    for (const auto& [name, value] : snap.counters) {
+        const std::string prefix = "counter." + std::to_string(i++) + ".";
+        w.put_str(prefix + "name", name);
+        w.put_f64(prefix + "value", value);
+    }
+    w.put_u64("gauges", snap.gauges.size());
+    i = 0;
+    for (const auto& [name, value] : snap.gauges) {
+        const std::string prefix = "gauge." + std::to_string(i++) + ".";
+        w.put_str(prefix + "name", name);
+        w.put_f64(prefix + "value", value);
+    }
+    w.put_u64("histograms", snap.histograms.size());
+    i = 0;
+    for (const auto& [name, h] : snap.histograms) {
+        const std::string prefix = "hist." + std::to_string(i++) + ".";
+        w.put_str(prefix + "name", name);
+        w.put_u64(prefix + "n", h.n);
+        w.put_f64(prefix + "mean", h.mean);
+        w.put_f64(prefix + "m2", h.m2);
+        w.put_f64(prefix + "min", h.min);
+        w.put_f64(prefix + "max", h.max);
+        w.put_f64(prefix + "sum", h.sum);
+    }
+    w.put_u64("digests", snap.digests.size());
+    i = 0;
+    for (const auto& [name, d] : snap.digests) {
+        const std::string prefix = "digest." + std::to_string(i++) + ".";
+        w.put_str(prefix + "name", name);
+        w.put_u64(prefix + "count", d.count);
+        w.put_f64(prefix + "min", d.min);
+        w.put_f64(prefix + "max", d.max);
+        w.put_f64(prefix + "sum", d.sum);
+        w.put_f64(prefix + "sum_c", d.sum_compensation);
+        w.put_u64(prefix + "low_count", d.low_count);
+        // Bucket indexes are signed; the u64 bit pattern round-trips.
+        std::vector<std::uint64_t> idx;
+        idx.reserve(d.bucket_index.size());
+        for (const std::int64_t b : d.bucket_index) {
+            idx.push_back(static_cast<std::uint64_t>(b));
+        }
+        w.put_u64_vec(prefix + "bucket_index", idx);
+        w.put_u64_vec(prefix + "bucket_count", d.bucket_count);
+    }
+}
+
+void MetricsRegistry::restore_state(const checkpoint::StateReader& r)
+{
+    MetricsSnapshot snap;
+    const std::uint64_t n_counters = r.get_u64("counters");
+    for (std::uint64_t i = 0; i < n_counters; ++i) {
+        const std::string prefix = "counter." + std::to_string(i) + ".";
+        snap.counters[r.get_str(prefix + "name")] = r.get_f64(prefix + "value");
+    }
+    const std::uint64_t n_gauges = r.get_u64("gauges");
+    for (std::uint64_t i = 0; i < n_gauges; ++i) {
+        const std::string prefix = "gauge." + std::to_string(i) + ".";
+        snap.gauges[r.get_str(prefix + "name")] = r.get_f64(prefix + "value");
+    }
+    const std::uint64_t n_hists = r.get_u64("histograms");
+    for (std::uint64_t i = 0; i < n_hists; ++i) {
+        const std::string prefix = "hist." + std::to_string(i) + ".";
+        MetricsSnapshot::HistogramState h;
+        h.n = static_cast<std::size_t>(r.get_u64(prefix + "n"));
+        h.mean = r.get_f64(prefix + "mean");
+        h.m2 = r.get_f64(prefix + "m2");
+        h.min = r.get_f64(prefix + "min");
+        h.max = r.get_f64(prefix + "max");
+        h.sum = r.get_f64(prefix + "sum");
+        snap.histograms[r.get_str(prefix + "name")] = h;
+    }
+    const std::uint64_t n_digests = r.get_u64("digests");
+    for (std::uint64_t i = 0; i < n_digests; ++i) {
+        const std::string prefix = "digest." + std::to_string(i) + ".";
+        LogHistogram::State d;
+        d.count = r.get_u64(prefix + "count");
+        d.min = r.get_f64(prefix + "min");
+        d.max = r.get_f64(prefix + "max");
+        d.sum = r.get_f64(prefix + "sum");
+        d.sum_compensation = r.get_f64(prefix + "sum_c");
+        d.low_count = r.get_u64(prefix + "low_count");
+        for (const std::uint64_t b : r.get_u64_vec(prefix + "bucket_index")) {
+            d.bucket_index.push_back(static_cast<std::int64_t>(b));
+        }
+        d.bucket_count = r.get_u64_vec(prefix + "bucket_count");
+        snap.digests[r.get_str(prefix + "name")] = std::move(d);
+    }
+    restore(snap);
 }
 
 std::size_t MetricsRegistry::size() const

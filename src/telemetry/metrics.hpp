@@ -24,6 +24,7 @@
 /// unsynchronized reference for the common read-at-quiescence pattern; use
 /// snapshot() when observers may still be running.
 
+#include "checkpoint/state.hpp"
 #include "telemetry/digest.hpp"
 #include "telemetry/json.hpp"
 #include "util/stats.hpp"
@@ -179,6 +180,12 @@ public:
     /// existing ones; instruments absent from the snapshot are left alone.
     MetricsSnapshot snapshot() const;
     void restore(const MetricsSnapshot& snap);
+
+    /// Checkpoint section: the snapshot() of every instrument, by kind, in
+    /// name order.  restore_state() restore()s it, so instruments the
+    /// section does not name keep their values.
+    void save_state(checkpoint::StateWriter& writer) const;
+    void restore_state(const checkpoint::StateReader& reader);
 
     std::size_t size() const;
 

@@ -4,25 +4,73 @@
 #include "telemetry/metrics.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <utility>
 
 namespace gsph::telemetry {
 
+namespace {
+
+/// Samples per window at 0-based sample index `i`: the smallest power of
+/// two w with 512 * w >= i + 1.
+std::uint64_t window_width(std::uint64_t i)
+{
+    return std::bit_ceil((i + 512) / 512);
+}
+
+} // namespace
+
+void SampleWindow::append(double t, double value)
+{
+    const std::uint64_t i = total++;
+    t_end = t;
+    if (i % window_width(i) == 0) {
+        min = max = sum = value;
+        count = 1;
+        return;
+    }
+    if (value < min) min = value;
+    if (value > max) max = value;
+    sum += value;
+    ++count;
+}
+
+void SampleWindow::save(checkpoint::StateWriter& writer, const std::string& prefix) const
+{
+    writer.put_u64(prefix + "total", total);
+    writer.put_f64(prefix + "t_end", t_end);
+    writer.put_f64(prefix + "min", min);
+    writer.put_f64(prefix + "max", max);
+    writer.put_f64(prefix + "sum", sum);
+    writer.put_u64(prefix + "count", count);
+}
+
+void SampleWindow::restore(const checkpoint::StateReader& reader, const std::string& prefix)
+{
+    total = reader.get_u64(prefix + "total");
+    t_end = reader.get_f64(prefix + "t_end");
+    min = reader.get_f64(prefix + "min");
+    max = reader.get_f64(prefix + "max");
+    sum = reader.get_f64(prefix + "sum");
+    count = reader.get_u64(prefix + "count");
+    const std::uint64_t expected = total == 0 ? 0 : (total - 1) % window_width(total - 1) + 1;
+    if (count != expected) {
+        throw checkpoint::CheckpointError(
+            "sampler window '" + prefix + "count': " + std::to_string(count) +
+            " samples, but a series of " + std::to_string(total) +
+            " samples ends in a window of " + std::to_string(expected));
+    }
+}
+
 LiveSampler::LiveSampler(int n_ranks, SamplerConfig config)
-    : n_ranks_(n_ranks), config_(config),
-      step_energy_(config.ring_capacity), anomaly_(config.anomaly)
+    : n_ranks_(n_ranks), config_(config), anomaly_(config.anomaly)
 {
     if (n_ranks_ < 1) throw std::invalid_argument("LiveSampler: n_ranks < 1");
     if (!(config_.period_s > 0.0)) {
         throw std::invalid_argument("LiveSampler: period_s must be positive");
     }
     ranks_.resize(static_cast<std::size_t>(n_ranks_));
-    for (RankState& rs : ranks_) {
-        rs.power = RingSeries(config_.ring_capacity);
-        rs.clock = RingSeries(config_.ring_capacity);
-        rs.utilization = RingSeries(config_.ring_capacity);
-    }
     // Pre-register the digests so /metrics exposes them from the first
     // scrape (empty until the first observation).
     MetricsRegistry& reg = MetricsRegistry::global();
@@ -51,21 +99,6 @@ void LiveSampler::attach(sim::RunHooks& hooks)
     set_call_latency_observer(
         [this](const char*, double seconds) { anomaly_.observe_call_latency(seconds); });
     observer_installed_ = true;
-}
-
-const RingSeries& LiveSampler::power_ring(int rank) const
-{
-    return ranks_.at(static_cast<std::size_t>(rank)).power;
-}
-
-const RingSeries& LiveSampler::clock_ring(int rank) const
-{
-    return ranks_.at(static_cast<std::size_t>(rank)).clock;
-}
-
-const RingSeries& LiveSampler::utilization_ring(int rank) const
-{
-    return ranks_.at(static_cast<std::size_t>(rank)).utilization;
 }
 
 void LiveSampler::on_before(int rank, gpusim::GpuDevice& dev)
@@ -139,7 +172,6 @@ void LiveSampler::on_step_end(int step)
 
     step_energy_digest_->observe(step_energy_j);
     step_time_digest_->observe(step_time_s);
-    step_energy_.append(t_end, step_energy_j);
 
     const double mismatches = reg.value("clock.verify_mismatches");
     const long long mismatch_delta =
@@ -165,14 +197,13 @@ Json LiveSampler::live_summary_json() const
     for (const RankState& rs : ranks_) {
         Json r = Json::object();
         r["primed"] = rs.primed;
-        const auto last = [](const RingSeries& ring) -> Json {
-            if (ring.empty()) return Json{};
-            const RingEntry& e = ring.back();
+        const auto last = [](const SampleWindow& w) -> Json {
+            if (w.total == 0) return Json{};
             Json v = Json::object();
-            v["t"] = e.t_end;
-            v["min"] = e.min;
-            v["mean"] = e.mean();
-            v["max"] = e.max;
+            v["t"] = w.t_end;
+            v["min"] = w.min;
+            v["mean"] = w.mean();
+            v["max"] = w.max;
             return v;
         };
         r["power_w"] = last(rs.power);
@@ -190,58 +221,6 @@ Json LiveSampler::live_summary_json() const
     return j;
 }
 
-void LiveSampler::save_ring(checkpoint::StateWriter& writer,
-                            const std::string& prefix, const RingSeries& ring,
-                            RingText& text)
-{
-    if (text.window_width != ring.window_width()) {
-        text = {};
-        text.window_width = ring.window_width();
-    }
-    const auto push = [](RingText& to, const RingEntry& e) {
-        to.t_start.push_f64(e.t_start);
-        to.t_end.push_f64(e.t_end);
-        to.min.push_f64(e.min);
-        to.max.push_f64(e.max);
-        to.sum.push_f64(e.sum);
-        to.count.push_u64(e.count);
-    };
-    // The last entry may still absorb samples: encode it for this save only.
-    const std::vector<RingEntry>& entries = ring.entries();
-    RingText last;
-    if (!entries.empty()) {
-        for (std::size_t i = text.t_start.size(); i + 1 < entries.size(); ++i) {
-            push(text, entries[i]);
-        }
-        push(last, entries.back());
-    }
-    writer.put_u64(prefix + "total", ring.total_appended());
-    writer.put_u64(prefix + "window_width", ring.window_width());
-    writer.put_vec(prefix + "t_start", text.t_start, last.t_start);
-    writer.put_vec(prefix + "t_end", text.t_end, last.t_end);
-    writer.put_vec(prefix + "min", text.min, last.min);
-    writer.put_vec(prefix + "max", text.max, last.max);
-    writer.put_vec(prefix + "sum", text.sum, last.sum);
-    writer.put_vec(prefix + "count", text.count, last.count);
-}
-
-void LiveSampler::restore_ring(const checkpoint::StateReader& reader,
-                               const std::string& prefix, RingSeries& ring,
-                               RingText& text)
-{
-    text = {};
-    RingSeries::State s;
-    s.total = reader.get_u64(prefix + "total");
-    s.window_width = reader.get_u64(prefix + "window_width");
-    s.t_start = reader.get_f64_vec(prefix + "t_start");
-    s.t_end = reader.get_f64_vec(prefix + "t_end");
-    s.min = reader.get_f64_vec(prefix + "min");
-    s.max = reader.get_f64_vec(prefix + "max");
-    s.sum = reader.get_f64_vec(prefix + "sum");
-    s.count = reader.get_u64_vec(prefix + "count");
-    ring.restore(s);
-}
-
 void LiveSampler::save_state(checkpoint::StateWriter& writer) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -252,7 +231,6 @@ void LiveSampler::save_state(checkpoint::StateWriter& writer) const
     writer.put_bool("step_baseline_primed", step_baseline_primed_);
     writer.put_f64("prev_verify_mismatches", prev_verify_mismatches_);
     writer.put_f64("prev_degraded_ranks", prev_degraded_ranks_);
-    save_ring(writer, "step_energy.", step_energy_, step_energy_text_);
     for (int r = 0; r < n_ranks_; ++r) {
         const RankState& rs = ranks_[static_cast<std::size_t>(r)];
         const std::string prefix = "rank." + std::to_string(r) + ".";
@@ -262,9 +240,9 @@ void LiveSampler::save_state(checkpoint::StateWriter& writer) const
         writer.put_f64(prefix + "last_sample_t", rs.last_sample_t);
         writer.put_f64(prefix + "busy_since_sample_s", rs.busy_since_sample_s);
         writer.put_f64(prefix + "last_applied_clock_mhz", rs.last_applied_clock_mhz);
-        save_ring(writer, prefix + "power.", rs.power, rs.power_text);
-        save_ring(writer, prefix + "clock.", rs.clock, rs.clock_text);
-        save_ring(writer, prefix + "utilization.", rs.utilization, rs.utilization_text);
+        rs.power.save(writer, prefix + "power.");
+        rs.clock.save(writer, prefix + "clock.");
+        rs.utilization.save(writer, prefix + "utilization.");
     }
 }
 
@@ -283,7 +261,6 @@ void LiveSampler::restore_state(const checkpoint::StateReader& reader)
     step_baseline_primed_ = reader.get_bool("step_baseline_primed");
     prev_verify_mismatches_ = reader.get_f64("prev_verify_mismatches");
     prev_degraded_ranks_ = reader.get_f64("prev_degraded_ranks");
-    restore_ring(reader, "step_energy.", step_energy_, step_energy_text_);
     for (int r = 0; r < n_ranks_; ++r) {
         RankState& rs = ranks_[static_cast<std::size_t>(r)];
         const std::string prefix = "rank." + std::to_string(r) + ".";
@@ -293,10 +270,9 @@ void LiveSampler::restore_state(const checkpoint::StateReader& reader)
         rs.last_sample_t = reader.get_f64(prefix + "last_sample_t");
         rs.busy_since_sample_s = reader.get_f64(prefix + "busy_since_sample_s");
         rs.last_applied_clock_mhz = reader.get_f64(prefix + "last_applied_clock_mhz");
-        restore_ring(reader, prefix + "power.", rs.power, rs.power_text);
-        restore_ring(reader, prefix + "clock.", rs.clock, rs.clock_text);
-        restore_ring(reader, prefix + "utilization.", rs.utilization,
-                     rs.utilization_text);
+        rs.power.restore(reader, prefix + "power.");
+        rs.clock.restore(reader, prefix + "clock.");
+        rs.utilization.restore(reader, prefix + "utilization.");
         rs.dev = nullptr; // re-bound by the first before_function hook
     }
 }

@@ -1,8 +1,7 @@
 #pragma once
 /// \file sampler.hpp
-/// \brief Live sampling plane: per-device power/clock/utilization and
-/// per-step energy into bounded ring-buffer series, quantile digests and
-/// the anomaly detector.
+/// \brief Live sampling plane: per-device power/clock/utilization windows,
+/// per-step energy and time into quantile digests and the anomaly detector.
 ///
 /// Sampling is driven by *simulated* time from the driver's RunHooks, not
 /// by a wall-clock thread: every sample is a pure function of the run, so
@@ -13,15 +12,18 @@
 /// lives in the exporter and holds no checkpointed state.
 ///
 /// Per rank (= per device), at a configurable simulated period:
-///   - power_w, clock_mhz ring series (windowed min/mean/max downsampling)
-///   - utilization ring series (busy fraction of the sample window)
+///   - power_w, clock_mhz and utilization (busy fraction of the sample
+///     period), each kept as its newest SampleWindow: min/mean/max of the
+///     latest samples, what /summary.json serves
 /// Per step:
-///   - step energy ring series; step energy/time/EDP into the anomaly
-///     detector; degraded-rank and verify-mismatch counters tracked as
-///     per-step deltas
+///   - step energy/time/EDP into the anomaly detector; degraded-rank and
+///     verify-mismatch counters tracked as per-step deltas
 /// Registry digests (created only when the plane is enabled, so default
 /// runs keep the legacy --metrics-json document):
 ///   - kernel.duration_s, kernel.power_w, step.energy_j, step.time_s
+///
+/// The sampler keeps no history, only each series' newest window, so its
+/// checkpoint section has the same size at every step.
 ///
 /// Thread safety: hooks fire on the driving thread (the driver's contract);
 /// the mutex only guards against the exporter's SamplerThread reading a
@@ -31,7 +33,6 @@
 #include "sim/driver.hpp"
 #include "telemetry/anomaly.hpp"
 #include "telemetry/json.hpp"
-#include "telemetry/ring.hpp"
 
 #include <cstdint>
 #include <mutex>
@@ -42,11 +43,34 @@ namespace gsph::telemetry {
 
 class Digest;
 
+/// The newest window of one sampled series: the samples since the window
+/// opened, and how many the series has seen.  Windows widen as the series
+/// grows, as the entries of a 512-entry history that merged adjacent pairs
+/// whenever it filled would: a window opens at 0-based sample index i when
+/// i % width(i) == 0, where width(i) is the smallest power of two w with
+/// 512 * w >= i + 1.
+struct SampleWindow {
+    double t_end = 0.0;      ///< simulated time of the window's last sample
+    double min = 0.0;
+    double max = 0.0;
+    double sum = 0.0;
+    std::uint64_t count = 0; ///< samples in the window
+    std::uint64_t total = 0; ///< samples in the series
+
+    /// Add one sample at simulated time `t` (non-decreasing across calls).
+    void append(double t, double value);
+    double mean() const { return count ? sum / static_cast<double>(count) : 0.0; }
+
+    /// Keys `<prefix>total`, `t_end`, `min`, `max`, `sum` and `count`.
+    /// restore() throws CheckpointError naming the key when the count is
+    /// not the one the total implies.
+    void save(checkpoint::StateWriter& writer, const std::string& prefix) const;
+    void restore(const checkpoint::StateReader& reader, const std::string& prefix);
+};
+
 struct SamplerConfig {
     /// Simulated seconds between device samples.
     double period_s = 0.25;
-    /// Ring capacity per series (entries; memory stays bounded forever).
-    std::size_t ring_capacity = 512;
     /// Detector thresholds (detector always runs with the sampler).
     AnomalyConfig anomaly;
 };
@@ -68,12 +92,6 @@ public:
     AnomalyDetector& anomaly() { return anomaly_; }
     const AnomalyDetector& anomaly() const { return anomaly_; }
 
-    // Ring access for tests and reports (driving thread or quiesced run).
-    const RingSeries& power_ring(int rank) const;
-    const RingSeries& clock_ring(int rank) const;
-    const RingSeries& utilization_ring(int rank) const;
-    const RingSeries& step_energy_ring() const { return step_energy_; }
-
     int steps_completed() const { return steps_completed_; }
 
     /// Live snapshot of the run-summary structure (served as /summary.json).
@@ -81,18 +99,11 @@ public:
     Json live_summary_json() const;
 
     /// Checkpoint the full deterministic sampling state; a resumed run's
-    /// rings/digest feeds/alerts are bit-identical to an uninterrupted one.
+    /// windows and alerts are bit-identical to an uninterrupted one.
     void save_state(checkpoint::StateWriter& writer) const;
     void restore_state(const checkpoint::StateReader& reader);
 
 private:
-    /// A ring's checkpoint text (save_state).  Entries before the last one
-    /// change only when the ring compacts, which doubles its window width;
-    /// so the text keeps every entry but the last until the width changes.
-    struct RingText {
-        std::uint64_t window_width = 0; ///< of the ring when the text was encoded
-        checkpoint::EncodeCache t_start, t_end, min, max, sum, count;
-    };
     struct RankState {
         const gpusim::GpuDevice* dev = nullptr; ///< seen via hooks; not owned
         bool primed = false;
@@ -101,26 +112,19 @@ private:
         double last_sample_t = 0.0;
         double busy_since_sample_s = 0.0;
         double last_applied_clock_mhz = -1.0;
-        RingSeries power{512};
-        RingSeries clock{512};
-        RingSeries utilization{512};
-        mutable RingText power_text, clock_text, utilization_text;
+        SampleWindow power;
+        SampleWindow clock;
+        SampleWindow utilization;
     };
 
     void on_before(int rank, gpusim::GpuDevice& dev);
     void on_after(int rank, gpusim::GpuDevice& dev, const gpusim::KernelResult& res);
     void on_step_end(int step);
-    static void save_ring(checkpoint::StateWriter& writer, const std::string& prefix,
-                          const RingSeries& ring, RingText& text);
-    static void restore_ring(const checkpoint::StateReader& reader,
-                             const std::string& prefix, RingSeries& ring, RingText& text);
 
     int n_ranks_;
     SamplerConfig config_;
     mutable std::mutex mutex_;
     std::vector<RankState> ranks_;
-    RingSeries step_energy_;
-    mutable RingText step_energy_text_;
     AnomalyDetector anomaly_;
     int steps_completed_ = 0;
     double last_step_end_t_ = 0.0;

@@ -220,53 +220,13 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- live observability plane across a checkpoint/resume boundary --------
 
-/// Registry digests (the sampler's quantile feeds) serialized the same way
-/// the CLI persists them, so the test exercises digest state as a real
-/// checkpoint section.
-void save_digests(checkpoint::StateWriter& w)
+/// The metrics registry's checkpoint section, registered as the CLI does.
+void add_metrics_participant(checkpoint::StateRegistry& registry)
 {
-    const telemetry::MetricsSnapshot snap = telemetry::MetricsRegistry::global().snapshot();
-    w.put_u64("n", snap.digests.size());
-    std::size_t i = 0;
-    for (const auto& [name, st] : snap.digests) {
-        const std::string p = "d." + std::to_string(i++) + ".";
-        w.put_str(p + "name", name);
-        w.put_u64(p + "count", st.count);
-        w.put_f64(p + "min", st.min);
-        w.put_f64(p + "max", st.max);
-        w.put_f64(p + "sum", st.sum);
-        w.put_f64(p + "sumc", st.sum_compensation);
-        w.put_u64(p + "low", st.low_count);
-        std::vector<std::uint64_t> index;
-        index.reserve(st.bucket_index.size());
-        for (const std::int64_t b : st.bucket_index) {
-            index.push_back(static_cast<std::uint64_t>(b));
-        }
-        w.put_u64_vec(p + "index", index);
-        w.put_u64_vec(p + "bcount", st.bucket_count);
-    }
-}
-
-void restore_digests(const checkpoint::StateReader& r)
-{
-    telemetry::MetricsSnapshot snap;
-    const std::uint64_t n = r.get_u64("n");
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const std::string p = "d." + std::to_string(i) + ".";
-        telemetry::LogHistogram::State st;
-        st.count = r.get_u64(p + "count");
-        st.min = r.get_f64(p + "min");
-        st.max = r.get_f64(p + "max");
-        st.sum = r.get_f64(p + "sum");
-        st.sum_compensation = r.get_f64(p + "sumc");
-        st.low_count = r.get_u64(p + "low");
-        for (const std::uint64_t b : r.get_u64_vec(p + "index")) {
-            st.bucket_index.push_back(static_cast<std::int64_t>(b));
-        }
-        st.bucket_count = r.get_u64_vec(p + "bcount");
-        snap.digests[r.get_str(p + "name")] = st;
-    }
-    telemetry::MetricsRegistry::global().restore(snap);
+    telemetry::MetricsRegistry& metrics = telemetry::MetricsRegistry::global();
+    registry.add(
+        "metrics", [&metrics](checkpoint::StateWriter& w) { metrics.save_state(w); },
+        [&metrics](const checkpoint::StateReader& r) { metrics.restore_state(r); });
 }
 
 /// The observability plane's full deterministic state as one string: f64s
@@ -283,7 +243,13 @@ PlaneState plane_state(const telemetry::LiveSampler& sampler)
     checkpoint::StateWriter w1, w2, w3;
     sampler.save_state(w1);
     sampler.anomaly().save_state(w2);
-    save_digests(w3);
+    // The digests alone, encoded by the metrics section: the checkpointed
+    // run counts its own writes in counters the others do not have.
+    telemetry::MetricsSnapshot digests;
+    digests.digests = telemetry::MetricsRegistry::global().snapshot().digests;
+    telemetry::MetricsRegistry only_digests;
+    only_digests.restore(digests);
+    only_digests.save_state(w3);
     s.sampler = w1.str();
     s.anomaly = w2.str();
     s.digests = w3.str();
@@ -301,15 +267,14 @@ void add_plane_participants(checkpoint::StateRegistry& registry,
         "anomaly",
         [&](checkpoint::StateWriter& w) { sampler.anomaly().save_state(w); },
         [&](const checkpoint::StateReader& r) { sampler.anomaly().restore_state(r); });
-    registry.add("digests", [](checkpoint::StateWriter& w) { save_digests(w); },
-                 [](const checkpoint::StateReader& r) { restore_digests(r); });
+    add_metrics_participant(registry);
 }
 
 TEST(CheckpointResumeSampler, LivePlaneStateResumesBitIdentically)
 {
-    // Acceptance criterion: sampler ring series (with compaction cursors),
-    // quantile digests and anomaly state all checkpoint and resume
-    // bit-identically, alongside the run itself.
+    // Acceptance criterion: sampler windows, quantile digests and anomaly
+    // state all checkpoint and resume bit-identically, alongside the run
+    // itself.
     const sim::RunConfig base = [] {
         sim::RunConfig c;
         c.n_ranks = 2;
@@ -442,31 +407,6 @@ TEST(CheckpointResumeTracer, ResumedRunReproducesTheTrace)
 
 // ---- published device counters across a checkpoint/resume boundary ---------
 
-/// The registry's counters, saved and restored as the CLI's "metrics"
-/// section does it.
-void save_counters(checkpoint::StateWriter& w)
-{
-    const telemetry::MetricsSnapshot snap = telemetry::MetricsRegistry::global().snapshot();
-    w.put_u64("counters", snap.counters.size());
-    std::size_t i = 0;
-    for (const auto& [name, value] : snap.counters) {
-        const std::string prefix = "counter." + std::to_string(i++) + ".";
-        w.put_str(prefix + "name", name);
-        w.put_f64(prefix + "value", value);
-    }
-}
-
-void restore_counters(const checkpoint::StateReader& r)
-{
-    telemetry::MetricsSnapshot snap;
-    const std::uint64_t n = r.get_u64("counters");
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const std::string prefix = "counter." + std::to_string(i) + ".";
-        snap.counters[r.get_str(prefix + "name")] = r.get_f64(prefix + "value");
-    }
-    telemetry::MetricsRegistry::global().restore(snap);
-}
-
 TEST(CheckpointResumeCounters, ResumedRunEndsWithTheUninterruptedCounts)
 {
     // Devices publish their kernel-batch and clock-transition counts at
@@ -497,7 +437,7 @@ TEST(CheckpointResumeCounters, ResumedRunEndsWithTheUninterruptedCounts)
                 registry.add(
                     "policy", [&](checkpoint::StateWriter& w) { policy->save_state(w); },
                     [&](const checkpoint::StateReader& r) { policy->restore_state(r); });
-                registry.add("metrics", save_counters, restore_counters);
+                add_metrics_participant(registry);
                 sim::RunConfig run = c;
                 run.checkpoint_participants = &registry;
                 telemetry::MetricsRegistry::global().reset(); // a fresh process

@@ -138,7 +138,6 @@ TEST(Device, TracingRecordsClockSamples)
     dev.execute(big_kernel());
     dev.idle(0.2);
     EXPECT_FALSE(dev.clock_trace().empty());
-    EXPECT_FALSE(dev.power_trace().empty());
     EXPECT_GT(dev.clock_trace().size(), 5u);
     dev.clear_traces();
     EXPECT_TRUE(dev.clock_trace().empty());
@@ -293,15 +292,6 @@ TEST(Device, EnergyIsMonotone)
         EXPECT_GT(dev.energy_j(), prev);
         prev = dev.energy_j();
     }
-}
-
-TEST(Device, KernelsLaunchedCountsBatches)
-{
-    GpuDevice dev(a100_sxm4_80g());
-    KernelWork w = big_kernel();
-    w.launches = 7;
-    dev.execute(w);
-    EXPECT_EQ(dev.kernels_launched(), 7);
 }
 
 TEST(Device, LockedEnergyDeterministic)

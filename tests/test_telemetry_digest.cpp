@@ -1,13 +1,12 @@
-/// LogHistogram (streaming quantile digest) and RingSeries (bounded
-/// windowed time series) — the data structures under the live
-/// observability plane.  Quantile golden tests pin the convention to
-/// util::percentile (continuous rank with linear interpolation inside the
-/// winning bucket, edges clamped to the observed range) so digest reads
-/// are drop-in replacements for sorted full-copy percentile reads.
+/// LogHistogram (streaming quantile digest) — the data structure under the
+/// live observability plane's digests.  Quantile golden tests pin the
+/// convention to util::percentile (continuous rank with linear
+/// interpolation inside the winning bucket, edges clamped to the observed
+/// range) so digest reads are drop-in replacements for sorted full-copy
+/// percentile reads.
 
 #include "telemetry/digest.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/ring.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -221,133 +220,6 @@ TEST(LogHistogram, ResetReturnsToEmpty)
     EXPECT_EQ(hist.count(), 0u);
     EXPECT_EQ(hist.quantile(50.0), 0.0);
     EXPECT_EQ(hist.bucket_count(), 0u);
-}
-
-// ------------------------------------------------------------------ ring ---
-
-TEST(RingSeries, RejectsOddOrTinyCapacity)
-{
-    EXPECT_THROW(RingSeries(0), std::invalid_argument);
-    EXPECT_THROW(RingSeries(1), std::invalid_argument);
-    EXPECT_THROW(RingSeries(7), std::invalid_argument);
-    EXPECT_NO_THROW(RingSeries(2));
-}
-
-TEST(RingSeries, AppendsOnePerEntryBeforeFilling)
-{
-    RingSeries ring(8);
-    for (int i = 0; i < 5; ++i) ring.append(0.5 * i, 100.0 + i);
-    EXPECT_EQ(ring.size(), 5u);
-    EXPECT_EQ(ring.total_appended(), 5u);
-    EXPECT_EQ(ring.window_width(), 1u);
-    const RingEntry& last = ring.back();
-    EXPECT_DOUBLE_EQ(last.t_start, 2.0);
-    EXPECT_DOUBLE_EQ(last.min, 104.0);
-    EXPECT_DOUBLE_EQ(last.max, 104.0);
-    EXPECT_DOUBLE_EQ(last.mean(), 104.0);
-}
-
-TEST(RingSeries, CompactionHalvesEntriesAndDoublesWindow)
-{
-    RingSeries ring(4);
-    for (int i = 0; i < 5; ++i) ring.append(static_cast<double>(i), 10.0 * i);
-    // Fifth append triggers compaction of the four full entries.
-    EXPECT_EQ(ring.size(), 3u); // two merged pairs + the fresh entry
-    EXPECT_EQ(ring.window_width(), 2u);
-    EXPECT_EQ(ring.total_appended(), 5u);
-    const auto& e = ring.entries();
-    EXPECT_DOUBLE_EQ(e[0].min, 0.0);
-    EXPECT_DOUBLE_EQ(e[0].max, 10.0);
-    EXPECT_EQ(e[0].count, 2u);
-    EXPECT_DOUBLE_EQ(e[0].t_start, 0.0);
-    EXPECT_DOUBLE_EQ(e[0].t_end, 1.0);
-    EXPECT_DOUBLE_EQ(e[1].min, 20.0);
-    EXPECT_DOUBLE_EQ(e[1].max, 30.0);
-    EXPECT_DOUBLE_EQ(e[2].min, 40.0);
-    EXPECT_EQ(e[2].count, 1u);
-}
-
-TEST(RingSeries, CoverageSpansFullHistoryForever)
-{
-    // 10k samples into 16 entries: memory stays bounded, aggregates stay
-    // exact (min/max/sum/count over merged windows never drop samples).
-    RingSeries ring(16);
-    double expect_sum = 0.0;
-    for (int i = 0; i < 10000; ++i) {
-        const double v = 1.0 + (i % 97);
-        ring.append(0.1 * i, v);
-        expect_sum += v;
-    }
-    EXPECT_LE(ring.size(), 16u);
-    EXPECT_EQ(ring.total_appended(), 10000u);
-    double sum = 0.0;
-    std::uint64_t count = 0;
-    double global_min = 1e300, global_max = -1e300;
-    for (const RingEntry& e : ring.entries()) {
-        sum += e.sum;
-        count += e.count;
-        global_min = std::min(global_min, e.min);
-        global_max = std::max(global_max, e.max);
-    }
-    EXPECT_EQ(count, 10000u);
-    EXPECT_DOUBLE_EQ(sum, expect_sum);
-    EXPECT_DOUBLE_EQ(global_min, 1.0);
-    EXPECT_DOUBLE_EQ(global_max, 97.0);
-    EXPECT_DOUBLE_EQ(ring.entries().front().t_start, 0.0);
-    EXPECT_DOUBLE_EQ(ring.back().t_end, 0.1 * 9999);
-}
-
-TEST(RingSeries, StateRoundTripIsBitExact)
-{
-    RingSeries ring(8);
-    for (int i = 0; i < 37; ++i) ring.append(0.25 * i, std::sin(i) * 100.0);
-
-    RingSeries restored(8);
-    restored.restore(ring.state());
-    ASSERT_EQ(restored.size(), ring.size());
-    EXPECT_EQ(restored.total_appended(), ring.total_appended());
-    EXPECT_EQ(restored.window_width(), ring.window_width());
-    for (std::size_t i = 0; i < ring.size(); ++i) {
-        EXPECT_EQ(restored.entries()[i].t_start, ring.entries()[i].t_start);
-        EXPECT_EQ(restored.entries()[i].min, ring.entries()[i].min);
-        EXPECT_EQ(restored.entries()[i].max, ring.entries()[i].max);
-        EXPECT_EQ(restored.entries()[i].sum, ring.entries()[i].sum);
-        EXPECT_EQ(restored.entries()[i].count, ring.entries()[i].count);
-    }
-
-    // Same tail appended to both stays identical (compactions included).
-    for (int i = 37; i < 200; ++i) {
-        ring.append(0.25 * i, std::sin(i) * 100.0);
-        restored.append(0.25 * i, std::sin(i) * 100.0);
-    }
-    ASSERT_EQ(restored.size(), ring.size());
-    for (std::size_t i = 0; i < ring.size(); ++i) {
-        EXPECT_EQ(restored.entries()[i].sum, ring.entries()[i].sum);
-        EXPECT_EQ(restored.entries()[i].count, ring.entries()[i].count);
-    }
-}
-
-TEST(RingSeries, RestoreRejectsBadState)
-{
-    RingSeries ring(4);
-    ring.append(0.0, 1.0);
-    RingSeries::State ragged = ring.state();
-    ragged.count.push_back(1);
-    EXPECT_THROW(RingSeries(4).restore(ragged), std::invalid_argument);
-
-    RingSeries big(8);
-    for (int i = 0; i < 6; ++i) big.append(i, i);
-    EXPECT_THROW(RingSeries(4).restore(big.state()), std::invalid_argument);
-}
-
-TEST(RingSeries, ClearResetsCursor)
-{
-    RingSeries ring(4);
-    for (int i = 0; i < 9; ++i) ring.append(i, i);
-    ring.clear();
-    EXPECT_TRUE(ring.empty());
-    EXPECT_EQ(ring.total_appended(), 0u);
-    EXPECT_EQ(ring.window_width(), 1u);
 }
 
 // ------------------------------------------------- registry Digest glue ---

@@ -1,8 +1,10 @@
 /// Live observability plane: AnomalyDetector unit contracts (per-kind
-/// deterministic oracles, warmup, cooldown, checkpointing) and LiveSampler
-/// integration — the plane must populate rings/digests from a real run,
-/// must not perturb the run it watches, and injected `stuck` / `slow`
-/// faults must deterministically raise their documented alerts.
+/// deterministic oracles, warmup, cooldown, checkpointing), SampleWindow
+/// against the bounded history it replaced, and LiveSampler integration —
+/// the plane must populate windows/digests from a real run, must not
+/// perturb the run it watches, must checkpoint in a section whose size does
+/// not grow with the step, and injected `stuck` / `slow` faults must
+/// deterministically raise their documented alerts.
 
 #include "core/frequency_table.hpp"
 #include "core/policy.hpp"
@@ -13,15 +15,16 @@
 #include "telemetry/anomaly.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/sampler.hpp"
+#include "util/rng.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <map>
-#include <set>
 #include <stdexcept>
 #include <string>
-#include <utility>
+#include <vector>
 
 namespace gsph::telemetry {
 namespace {
@@ -247,40 +250,31 @@ TEST(LiveSampler, PopulatesRingsDigestsAndSummaryFromARun)
         core::run_with_policy(sim::mini_hpc(), trace(), cfg(2), *policy, hooks);
 
     EXPECT_EQ(sampler.steps_completed(), result.n_steps);
-    EXPECT_EQ(sampler.step_energy_ring().total_appended(),
-              static_cast<std::uint64_t>(result.n_steps));
-    for (int rank = 0; rank < 2; ++rank) {
-        EXPECT_FALSE(sampler.power_ring(rank).empty()) << "rank " << rank;
-        EXPECT_FALSE(sampler.clock_ring(rank).empty()) << "rank " << rank;
-        EXPECT_FALSE(sampler.utilization_ring(rank).empty()) << "rank " << rank;
-        for (const RingEntry& e : sampler.utilization_ring(rank).entries()) {
-            EXPECT_GE(e.min, 0.0);
-            EXPECT_LE(e.max, 1.0 + 1e-12);
-        }
-        EXPECT_GT(sampler.power_ring(rank).back().mean(), 0.0);
-    }
-    // Step energies in the ring must sum to the run's GPU energy.
-    double ring_energy = 0.0;
-    for (const RingEntry& e : sampler.step_energy_ring().entries()) {
-        ring_energy += e.sum;
-    }
-    // Step windows start at the first hooked kernel, not the loop edge, so
-    // allow a small slice of boundary idle energy either way.
-    EXPECT_NEAR(ring_energy, result.gpu_energy_j, 0.05 * result.gpu_energy_j);
-
     auto& reg = MetricsRegistry::global();
     EXPECT_GT(reg.value("kernel.duration_s"), 0.0);
     EXPECT_GT(reg.value("kernel.power_w"), 0.0);
     EXPECT_EQ(reg.value("step.energy_j"), static_cast<double>(result.n_steps));
     EXPECT_EQ(reg.value("step.time_s"), static_cast<double>(result.n_steps));
     EXPECT_GT(reg.digest("kernel.power_w").quantile(99.0), 0.0);
+    // Step energies must sum to the run's GPU energy.  Step windows start at
+    // the first hooked kernel, not the loop edge, so allow a small slice of
+    // boundary idle energy either way.
+    EXPECT_NEAR(reg.digest("step.energy_j").snapshot().sum(), result.gpu_energy_j,
+                0.05 * result.gpu_energy_j);
 
     const Json summary = sampler.live_summary_json();
     EXPECT_EQ(summary.at("steps_completed").as_number(), result.n_steps);
     EXPECT_GT(summary.at("total_energy_j").as_number(), 0.0);
     ASSERT_EQ(summary.at("ranks").size(), 2u);
-    EXPECT_TRUE(summary.at("ranks").items()[0].at("primed").as_bool());
-    EXPECT_TRUE(summary.at("ranks").items()[0].at("power_w").is_object());
+    for (const Json& rank : summary.at("ranks").items()) {
+        EXPECT_TRUE(rank.at("primed").as_bool());
+        ASSERT_TRUE(rank.at("power_w").is_object());
+        ASSERT_TRUE(rank.at("clock_mhz").is_object());
+        ASSERT_TRUE(rank.at("utilization").is_object());
+        EXPECT_GT(rank.at("power_w").at("mean").as_number(), 0.0);
+        EXPECT_GE(rank.at("utilization").at("min").as_number(), 0.0);
+        EXPECT_LE(rank.at("utilization").at("max").as_number(), 1.0);
+    }
     EXPECT_TRUE(summary.at("alerts").is_array());
     EXPECT_GT(summary.at("baselines").at("power_w").as_number(), 0.0);
 }
@@ -338,67 +332,142 @@ TEST(LiveSampler, SaveRestoreRoundTripsBitExactly)
         checkpoint::CheckpointError);
 }
 
-/// Small rings that compact every few steps.
-SamplerConfig small_rings()
+/// A 40-step trace whose sampled series, at a 0.02 s period, reach about
+/// 7,600 samples: windows of 16.
+const sim::WorkloadTrace& long_trace()
 {
-    SamplerConfig config;
-    config.period_s = 0.02;
-    config.ring_capacity = 16;
-    return config;
+    static const sim::WorkloadTrace t = [] {
+        sim::WorkloadSpec spec;
+        spec.kind = sim::WorkloadKind::kSubsonicTurbulence;
+        spec.particles_per_gpu = 150e6;
+        spec.n_steps = 40;
+        spec.real_nside = 6;
+        return sim::record_trace(spec);
+    }();
+    return t;
 }
 
-/// A ManDyn run whose sampler, with small rings, saves at the end of the
-/// listed steps.  Returns each save and the power ring's window width at
-/// that save, by step.
-std::map<int, std::pair<std::string, std::uint64_t>> sampler_saves(const std::set<int>& at_steps)
+TEST(LiveSampler, SectionSizeDoesNotGrowWithTheStep)
 {
     MetricsRegistry::global().reset();
-    LiveSampler sampler(2, small_rings());
+    SamplerConfig config;
+    config.period_s = 0.02;
+    LiveSampler sampler(4, config);
     sim::RunHooks hooks;
     sampler.attach(hooks);
-    std::map<int, std::pair<std::string, std::uint64_t>> saves;
+    std::vector<std::size_t> bytes;
     hooks.append({.after_step = [&](int step) {
-        if (at_steps.count(step) == 0) return;
+        if (step != 2 && step != 39) return;
         checkpoint::StateWriter writer;
         sampler.save_state(writer);
-        saves[step] = {writer.take(), sampler.power_ring(0).window_width()};
+        bytes.push_back(writer.str().size());
     }});
     auto policy = core::make_mandyn_policy(core::reference_a100_turbulence_table());
-    core::run_with_policy(sim::mini_hpc(), trace(), cfg(2), *policy, hooks);
-    return saves;
+    core::run_with_policy(sim::mini_hpc(), long_trace(), cfg(4), *policy, hooks);
+    ASSERT_EQ(bytes.size(), 2u);
+    // Only the decimal sample counts gain digits.
+    EXPECT_LE(static_cast<double>(bytes[1]), 1.01 * static_cast<double>(bytes[0]))
+        << bytes[0] << " B at step 2, " << bytes[1] << " B at step 39";
 }
 
-TEST(LiveSampler, SavesAcrossRingCompactionsMatchAFreshSave)
+TEST(LiveSampler, RestoreRejectsAWindowCountThatDoesNotFitItsTotal)
 {
-    // A save at every step keeps each ring's settled entries encoded; each
-    // must equal the one save of a sampler that never saved before.
-    const std::set<int> steps = {0, 1, 2, 3, 4, 5};
-    const auto saves = sampler_saves(steps);
-    ASSERT_EQ(saves.size(), steps.size());
-    int compactions = 0;
-    int appends_only = 0;
-    for (const int step : steps) {
-        const auto fresh = sampler_saves({step});
-        ASSERT_EQ(fresh.size(), 1u);
-        EXPECT_EQ(saves.at(step).first, fresh.at(step).first) << "step " << step;
-        if (step > 0) {
-            const bool compacted = saves.at(step).second != saves.at(step - 1).second;
-            (compacted ? compactions : appends_only) += 1;
-        }
-    }
-    // Both cases ran between two saves: rings that compacted, and rings that
-    // only grew.
-    EXPECT_GT(compactions, 0);
-    EXPECT_GT(appends_only, 0);
+    MetricsRegistry::global().reset();
+    LiveSampler sampler(2);
+    sim::RunHooks hooks;
+    sampler.attach(hooks);
+    auto policy = core::make_mandyn_policy(core::reference_a100_turbulence_table());
+    core::run_with_policy(sim::mini_hpc(), trace(), cfg(2), *policy, hooks);
+    checkpoint::StateWriter saved;
+    sampler.save_state(saved);
 
-    // A restore drops the text earlier saves kept: same bytes again.
-    LiveSampler restored(2, small_rings());
-    for (const int step : {5, 3}) {
-        restored.restore_state(checkpoint::StateReader("sampler", saves.at(step).first));
-        checkpoint::StateWriter again;
-        restored.save_state(again);
-        EXPECT_EQ(again.str(), saves.at(step).first) << "step " << step;
+    const std::string key = "rank.1.clock.count=";
+    std::string tampered = saved.str();
+    const std::size_t at = tampered.find(key);
+    ASSERT_NE(at, std::string::npos);
+    const std::size_t end = tampered.find('\n', at);
+    const std::uint64_t count =
+        std::stoull(tampered.substr(at + key.size(), end - at - key.size()));
+    tampered.replace(at + key.size(), end - at - key.size(), std::to_string(count + 1));
+
+    LiveSampler restored(2);
+    try {
+        restored.restore_state(checkpoint::StateReader("sampler", tampered));
+        FAIL() << "a window count that does not fit its total was restored";
     }
+    catch (const checkpoint::CheckpointError& e) {
+        EXPECT_NE(std::string(e.what()).find("rank.1.clock.count"), std::string::npos)
+            << e.what();
+    }
+}
+
+// ---------------------------------------------------------- sample window ---
+
+/// The bounded history SampleWindow replaced, whose newest entry is what
+/// /summary.json served: 512 entries; when it is full, adjacent pairs merge
+/// and each entry holds twice the samples.
+struct ReferenceRing {
+    std::vector<SampleWindow> entries; ///< `total` unused
+    std::uint64_t width = 1;
+
+    void append(double t, double value)
+    {
+        if (!entries.empty() && entries.back().count < width) {
+            SampleWindow& e = entries.back();
+            e.t_end = t;
+            if (value < e.min) e.min = value;
+            if (value > e.max) e.max = value;
+            e.sum += value;
+            ++e.count;
+            return;
+        }
+        if (entries.size() == 512) {
+            for (std::size_t i = 0; i < 256; ++i) {
+                const SampleWindow& a = entries[2 * i];
+                const SampleWindow& b = entries[2 * i + 1];
+                entries[i] = {b.t_end, std::min(a.min, b.min), std::max(a.max, b.max),
+                              a.sum + b.sum, a.count + b.count, 0};
+            }
+            entries.resize(256);
+            width *= 2;
+        }
+        entries.push_back({t, value, value, value, 1, 0});
+    }
+};
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+TEST(SampleWindow, MatchesTheNewestEntryOfAReferenceRing)
+{
+    // 10,000 samples: the ring doubles its entries' width five times (to
+    // 32 samples at 512 * 16 < 10,000).  Halfway, the window goes through
+    // a checkpoint in the middle of a 16-sample window.
+    util::Rng rng(20);
+    ReferenceRing ring;
+    SampleWindow window;
+    for (int i = 0; i < 10000; ++i) {
+        const double t = 0.02 * i;
+        const double value = rng.uniform(-50.0, 400.0);
+        ring.append(t, value);
+        window.append(t, value);
+        if (i == 5000) {
+            checkpoint::StateWriter saved;
+            window.save(saved, "w.");
+            SampleWindow restored;
+            restored.restore(checkpoint::StateReader("sampler", saved.str()), "w.");
+            ASSERT_GT(restored.count, 1u);
+            ASSERT_LT(restored.count, 16u);
+            window = restored;
+        }
+        const SampleWindow& e = ring.entries.back();
+        ASSERT_EQ(window.total, static_cast<std::uint64_t>(i + 1));
+        ASSERT_EQ(bits(window.t_end), bits(e.t_end)) << "sample " << i;
+        ASSERT_EQ(bits(window.min), bits(e.min)) << "sample " << i;
+        ASSERT_EQ(bits(window.max), bits(e.max)) << "sample " << i;
+        ASSERT_EQ(bits(window.sum), bits(e.sum)) << "sample " << i;
+        ASSERT_EQ(window.count, e.count) << "sample " << i;
+    }
+    EXPECT_EQ(ring.width, 32u);
 }
 
 // --------------------------------------------------- fault alert oracles ---
