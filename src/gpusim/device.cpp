@@ -3,6 +3,8 @@
 #include "telemetry/metrics.hpp"
 
 #include <algorithm>
+#include <array>
+#include <limits>
 #include <stdexcept>
 
 namespace gsph::gpusim {
@@ -32,6 +34,13 @@ GpuDeviceSpec validated(GpuDeviceSpec spec)
     spec.validate();
     return spec;
 }
+
+/// Grid index that the calling thread's previous capped search returned
+/// (-1 before its first), where the next search starts.  Consecutive
+/// searches on a thread price the same SPH function on the next GPU or rank,
+/// so they mostly return the same index.  It is a hint, not state: every
+/// start point yields the same answer (see throttle_for_power).
+thread_local int last_capped_index = -1;
 
 } // namespace
 
@@ -112,11 +121,34 @@ inline double GpuDevice::throttle_for_power(const KernelWork& work, double reque
         const KernelTiming t = price_kernel(spec_, work, f, mem_scale);
         return power_model_.busy_power(t, f, governor_managed).total_w <= power_limit_w_;
     };
-    int hi = spec_.clock_index(requested_mhz);
-    if (hi == 0 || fits(hi)) return spec_.clock_at(hi);
-    // Bisect the grid below the requested clock: `hi` does not fit, `lo`
-    // fits or is the minimum clock, the fallback that is never probed.
+    // The answer is the highest grid index up to the requested clock's,
+    // `top`, whose busy power fits, or the minimum clock if none does.
+    // Bisection keeps `lo` fitting (or the minimum clock, never probed) and
+    // `hi` not fitting (or one past `top`).  A start point below `top`
+    // narrows that bracket with two probes, itself and the index above it,
+    // and is the answer when the first fits and the second does not.
+    const int top = spec_.clock_index(requested_mhz);
+    int& start = last_capped_index;
     int lo = 0;
+    int hi = top + 1;
+    if (0 <= start && start < top) {
+        if (!fits(start)) {
+            hi = start;
+        }
+        else if (fits(start + 1)) {
+            lo = start + 1;
+        }
+        else {
+            lo = start;
+            hi = start + 1;
+        }
+    }
+    else if (top == 0 || fits(top)) {
+        lo = top;
+    }
+    else {
+        hi = top;
+    }
     while (hi - lo > 1) {
         const int mid = lo + (hi - lo) / 2;
         if (fits(mid)) {
@@ -126,6 +158,7 @@ inline double GpuDevice::throttle_for_power(const KernelWork& work, double reque
             hi = mid;
         }
     }
+    start = lo;
     return spec_.clock_at(lo);
 }
 
@@ -215,10 +248,38 @@ KernelResult GpuDevice::execute_governed(const KernelWork& work)
     // launch boost roughly uniformly through the batch duration.
     const double launches = static_cast<double>(std::max<std::int64_t>(work.launches, 1));
 
+    // The work, power limit and memory clock are fixed for the batch, so a
+    // tick's clock, timing and power depend only on the governor's clock,
+    // which takes few values: the last two are priced once each.
+    struct Priced {
+        double requested_mhz = std::numeric_limits<double>::quiet_NaN();
+        double f = 0.0;
+        KernelTiming t;
+        double p = 0.0; ///< busy and launch-gap power blended over the tick
+    };
+    std::array<Priced, 2> memo;
+    std::size_t newest = 0;
+    const auto priced = [&](double requested_mhz) -> const Priced& {
+        if (memo[newest].requested_mhz == requested_mhz) return memo[newest];
+        newest ^= 1;
+        Priced& e = memo[newest];
+        if (e.requested_mhz == requested_mhz) return e;
+        e.requested_mhz = requested_mhz;
+        e.f = throttle_for_power(work, requested_mhz, true);
+        e.t = price_kernel(spec_, work, e.f, mem_scale);
+        const PowerBreakdown busy =
+            power_model_.busy_power(e.t, e.f, /*governor_managed=*/true);
+        const PowerBreakdown gap = power_model_.idle_power(e.f, /*governor_managed=*/true);
+        const double busy_frac = e.t.total_s > 0.0 ? e.t.busy_s / e.t.total_s : 1.0;
+        e.p = busy.total_w * busy_frac + gap.total_w * (1.0 - busy_frac);
+        return e;
+    };
+
     int guard_iterations = 0;
     while (progress < 1.0 && ++guard_iterations < 2'000'000) {
-        const double f = throttle_for_power(work, governor_.current_mhz(), true);
-        const KernelTiming t = price_kernel(spec_, work, f, mem_scale);
+        const Priced& tick = priced(governor_.current_mhz());
+        const double f = tick.f;
+        const KernelTiming& t = tick.t;
         rep = t;
         if (t.total_s <= 0.0) break;
 
@@ -226,11 +287,7 @@ KernelResult GpuDevice::execute_governed(const KernelWork& work)
         const double dt = std::min(spec_.governor.tick_s, remaining_s);
         progress += dt / t.total_s;
 
-        const PowerBreakdown busy = power_model_.busy_power(t, f, /*governor_managed=*/true);
-        const PowerBreakdown gap = power_model_.idle_power(f, /*governor_managed=*/true);
-        const double busy_frac = t.total_s > 0.0 ? t.busy_s / t.total_s : 1.0;
-        const double p = busy.total_w * busy_frac + gap.total_w * (1.0 - busy_frac);
-
+        const double p = tick.p;
         account(dt, p);
         energy += p * dt;
         clock_time_integral += f * dt;
@@ -273,13 +330,19 @@ void GpuDevice::idle(double seconds)
         record(now_s_, current_clock_mhz_);
         return;
     }
-    // Governor mode: clock decays in ticks toward the idle target.
+    // Governor mode: clock decays in ticks toward the idle target.  Idle
+    // power is priced once per clock the decay passes through.
+    double priced_mhz = std::numeric_limits<double>::quiet_NaN();
+    double idle_w = 0.0;
     double remaining = seconds;
     while (remaining > 0.0) {
         const double dt = std::min(spec_.governor.tick_s, remaining);
         const double f = governor_.current_mhz();
-        const PowerBreakdown p = power_model_.idle_power(f, true);
-        account(dt, p.total_w);
+        if (f != priced_mhz) {
+            priced_mhz = f;
+            idle_w = power_model_.idle_power(f, true).total_w;
+        }
+        account(dt, idle_w);
         record(now_s_, f);
         now_s_ += dt;
         remaining -= dt;

@@ -120,8 +120,10 @@ private:
     void transition_to(double mhz);
     /// Highest grid clock <= quantize_clock(`requested_mhz`) whose busy power
     /// for `work` fits under the power limit, or the minimum clock if none
-    /// does (the requested clock itself when uncapped).  Found by bisection,
-    /// which relies on busy power never falling as the clock rises.
+    /// does (the requested clock itself when uncapped).  Found by bisection
+    /// from where the calling thread's previous capped search ended, which
+    /// relies on busy power never falling as the clock rises: any start
+    /// point gives the same answer.
     double throttle_for_power(const KernelWork& work, double requested_mhz,
                               bool governor_managed) const;
     void record(double time, double clock_mhz);

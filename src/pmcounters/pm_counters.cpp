@@ -21,7 +21,8 @@ PmCounters::PmCounters(PmCountersConfig config, cpusim::CpuDevice* cpu,
         static_cast<int>(gpus_.size()) % config_.gcds_per_accel_file != 0) {
         throw std::invalid_argument("PmCounters: GPU count not divisible by GCDs per file");
     }
-    published_ = capture(0.0);
+    published_.accel_energy_j.assign(static_cast<std::size_t>(accel_file_count()), 0.0);
+    publish(0.0);
     next_tick_ = 1.0 / config_.sample_hz;
 }
 
@@ -30,26 +31,44 @@ int PmCounters::accel_file_count() const
     return static_cast<int>(gpus_.size()) / config_.gcds_per_accel_file;
 }
 
-PmCounters::Snapshot PmCounters::capture(double now) const
+void PmCounters::publish(double now)
 {
-    Snapshot s;
+    // Power = energy delta over the sampling window (the BMC computes it the
+    // same way); none over an empty window.
+    Snapshot& s = published_;
+    const double dt = now - s.time;
+    const bool powered = dt > 0.0;
     s.time = now;
-    s.cpu_energy_j = cpu_->package_energy_j();
-    s.memory_energy_j = cpu_->dram_energy_j();
-    const int files = accel_file_count();
-    s.accel_energy_j.assign(static_cast<std::size_t>(std::max(files, 0)), 0.0);
+
+    const double cpu_j = cpu_->package_energy_j();
+    const double mem_j = cpu_->dram_energy_j();
+    s.cpu_power_w = powered ? (cpu_j - s.cpu_energy_j) / dt : 0.0;
+    s.memory_power_w = powered ? (mem_j - s.memory_energy_j) / dt : 0.0;
+    s.cpu_energy_j = cpu_j;
+    s.memory_energy_j = mem_j;
+
+    // The GPUs of one file are adjacent, so each file sums its own in GPU
+    // order, as the node total sums them all.
+    const std::size_t per_file = static_cast<std::size_t>(config_.gcds_per_accel_file);
+    s.accel_power_w.resize(powered ? s.accel_energy_j.size() : 0);
     double accel_total = 0.0;
-    for (std::size_t g = 0; g < gpus_.size(); ++g) {
-        const std::size_t file = g / static_cast<std::size_t>(config_.gcds_per_accel_file);
-        s.accel_energy_j[file] += gpus_[g]->energy_j();
-        accel_total += gpus_[g]->energy_j();
+    for (std::size_t file = 0; file < s.accel_energy_j.size(); ++file) {
+        double file_j = 0.0;
+        for (std::size_t g = file * per_file; g < (file + 1) * per_file; ++g) {
+            file_j += gpus_[g]->energy_j();
+            accel_total += gpus_[g]->energy_j();
+        }
+        if (powered) s.accel_power_w[file] = (file_j - s.accel_energy_j[file]) / dt;
+        s.accel_energy_j[file] = file_j;
     }
+
     const double aux_energy = config_.aux_power_w * now;
-    s.node_energy_j = s.cpu_energy_j + s.memory_energy_j + accel_total + aux_energy;
+    double node_j = cpu_j + mem_j + accel_total + aux_energy;
     if (config_.counter_wrap_j > 0.0) {
-        s.node_energy_j = std::fmod(s.node_energy_j, config_.counter_wrap_j);
+        node_j = std::fmod(node_j, config_.counter_wrap_j);
     }
-    return s;
+    s.node_power_w = powered ? (node_j - s.node_energy_j) / dt : 0.0;
+    s.node_energy_j = node_j;
 }
 
 void PmCounters::sample_to(double now)
@@ -65,24 +84,8 @@ void PmCounters::sample_to(double now)
     }
     if (!ticked) return;
 
-    Snapshot snap = capture(now);
-    snap.freshness = published_.freshness + 1;
-
-    // Power = energy delta over the sampling window (the BMC computes it the
-    // same way).
-    const double dt = snap.time - published_.time;
-    if (dt > 0.0) {
-        snap.node_power_w = (snap.node_energy_j - published_.node_energy_j) / dt;
-        snap.cpu_power_w = (snap.cpu_energy_j - published_.cpu_energy_j) / dt;
-        snap.memory_power_w = (snap.memory_energy_j - published_.memory_energy_j) / dt;
-        snap.accel_power_w.resize(snap.accel_energy_j.size());
-        for (std::size_t i = 0; i < snap.accel_energy_j.size(); ++i) {
-            const double prev =
-                i < published_.accel_energy_j.size() ? published_.accel_energy_j[i] : 0.0;
-            snap.accel_power_w[i] = (snap.accel_energy_j[i] - prev) / dt;
-        }
-    }
-    published_ = std::move(snap);
+    publish(now);
+    ++published_.freshness;
 }
 
 double PmCounters::accel_energy_j(int file_index) const
@@ -177,16 +180,32 @@ void PmCounters::save_state(checkpoint::StateWriter& writer) const
 
 void PmCounters::restore_state(const checkpoint::StateReader& reader)
 {
+    // publish() writes both vectors in place, one entry per accelerator file.
+    const std::size_t files = static_cast<std::size_t>(accel_file_count());
+    const auto per_file = [&](const std::string& key, bool may_be_empty) {
+        std::vector<double> values = reader.get_f64_vec(key);
+        if (values.size() != files && !(may_be_empty && values.empty())) {
+            throw checkpoint::CheckpointError("pm_counters '" + key + "': " +
+                                              std::to_string(values.size()) +
+                                              " entries for " + std::to_string(files) +
+                                              " accelerator files");
+        }
+        return values;
+    };
+    std::vector<double> accel_j = per_file("published.accel_j", false);
+    // Empty when the published window had no length, so no powers.
+    std::vector<double> accel_w = per_file("published.accel_w", true);
+
     next_tick_ = reader.get_f64("next_tick");
     published_.time = reader.get_f64("published.time");
     published_.node_energy_j = reader.get_f64("published.node_j");
     published_.cpu_energy_j = reader.get_f64("published.cpu_j");
     published_.memory_energy_j = reader.get_f64("published.mem_j");
-    published_.accel_energy_j = reader.get_f64_vec("published.accel_j");
+    published_.accel_energy_j = std::move(accel_j);
     published_.node_power_w = reader.get_f64("published.node_w");
     published_.cpu_power_w = reader.get_f64("published.cpu_w");
     published_.memory_power_w = reader.get_f64("published.mem_w");
-    published_.accel_power_w = reader.get_f64_vec("published.accel_w");
+    published_.accel_power_w = std::move(accel_w);
     published_.freshness = reader.get_i64("published.freshness");
 }
 

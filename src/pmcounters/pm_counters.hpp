@@ -92,7 +92,9 @@ private:
         long freshness = 0;
     };
 
-    Snapshot capture(double now) const;
+    /// Overwrite the published snapshot with the counters at `now`, in
+    /// place; freshness is left to the caller.
+    void publish(double now);
 
     PmCountersConfig config_;
     cpusim::CpuDevice* cpu_;

@@ -1,10 +1,12 @@
 #pragma once
 /// \file gpusim_random.hpp
-/// \brief Random kernel batches and the device catalog, shared by the
-/// gpusim property tests.
+/// \brief Random kernel batches, the device catalog and the reference
+/// power-cap walk, shared by the gpusim property tests.
 
 #include "gpusim/device_spec.hpp"
 #include "gpusim/kernel_work.hpp"
+#include "gpusim/power_model.hpp"
+#include "gpusim/roofline.hpp"
 #include "util/rng.hpp"
 
 #include <cmath>
@@ -35,6 +37,24 @@ inline KernelWork random_kernel(util::Rng& rng)
     w.launches = static_cast<std::int64_t>(rng.uniform_index(501));
     w.threads = rng.uniform() < 0.1 ? 0 : static_cast<std::int64_t>(log_uniform(1e3, 2e8));
     return w;
+}
+
+/// The descending walk GpuDevice::throttle_for_power made before it
+/// bisected, kept as the reference: from the requested clock down the grid,
+/// one probe per step, to the first clock whose busy power fits (or the
+/// minimum clock).
+inline double walk_reference(const GpuDeviceSpec& spec, const KernelWork& work,
+                             double requested_mhz, double mem_scale, double limit_w,
+                             bool governor_managed = false)
+{
+    const PowerModel pm(spec);
+    double f = spec.quantize_clock(requested_mhz);
+    while (f > spec.min_compute_mhz) {
+        const KernelTiming t = price_kernel(spec, work, f, mem_scale);
+        if (pm.busy_power(t, f, governor_managed).total_w <= limit_w) break;
+        f = spec.quantize_clock(f - spec.clock_step_mhz);
+    }
+    return f;
 }
 
 } // namespace gsph::gpusim::test

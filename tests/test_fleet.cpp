@@ -438,7 +438,7 @@ std::map<std::string, std::string> summary_members(const std::string& path)
     return out;
 }
 
-std::vector<std::string> fleet_args(const std::string& ckpt_dir,
+std::vector<std::string> fleet_args(const std::string& policy, const std::string& ckpt_dir,
                                     const std::string& summary,
                                     const std::string& faults)
 {
@@ -447,7 +447,7 @@ std::vector<std::string> fleet_args(const std::string& ckpt_dir,
         "--fleet-nodes", "8",         "--jobs",
         "6",            "--steps",    "3",
         "--nside",      "6",          "--particles-per-gpu",
-        "20000000",     "--fleet-policy", "negotiated",
+        "20000000",     "--fleet-policy", policy,
         "--budget-w",   "9000",       "--checkpoint-every", "2",
         "--checkpoint-dir", ckpt_dir, "--summary-json",
         summary,        "--log-level", "off",
@@ -459,17 +459,21 @@ std::vector<std::string> fleet_args(const std::string& ckpt_dir,
     return args;
 }
 
-TEST(FleetKillResume, ResumedSummaryMatchesUninterruptedMinusProvenance)
+/// Kill a fleet run under `policy` after its round-2 commit and resume it:
+/// the summary must equal the uninterrupted run's, minus provenance.  The
+/// resumed process's capped clock searches start with no previous search on
+/// their thread, which must not show in any result.
+void expect_resume_matches_uninterrupted(const std::string& policy)
 {
     TempDir dir;
     const std::string ref_summary = dir.path() + "/ref.json";
     const std::string res_summary = dir.path() + "/resumed.json";
 
     ASSERT_TRUE(exited_zero(
-        run_cli(fleet_args(dir.path() + "/ck_ref", ref_summary, ""))));
+        run_cli(fleet_args(policy, dir.path() + "/ck_ref", ref_summary, ""))));
 
     // SIGKILL at the end of round index 3, after the round-2 commit.
-    const int status = run_cli(fleet_args(dir.path() + "/ck_kill", res_summary,
+    const int status = run_cli(fleet_args(policy, dir.path() + "/ck_kill", res_summary,
                                           "kill-at-step:step=3"));
     ASSERT_TRUE(WIFSIGNALED(status)) << "status " << status;
     EXPECT_EQ(WTERMSIG(status), SIGKILL);
@@ -488,6 +492,16 @@ TEST(FleetKillResume, ResumedSummaryMatchesUninterruptedMinusProvenance)
     ASSERT_TRUE(doc.contains("provenance"));
     EXPECT_EQ(doc.at("provenance").at("resumed_from").as_string(),
               dir.path() + "/ck_kill");
+}
+
+TEST(FleetKillResume, ResumedSummaryMatchesUninterruptedMinusProvenance)
+{
+    expect_resume_matches_uninterrupted("negotiated");
+}
+
+TEST(FleetKillResume, UniformCapResumedSummaryMatchesUninterrupted)
+{
+    expect_resume_matches_uninterrupted("uniform");
 }
 
 } // namespace

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace gsph {
 namespace {
 
@@ -95,6 +97,35 @@ TEST(ParallelDeterminism, StaticPolicyRunMatchesSerial)
         return core::run_with_policy(sim::mini_hpc(), trace(), cfg, *policy);
     };
     expect_identical(make(1), make(8));
+}
+
+TEST(ParallelDeterminism, PowerCappedRunMatchesSerial)
+{
+    // A binding cap throttles the heavy kernels, and each capped search starts
+    // where the previous one on its thread ended; each pool thread starts
+    // its own sequence, and the results must not notice.
+    for (const auto clock_policy :
+         {gpusim::ClockPolicy::kLockedAppClock, gpusim::ClockPolicy::kNativeDvfs}) {
+        auto make = [&](int n_threads) {
+            auto cfg = config(n_threads);
+            auto policy = core::make_power_cap_policy(150.0);
+            policy->configure(cfg);
+            cfg.clock_policy = clock_policy;
+            sim::RunHooks hooks;
+            policy->attach(hooks, cfg.n_ranks);
+            return sim::run_instrumented(sim::mini_hpc(), trace(), cfg, hooks);
+        };
+        SCOPED_TRACE(clock_policy == gpusim::ClockPolicy::kNativeDvfs ? "native DVFS"
+                                                                       : "locked clocks");
+        const auto serial = make(1);
+        expect_identical(serial, make(8));
+        // The cap binds: some function runs below the default clock.
+        double lowest_mhz = sim::mini_hpc().gpu.max_compute_mhz;
+        for (const auto& fn : serial.per_function) {
+            if (fn.calls > 0) lowest_mhz = std::min(lowest_mhz, fn.mean_clock_mhz());
+        }
+        EXPECT_LT(lowest_mhz, 1000.0);
+    }
 }
 
 TEST(ParallelDeterminism, ManDynWithProfilerAndTracerMatchesSerial)

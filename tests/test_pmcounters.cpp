@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <algorithm>
+#include <string>
+#include <vector>
 
 namespace gsph::pmcounters {
 namespace {
@@ -183,6 +185,95 @@ TEST_F(PmFixture, StalenessBoundedByPeriod)
     advance_all(0.09);
     pm.sample_to(1.09); // no tick crossed
     EXPECT_DOUBLE_EQ(pm.node_energy_j(), published);
+}
+
+/// A pm_counters checkpoint section holding the given accelerator vectors.
+std::string section_with(const std::vector<double>& accel_j,
+                         const std::vector<double>& accel_w)
+{
+    checkpoint::StateWriter w;
+    w.put_f64("next_tick", 0.2);
+    w.put_f64("published.time", 0.1);
+    w.put_f64("published.node_j", 60.0);
+    w.put_f64("published.cpu_j", 10.0);
+    w.put_f64("published.mem_j", 5.0);
+    w.put_f64_vec("published.accel_j", accel_j);
+    w.put_f64("published.node_w", 600.0);
+    w.put_f64("published.cpu_w", 100.0);
+    w.put_f64("published.mem_w", 50.0);
+    w.put_f64_vec("published.accel_w", accel_w);
+    w.put_i64("published.freshness", 1);
+    return w.take();
+}
+
+/// The CheckpointError message restoring `payload` raises, or "" if none.
+std::string restore_error(PmCounters& pm, const std::string& payload)
+{
+    try {
+        pm.restore_state(checkpoint::StateReader("pmcounters.0", payload));
+    }
+    catch (const checkpoint::CheckpointError& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST_F(PmFixture, RestoreRejectsAccelEnergiesNotOnePerFile)
+{
+    // Sampling overwrites the published per-file vectors in place.
+    PmCounters pm({}, &cpu_, gpu_ptrs()); // 4 files
+    for (const std::size_t n : {0, 3, 5}) {
+        const std::string error =
+            restore_error(pm, section_with(std::vector<double>(n, 1.0), {}));
+        EXPECT_NE(error.find("published.accel_j"), std::string::npos)
+            << n << " entries: '" << error << "'";
+    }
+    EXPECT_EQ(restore_error(pm, section_with(std::vector<double>(4, 1.0), {})), "");
+}
+
+TEST_F(PmFixture, RestoreRejectsAccelPowersNeitherEmptyNorOnePerFile)
+{
+    PmCounters pm({}, &cpu_, gpu_ptrs()); // 4 files
+    const std::vector<double> energies(4, 1.0);
+    for (const std::size_t n : {1, 3, 5}) {
+        const std::string error =
+            restore_error(pm, section_with(energies, std::vector<double>(n, 2.0)));
+        EXPECT_NE(error.find("published.accel_w"), std::string::npos)
+            << n << " entries: '" << error << "'";
+    }
+    // Empty: the published window had no length, so it carries no powers.
+    EXPECT_EQ(restore_error(pm, section_with(energies, {})), "");
+    EXPECT_EQ(restore_error(pm, section_with(energies, std::vector<double>(4, 2.0))), "");
+}
+
+TEST_F(PmFixture, RestoredCountersPublishWhatTheOriginalPublishes)
+{
+    PmCountersConfig config;
+    config.gcds_per_accel_file = 2;
+    config.counter_wrap_j = 5000.0;
+    PmCounters original(config, &cpu_, gpu_ptrs());
+    cpu_.advance(0.25);
+    for (int g = 0; g < 4; ++g) gpus_[static_cast<std::size_t>(g)]->idle(0.25 * (g + 1));
+    original.sample_to(0.25);
+    checkpoint::StateWriter writer;
+    original.save_state(writer);
+
+    PmCounters restored(config, &cpu_, gpu_ptrs());
+    restored.restore_state(checkpoint::StateReader("pmcounters.0", writer.take()));
+    for (int tick = 0; tick < 30; ++tick) {
+        advance_all(0.15);
+        const double now = 0.25 + 0.15 * (tick + 1);
+        original.sample_to(now);
+        restored.sample_to(now);
+        for (const std::string& file : original.list_files()) {
+            EXPECT_EQ(restored.read_file(file), original.read_file(file)) << file;
+        }
+        EXPECT_EQ(restored.node_energy_j(), original.node_energy_j());
+        EXPECT_EQ(restored.node_power_w(), original.node_power_w());
+        EXPECT_EQ(restored.accel_energy_j(1), original.accel_energy_j(1));
+        EXPECT_EQ(restored.other_energy_j(), original.other_energy_j());
+        EXPECT_EQ(restored.freshness(), original.freshness());
+    }
 }
 
 } // namespace

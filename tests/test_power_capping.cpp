@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <string>
+#include <thread>
 #include <vector>
 
 namespace gsph {
@@ -82,22 +84,6 @@ TEST(PowerCapDevice, WorksUnderGovernorToo)
     EXPECT_LE(r.mean_power_w, 175.0 * 1.02);
 }
 
-/// The descending walk throttle_for_power made before it bisected, kept as
-/// the reference: from the requested clock down the grid, one probe per
-/// step, to the first clock whose busy power fits (or the minimum clock).
-double walk_reference(const gpusim::GpuDeviceSpec& spec, const gpusim::KernelWork& work,
-                      double requested_mhz, double mem_scale, double limit_w)
-{
-    const gpusim::PowerModel pm(spec);
-    double f = spec.quantize_clock(requested_mhz);
-    while (f > spec.min_compute_mhz) {
-        const gpusim::KernelTiming t = gpusim::price_kernel(spec, work, f, mem_scale);
-        if (pm.busy_power(t, f, false).total_w <= limit_w) break;
-        f = spec.quantize_clock(f - spec.clock_step_mhz);
-    }
-    return f;
-}
-
 TEST(PowerCapDevice, SearchPicksTheWalksClock)
 {
     std::vector<gpusim::GpuDeviceSpec> specs = gpusim::test::catalog_specs();
@@ -112,6 +98,10 @@ TEST(PowerCapDevice, SearchPicksTheWalksClock)
         gpusim::GpuDevice dev(spec);
         const double tdp = dev.default_power_limit_w();
         int fits_requested = 0, bisected = 0, at_minimum = 0;
+        // A search starts where the previous one on the thread ended: count
+        // the cases whose answer is that clock, above it and below it.
+        int same = 0, above = 0, below = 0;
+        double previous = 0.0;
         for (int i = 0; i < 4000; ++i) {
             const gpusim::KernelWork work = gpusim::test::random_kernel(rng);
             // From below the busy power at the minimum clock to above TDP,
@@ -123,24 +113,124 @@ TEST(PowerCapDevice, SearchPicksTheWalksClock)
             const double mem_scale = kMemScales[rng.uniform_index(kMemScales.size())];
             dev.set_power_limit_w(limit_w);
             dev.set_application_clocks(mem_scale * spec.memory_clock_mhz, requested);
-
             const double app = dev.application_clock_mhz();
-            const double expected =
-                walk_reference(spec, work, app,
-                               dev.memory_clock_mhz() / spec.memory_clock_mhz, limit_w);
-            ASSERT_EQ(dev.execute(work).mean_clock_mhz, expected)
-                << spec.name << " case " << i << ": requested " << requested
-                << " MHz, limit " << limit_w << " W, memory scale " << mem_scale
-                << ", flops " << work.flops << ", bytes " << work.dram_bytes
-                << ", launches " << work.launches;
-            if (expected == app) ++fits_requested;
-            else if (expected == spec.min_compute_mhz) ++at_minimum;
-            else ++bisected;
+
+            // A run of jittered copies under one limit, as one function runs
+            // on the GPUs of a node: the search starts at the answer or a
+            // step or two from it, after the first copy started far away.
+            const int copies = 2 + static_cast<int>(rng.uniform_index(4));
+            for (int c = 0; c < copies; ++c) {
+                const gpusim::KernelWork copy =
+                    gpusim::scaled(work, rng.uniform(0.98, 1.02));
+                const double expected = gpusim::test::walk_reference(
+                    spec, copy, app, dev.memory_clock_mhz() / spec.memory_clock_mhz,
+                    limit_w);
+                ASSERT_EQ(dev.execute(copy).mean_clock_mhz, expected)
+                    << spec.name << " case " << i << "." << c << ": requested " << requested
+                    << " MHz, limit " << limit_w << " W, memory scale " << mem_scale
+                    << ", flops " << copy.flops << ", bytes " << copy.dram_bytes
+                    << ", launches " << copy.launches << ", previous answer " << previous
+                    << " MHz";
+                if (expected == app) ++fits_requested;
+                else if (expected == spec.min_compute_mhz) ++at_minimum;
+                else ++bisected;
+                if (expected == previous) ++same;
+                else if (expected > previous) ++above;
+                else ++below;
+                previous = expected;
+            }
         }
         // Every branch of the search is taken many times.
         EXPECT_GT(fits_requested, 400) << spec.name;
         EXPECT_GT(bisected, 400) << spec.name;
         EXPECT_GT(at_minimum, 400) << spec.name;
+        EXPECT_GT(same, 400) << spec.name;
+        EXPECT_GT(above, 400) << spec.name;
+        EXPECT_GT(below, 400) << spec.name;
+    }
+}
+
+void expect_same_result(const gpusim::KernelResult& a, const gpusim::KernelResult& b)
+{
+    EXPECT_EQ(a.timing.total_s, b.timing.total_s);
+    EXPECT_EQ(a.timing.busy_s, b.timing.busy_s);
+    EXPECT_EQ(a.timing.compute_s, b.timing.compute_s);
+    EXPECT_EQ(a.timing.memory_s, b.timing.memory_s);
+    EXPECT_EQ(a.timing.overhead_s, b.timing.overhead_s);
+    EXPECT_EQ(a.timing.compute_activity, b.timing.compute_activity);
+    EXPECT_EQ(a.timing.memory_activity, b.timing.memory_activity);
+    EXPECT_EQ(a.timing.utilization, b.timing.utilization);
+    EXPECT_EQ(a.start_s, b.start_s);
+    EXPECT_EQ(a.end_s, b.end_s);
+    EXPECT_EQ(a.energy_j, b.energy_j);
+    EXPECT_EQ(a.mean_clock_mhz, b.mean_clock_mhz);
+    EXPECT_EQ(a.mean_power_w, b.mean_power_w);
+}
+
+TEST(PowerCapDevice, ResultDoesNotDependOnEarlierSearches)
+{
+    // One capped kernel on fresh devices, after capped searches on the same
+    // thread that ended at the minimum clock, at this kernel's first answer
+    // and a step either side of it, mid-grid and at its requested clock, and
+    // on a thread that never searched.
+    const gpusim::KernelWork work = hot_kernel();
+    for (const gpusim::GpuDeviceSpec& spec : gpusim::test::catalog_specs()) {
+        for (const auto policy :
+             {gpusim::ClockPolicy::kLockedAppClock, gpusim::ClockPolicy::kNativeDvfs}) {
+            const bool governed = policy == gpusim::ClockPolicy::kNativeDvfs;
+            // The first search's requested clock: the locked default clock,
+            // or the governor's launch boost.
+            double requested = spec.default_app_clock_mhz;
+            if (governed) {
+                gpusim::DvfsGovernor governor(spec);
+                governor.on_kernel_launch();
+                requested = governor.current_mhz();
+            }
+            const int top = spec.clock_index(requested);
+            const double quarter = spec.clock_at(top / 4);
+            const gpusim::KernelTiming at_quarter = gpusim::price_kernel(spec, work, quarter);
+            const double limit_w =
+                gpusim::PowerModel(spec).busy_power(at_quarter, quarter, governed).total_w;
+            const int answer = spec.clock_index(gpusim::test::walk_reference(
+                spec, work, requested, 1.0, limit_w, governed));
+            ASSERT_GE(answer, 2) << spec.name;
+            ASSERT_LE(answer, top / 2 - 2) << spec.name;
+
+            struct Outcome {
+                gpusim::KernelResult result;
+                double energy_j = 0.0;
+                double now = 0.0;
+            };
+            const auto run = [&] {
+                gpusim::GpuDevice dev(spec);
+                dev.set_clock_policy(policy);
+                dev.set_power_limit_w(limit_w);
+                Outcome o;
+                o.result = dev.execute(work);
+                o.energy_j = dev.energy_j();
+                o.now = dev.now();
+                return o;
+            };
+            Outcome reference;
+            std::thread([&] { reference = run(); }).join();
+
+            for (const int primed : {0, answer - 1, answer, answer + 1, top / 2, top}) {
+                // A search whose answer is `primed`: the requested clock
+                // fits under a limit far above any busy power.
+                gpusim::GpuDevice primer(spec);
+                primer.set_power_limit_w(1e9);
+                primer.set_application_clocks(spec.memory_clock_mhz, spec.clock_at(primed));
+                ASSERT_EQ(primer.execute(work).mean_clock_mhz, spec.clock_at(primed));
+
+                SCOPED_TRACE(spec.name + (governed ? " governed" : " locked") +
+                             ", primed at index " + std::to_string(primed) + " of " +
+                             std::to_string(top) + ", answer " + std::to_string(answer));
+                const Outcome o = run();
+                expect_same_result(o.result, reference.result);
+                EXPECT_EQ(o.energy_j, reference.energy_j);
+                EXPECT_EQ(o.now, reference.now);
+            }
+        }
     }
 }
 
