@@ -5,7 +5,7 @@
 /// A checkpoint is two files in the checkpoint directory:
 ///
 ///   * `checkpoint-<step>.gsc` — the data file: a one-line format header
-///     (`greensph-checkpoint 5`) followed by named sections, each introduced
+///     (`greensph-checkpoint 6`) followed by named sections, each introduced
 ///     by `section <name> <bytes> <crc32>` and carrying exactly `<bytes>`
 ///     of StateWriter payload.
 ///   * `MANIFEST.json` — schema `greensph.checkpoint/v1`: format version,
@@ -41,7 +41,15 @@ namespace gsph::checkpoint {
 /// ring histories, and the `gpu.N`, `pmcounters.N` and `anomaly` sections
 /// drop state nothing read (power trace, launch count, previous counter
 /// tick, stalled-call total).
-inline constexpr int kFormatVersion = 5;
+/// Version 6: a checkpoint holds only state that crosses a step boundary.
+/// Dropped: open probe readings and per-call latches (`profiler`, `policy`),
+/// the run tracer's span bookkeeping and the ledger's per-rank windows, the
+/// governor's transition count, the controller's skipped-call count, a
+/// finished job's accounting, the injector's Gaussian cache, the PMT start
+/// time and aux start time (`driver`) and a fleet outcome's completed flag.
+/// The fleet's node sections lose their `fleet.` prefix and are written by
+/// sim::Node, as the run driver's are.
+inline constexpr int kFormatVersion = 6;
 inline constexpr const char* kManifestSchema = "greensph.checkpoint/v1";
 inline constexpr const char* kManifestName = "MANIFEST.json";
 

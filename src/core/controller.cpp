@@ -36,7 +36,6 @@ ClockStatus FrequencyController::apply(int rank, sph::SphFunction fn)
     }
     const double target = table_.get(fn);
     if (current_mhz_[static_cast<std::size_t>(rank)] == target) {
-        ++skipped_calls_;
         skips.inc();
         return ClockStatus::kOk;
     }
@@ -68,7 +67,6 @@ void FrequencyController::save_state(checkpoint::StateWriter& writer) const
 {
     writer.put_f64_vec("controller.current_mhz", current_mhz_);
     writer.put_i64("controller.backend_calls", backend_calls_);
-    writer.put_i64("controller.skipped_calls", skipped_calls_);
     backend_->save_state(writer);
 }
 
@@ -83,7 +81,6 @@ void FrequencyController::restore_state(const checkpoint::StateReader& reader)
     }
     current_mhz_ = mhz;
     backend_calls_ = static_cast<long>(reader.get_i64("controller.backend_calls"));
-    skipped_calls_ = static_cast<long>(reader.get_i64("controller.skipped_calls"));
     backend_->restore_state(reader);
 }
 

@@ -65,7 +65,6 @@ public:
     const FrequencyTable& table() const { return table_; }
     const ClockBackend& backend() const { return *backend_; }
     long backend_calls() const { return backend_calls_; }
-    long skipped_calls() const { return skipped_calls_; }
 
     /// Checkpoint the per-rank last-set clocks, call counters and the
     /// backend's own state (degradation latches).  The restored controller
@@ -79,7 +78,6 @@ private:
     std::unique_ptr<ClockBackend> backend_;
     std::vector<double> current_mhz_; ///< last clock set per rank (<0: unknown)
     long backend_calls_ = 0;
-    long skipped_calls_ = 0;
 };
 
 } // namespace gsph::core

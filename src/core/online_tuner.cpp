@@ -467,7 +467,6 @@ void OnlineManDynPolicy::save_state(checkpoint::StateWriter& writer) const
         writer.put_i64(prefix + "active_candidate", learner.active_candidate);
         writer.put_bool(prefix + "converged", learner.converged);
         writer.put_f64(prefix + "chosen_mhz", learner.chosen_mhz);
-        writer.put_f64(prefix + "follower_mhz", learner.follower_mhz);
         writer.put_i64(prefix + "stage", static_cast<int>(learner.stage));
         std::vector<std::uint64_t> probes(learner.probe_set.size());
         for (std::size_t i = 0; i < probes.size(); ++i) {
@@ -488,8 +487,6 @@ void OnlineManDynPolicy::save_state(checkpoint::StateWriter& writer) const
         writer.put_f64(prefix + "predicted_edp", learner.predicted_edp);
     }
     writer.put_f64_vec("rank_current_mhz", rank_current_mhz_);
-    writer.put_f64("open.timestamp_s", open_state_.timestamp_s);
-    writer.put_f64("open.joules", open_state_.joules);
     if (backend_) backend_->save_state(writer);
 }
 
@@ -541,7 +538,6 @@ void OnlineManDynPolicy::restore_state(const checkpoint::StateReader& reader)
             static_cast<int>(reader.get_i64(prefix + "active_candidate"));
         learner.converged = reader.get_bool(prefix + "converged");
         learner.chosen_mhz = reader.get_f64(prefix + "chosen_mhz");
-        learner.follower_mhz = reader.get_f64(prefix + "follower_mhz");
         const std::int64_t stage = reader.get_i64(prefix + "stage");
         if (stage < 0 || stage > static_cast<int>(FunctionLearner::Stage::kSweep)) {
             throw checkpoint::CheckpointError("OnlineManDyn: stage " +
@@ -559,8 +555,11 @@ void OnlineManDynPolicy::restore_state(const checkpoint::StateReader& reader)
             learner.probe_set.push_back(static_cast<int>(idx));
         }
         learner.seeded = reader.get_bool(prefix + "seeded");
+        // -1 means none; the stage that reads an index needs a real one.
         learner.seed_anchor = static_cast<int>(reader.get_i64(prefix + "seed_anchor"));
-        if (learner.seed_anchor >= sph::kSphFunctionCount) {
+        if (learner.seed_anchor < -1 || learner.seed_anchor >= sph::kSphFunctionCount ||
+            (learner.stage == FunctionLearner::Stage::kAwaitSeed &&
+             learner.seed_anchor < 0)) {
             throw checkpoint::CheckpointError(
                 "OnlineManDyn: seed anchor " +
                 std::to_string(learner.seed_anchor) + " for function " +
@@ -575,7 +574,10 @@ void OnlineManDynPolicy::restore_state(const checkpoint::StateReader& reader)
         learner.fit.p_cubic = reader.get_f64(prefix + "fit.p_cubic");
         learner.predicted_idx =
             static_cast<int>(reader.get_i64(prefix + "predicted_idx"));
-        if (learner.predicted_idx >= static_cast<int>(learner.clocks.size())) {
+        if (learner.predicted_idx < -1 ||
+            learner.predicted_idx >= static_cast<int>(learner.clocks.size()) ||
+            (learner.stage == FunctionLearner::Stage::kConfirm &&
+             learner.predicted_idx < 0)) {
             throw checkpoint::CheckpointError(
                 "OnlineManDyn: predicted candidate " +
                 std::to_string(learner.predicted_idx) + " for function " +
@@ -592,8 +594,6 @@ void OnlineManDynPolicy::restore_state(const checkpoint::StateReader& reader)
             std::to_string(rank_current_mhz_.size()) + ")");
     }
     rank_current_mhz_ = mhz;
-    open_state_.timestamp_s = reader.get_f64("open.timestamp_s");
-    open_state_.joules = reader.get_f64("open.joules");
     backend_->restore_state(reader);
 }
 

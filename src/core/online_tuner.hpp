@@ -77,12 +77,16 @@ struct FunctionLearner {
     std::vector<double> time_s;          ///< accumulated per candidate
     std::vector<int> samples;            ///< samples per candidate
     int calls_seen = 0;
-    int active_candidate = -1; ///< candidate being measured (-1: none)
+    /// Candidate being measured (-1: none).  A converged function keeps the
+    /// one it converged on, which the measurement-integrity check reads when
+    /// its clock set fails, so it is checkpointed.
+    int active_candidate = -1;
     bool converged = false;
     double chosen_mhz = 0.0;
 
     /// Clock ranks > 0 apply this call, latched by rank 0 at the top of its
-    /// before-hook (which runs ahead of every follower's).  Checkpointed.
+    /// before-hook (which runs ahead of every follower's) before anything
+    /// reads it, so no checkpoint holds it.
     double follower_mhz = 0.0;
 
     /// Model-strategy stage machine (kIdle throughout for kExhaustive).
@@ -123,9 +127,11 @@ public:
 
     /// Checkpoint the learning progress: per-function sample accumulators,
     /// model-fit stage machines and coefficients, convergence flags and
-    /// chosen clocks, per-rank clock cache, the open PMT probe reading and
-    /// the backend's degradation state.  A resumed run continues exploring
-    /// exactly where the interrupted run stopped.
+    /// chosen clocks, per-rank clock cache and the backend's degradation
+    /// state.  The open PMT probe reading and the follower latch are
+    /// rewritten by rank 0's first before-hook, so they are not saved.  A
+    /// resumed run continues exploring exactly where the interrupted run
+    /// stopped.
     void save_state(checkpoint::StateWriter& writer) const override;
     void restore_state(const checkpoint::StateReader& reader) override;
 

@@ -102,11 +102,6 @@ void EnergyProfiler::save_state(checkpoint::StateWriter& writer) const
             save_slot("rank." + std::to_string(r) + "." + std::to_string(f) + ".",
                       per_rank_[static_cast<std::size_t>(r)][static_cast<std::size_t>(f)]);
         }
-        const std::string prefix = "open." + std::to_string(r) + ".";
-        writer.put_f64(prefix + "timestamp_s",
-                       open_state_[static_cast<std::size_t>(r)].timestamp_s);
-        writer.put_f64(prefix + "joules",
-                       open_state_[static_cast<std::size_t>(r)].joules);
     }
 }
 
@@ -132,10 +127,6 @@ void EnergyProfiler::restore_state(const checkpoint::StateReader& reader)
             restore_slot("rank." + std::to_string(r) + "." + std::to_string(f) + ".",
                          per_rank_[static_cast<std::size_t>(r)][static_cast<std::size_t>(f)]);
         }
-        const std::string prefix = "open." + std::to_string(r) + ".";
-        auto& open = open_state_[static_cast<std::size_t>(r)];
-        open.timestamp_s = reader.get_f64(prefix + "timestamp_s");
-        open.joules = reader.get_f64(prefix + "joules");
     }
 }
 

@@ -60,8 +60,9 @@ public:
 
     int n_ranks() const { return n_ranks_; }
 
-    /// Checkpoint the accumulated per-function/per-rank energy and the open
-    /// probe readings (sensors themselves are lazily re-created on resume).
+    /// Checkpoint the accumulated per-function/per-rank energy.  A probe
+    /// opens and closes within one function call, so no reading is open at a
+    /// step boundary; sensors are lazily re-created on resume.
     void save_state(checkpoint::StateWriter& writer) const;
     void restore_state(const checkpoint::StateReader& reader);
 

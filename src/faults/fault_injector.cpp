@@ -266,9 +266,8 @@ void FaultInjector::save_state(checkpoint::StateWriter& writer) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     const util::Rng::State rng = rng_.state();
+    // The injector draws only uniform(), so the Gaussian cache stays empty.
     writer.put_u64_vec("rng.s", {rng.s[0], rng.s[1], rng.s[2], rng.s[3]});
-    writer.put_bool("rng.has_gauss", rng.has_gauss);
-    writer.put_f64("rng.gauss_cache", rng.gauss_cache);
     writer.put_i64("clock_writes", clock_writes_);
     writer.put_u64("energy_offsets", energy_offsets_.size());
     std::size_t i = 0;
@@ -288,8 +287,6 @@ void FaultInjector::restore_state(const checkpoint::StateReader& reader)
     }
     util::Rng::State rng;
     rng.s = {s[0], s[1], s[2], s[3]};
-    rng.has_gauss = reader.get_bool("rng.has_gauss");
-    rng.gauss_cache = reader.get_f64("rng.gauss_cache");
     rng_.set_state(rng);
     clock_writes_ = reader.get_i64("clock_writes");
     energy_offsets_.clear();

@@ -134,7 +134,7 @@ public:
     long long clock_writes_seen() const;
     const FaultSpec& spec() const { return spec_; }
 
-    /// Checkpoint the fault stream position: RNG state, clock-write counter
+    /// Checkpoint the fault stream position: RNG words, clock-write counter
     /// and per-domain energy-reset offsets.  Restoring replays the exact
     /// fault sequence the interrupted run would have seen.
     void save_state(checkpoint::StateWriter& writer) const;

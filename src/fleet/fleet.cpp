@@ -209,7 +209,6 @@ FleetResult run_fleet(const FleetConfig& config)
                 w.put_f64(p + "elapsed_s", o.record.elapsed_s);
                 w.put_f64(p + "consumed_energy_j", o.record.consumed_energy_j);
                 w.put_i64(p + "n_nodes", o.record.n_nodes);
-                w.put_bool(p + "completed", o.record.completed);
                 w.put_f64(p + "arrival_s", o.arrival_s);
                 w.put_f64(p + "start_s", o.start_s);
                 w.put_f64(p + "finish_s", o.finish_s);
@@ -219,21 +218,7 @@ FleetResult run_fleet(const FleetConfig& config)
             }
             sections.push_back({"fleet", w.take()});
         }
-        for (int n = 0; n < config.n_nodes; ++n) {
-            sim::Node& node = *nodes[static_cast<std::size_t>(n)];
-            checkpoint::StateWriter c;
-            node.cpu().save_state(c);
-            sections.push_back({"fleet.cpu." + std::to_string(n), c.take()});
-            for (int g = 0; g < node.gpu_count(); ++g) {
-                checkpoint::StateWriter w;
-                node.gpu(g).save_state(w);
-                sections.push_back(
-                    {"fleet.gpu." + std::to_string(n * gpn + g), w.take()});
-            }
-            checkpoint::StateWriter p;
-            node.counters().save_state(p);
-            sections.push_back({"fleet.pm." + std::to_string(n), p.take()});
-        }
+        for (const auto& node : nodes) node->save_state(sections);
         for (std::size_t r = 0; r < running.size(); ++r) {
             checkpoint::StateWriter w;
             running[r].slurm->save_state(w);
@@ -254,6 +239,11 @@ FleetResult run_fleet(const FleetConfig& config)
         next_arrival = static_cast<std::size_t>(f.get_u64("next_arrival"));
         queue.clear();
         for (std::uint64_t q : f.get_u64_vec("queue")) {
+            if (q >= jobs.size()) {
+                throw checkpoint::CheckpointError("fleet: queue holds job index " +
+                                                  std::to_string(q) + " of " +
+                                                  std::to_string(jobs.size()));
+            }
             queue.push_back(static_cast<std::size_t>(q));
         }
         wait_sum = f.get_f64("wait_sum");
@@ -270,17 +260,7 @@ FleetResult run_fleet(const FleetConfig& config)
             s.prev_time_s = f.get_f64(p + "prev_time_s");
             s.clock_s = f.get_f64(p + "clock_s");
         }
-        for (int n = 0; n < config.n_nodes; ++n) {
-            sim::Node& node = *nodes[static_cast<std::size_t>(n)];
-            node.cpu().restore_state(
-                snap.reader("fleet.cpu." + std::to_string(n)));
-            for (int g = 0; g < node.gpu_count(); ++g) {
-                node.gpu(g).restore_state(
-                    snap.reader("fleet.gpu." + std::to_string(n * gpn + g)));
-            }
-            node.counters().restore_state(
-                snap.reader("fleet.pm." + std::to_string(n)));
-        }
+        for (const auto& node : nodes) node->restore_state(snap);
         const auto n_running = f.get_u64("n_running");
         running.clear();
         for (std::uint64_t r = 0; r < n_running; ++r) {
@@ -288,12 +268,22 @@ FleetResult run_fleet(const FleetConfig& config)
             RunningJob rj;
             rj.spec = jobs.at(static_cast<std::size_t>(f.get_u64(p + "job_index")));
             for (std::uint64_t i : f.get_u64_vec(p + "nodes")) {
+                if (i >= nodes.size()) {
+                    throw checkpoint::CheckpointError(
+                        "fleet: " + p + "nodes holds node " + std::to_string(i) +
+                        " of " + std::to_string(nodes.size()));
+                }
                 rj.nodes.push_back(static_cast<int>(i));
             }
             rj.start_s = f.get_f64(p + "start_s");
             rj.t_s = f.get_f64(p + "t_s");
             rj.steps_done = static_cast<int>(f.get_i64(p + "steps_done"));
             rj.gpu_baseline_j = f.get_f64_vec(p + "gpu_baseline_j");
+            if (rj.gpu_baseline_j.size() !=
+                rj.nodes.size() * static_cast<std::size_t>(gpn)) {
+                throw checkpoint::CheckpointError(
+                    "fleet: " + p + "gpu_baseline_j does not hold one energy per GPU");
+            }
             std::vector<const pmcounters::PmCounters*> counters;
             for (int i : rj.nodes) {
                 counters.push_back(&nodes[static_cast<std::size_t>(i)]->counters());
@@ -314,7 +304,7 @@ FleetResult run_fleet(const FleetConfig& config)
             o.record.elapsed_s = f.get_f64(p + "elapsed_s");
             o.record.consumed_energy_j = f.get_f64(p + "consumed_energy_j");
             o.record.n_nodes = static_cast<int>(f.get_i64(p + "n_nodes"));
-            o.record.completed = f.get_bool(p + "completed");
+            o.record.completed = true; // outcomes are finished jobs
             o.arrival_s = f.get_f64(p + "arrival_s");
             o.start_s = f.get_f64(p + "start_s");
             o.finish_s = f.get_f64(p + "finish_s");
@@ -538,6 +528,9 @@ FleetResult run_fleet(const FleetConfig& config)
                 for (int g = 0; g < node.gpu_count(); ++g) {
                     node.gpu(g).set_power_limit_w(0.0);
                     node.gpu(g).reset_application_clocks();
+                    // The node syncs again only with its next job: publish
+                    // the cap set now, ahead of this round's checkpoint.
+                    node.gpu(g).publish_counters();
                 }
                 s.busy = false;
                 s.free_at = t_fin;

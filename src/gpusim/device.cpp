@@ -29,6 +29,15 @@ telemetry::Counter& kernel_batches_counter()
     return c;
 }
 
+/// Application-clock caps handed to the governor: one per application-clock
+/// set or reset, and one per switch to native DVFS.
+telemetry::Counter& cap_sets_counter()
+{
+    static telemetry::Counter& c =
+        telemetry::MetricsRegistry::global().counter("governor.cap_sets");
+    return c;
+}
+
 GpuDeviceSpec validated(GpuDeviceSpec spec)
 {
     spec.validate();
@@ -73,6 +82,10 @@ void GpuDevice::publish_counters()
         transitions_counter().inc(static_cast<double>(unpublished_transitions_));
         unpublished_transitions_ = 0;
     }
+    if (unpublished_cap_sets_ > 0) {
+        cap_sets_counter().inc(static_cast<double>(unpublished_cap_sets_));
+        unpublished_cap_sets_ = 0;
+    }
 }
 
 void GpuDevice::set_clock_policy(ClockPolicy policy)
@@ -80,6 +93,7 @@ void GpuDevice::set_clock_policy(ClockPolicy policy)
     policy_ = policy;
     if (policy_ == ClockPolicy::kNativeDvfs) {
         governor_.set_cap_mhz(spec_.max_compute_mhz);
+        ++unpublished_cap_sets_;
         current_clock_mhz_ = governor_.current_mhz();
     }
     else {
@@ -95,6 +109,7 @@ void GpuDevice::set_application_clocks(double mem_mhz, double compute_mhz)
     app_clock_mhz_ = spec_.quantize_clock(compute_mhz);
     mem_clock_mhz_ = mem_mhz > 0.0 ? mem_mhz : spec_.memory_clock_mhz;
     governor_.set_cap_mhz(app_clock_mhz_);
+    ++unpublished_cap_sets_;
     if (policy_ == ClockPolicy::kLockedAppClock) {
         // The locked clock takes effect at the next kernel.
     }
@@ -167,6 +182,7 @@ void GpuDevice::reset_application_clocks()
     app_clock_mhz_ = spec_.default_app_clock_mhz;
     mem_clock_mhz_ = spec_.memory_clock_mhz;
     governor_.set_cap_mhz(spec_.max_compute_mhz);
+    ++unpublished_cap_sets_;
 }
 
 void GpuDevice::record(double time, double clock_mhz)
@@ -395,7 +411,6 @@ void GpuDevice::save_state(checkpoint::StateWriter& writer) const
     writer.put_f64("last_power_w", last_power_w_);
     writer.put_f64("governor.cap_mhz", governor_.cap_mhz());
     writer.put_f64("governor.current_mhz", governor_.current_mhz());
-    writer.put_i64("governor.transitions", governor_.transition_count());
     save_series(writer, "clock_trace", clock_trace_, clock_text_);
 }
 
@@ -412,9 +427,9 @@ void GpuDevice::restore_state(const checkpoint::StateReader& reader)
     last_power_w_ = reader.get_f64("last_power_w");
     unpublished_batches_ = 0;
     unpublished_transitions_ = 0;
+    unpublished_cap_sets_ = 0;
     governor_.restore(reader.get_f64("governor.cap_mhz"),
-                      reader.get_f64("governor.current_mhz"),
-                      reader.get_i64("governor.transitions"));
+                      reader.get_f64("governor.current_mhz"));
     clock_text_ = {};
     restore_series(reader, "clock_trace", clock_trace_);
 }

@@ -90,12 +90,13 @@ public:
     long clock_transitions() const { return governor_.transition_count(); }
 
     // --- telemetry --------------------------------------------------------
-    /// Add the kernel batches and compute-clock transitions counted since the
-    /// last call to the registry's "gpusim.kernel_batches" and
-    /// "governor.transitions" (one inc each), then zero the counts.  The
-    /// device counts in plain members, so executing a rank on a pool thread
-    /// touches nothing shared; sim::Node::sync_to publishes on the driving
-    /// thread at every step end, the destructor publishes the rest.
+    /// Add the kernel batches, compute-clock transitions and governor cap sets
+    /// counted since the last call to the registry's "gpusim.kernel_batches",
+    /// "governor.transitions" and "governor.cap_sets" (one inc each), then
+    /// zero the counts.  The device counts in plain members, so executing a
+    /// rank on a pool thread touches nothing shared; sim::Node::sync_to
+    /// publishes on the driving thread at every step end, the destructor
+    /// publishes the rest.
     void publish_counters();
 
     // --- tracing (paper Fig. 9) -------------------------------------------
@@ -105,8 +106,9 @@ public:
 
     // --- checkpointing ----------------------------------------------------
     /// Serialize / overwrite all mutable device state (clock mode, energy
-    /// accumulator with its Kahan compensation, governor, clock trace).  The
-    /// spec and tracing flag are construction-time configuration and not saved.
+    /// accumulator with its Kahan compensation, governor clocks, clock
+    /// trace).  The spec and tracing flag are construction-time
+    /// configuration and not saved.
     /// restore_state drops the unpublished counts: the metrics registry's
     /// own checkpoint section already holds the totals of the restored run.
     void save_state(checkpoint::StateWriter& writer) const;
@@ -153,6 +155,7 @@ private:
     double last_power_w_ = 0.0;
     long unpublished_batches_ = 0;     ///< for "gpusim.kernel_batches"
     long unpublished_transitions_ = 0; ///< for "governor.transitions"
+    long unpublished_cap_sets_ = 0;    ///< for "governor.cap_sets"
 
     bool tracing_ = false;
     util::TimeSeries clock_trace_{"clock_mhz"};

@@ -1,22 +1,9 @@
 #include "gpusim/dvfs_governor.hpp"
 
-#include "telemetry/metrics.hpp"
-
 #include <algorithm>
 #include <cmath>
 
 namespace gsph::gpusim {
-
-namespace {
-
-telemetry::Counter& cap_sets_counter()
-{
-    static telemetry::Counter& c =
-        telemetry::MetricsRegistry::global().counter("governor.cap_sets");
-    return c;
-}
-
-} // namespace
 
 DvfsGovernor::DvfsGovernor(const GpuDeviceSpec& spec)
     : spec_(&spec),
@@ -28,7 +15,6 @@ DvfsGovernor::DvfsGovernor(const GpuDeviceSpec& spec)
 
 void DvfsGovernor::set_cap_mhz(double cap)
 {
-    cap_sets_counter().inc();
     cap_mhz_ = spec_->quantize_clock(cap);
     if (current_mhz_ > cap_mhz_) {
         current_mhz_ = cap_mhz_;

@@ -43,18 +43,19 @@ public:
     void set_cap_mhz(double cap);
     double cap_mhz() const { return cap_mhz_; }
 
-    /// Number of distinct clock changes so far (transition-energy accounting).
+    /// Distinct clock changes since construction, reset() or restore()
+    /// (transition-energy accounting reads differences of it).
     long transition_count() const { return transitions_; }
 
     void reset();
 
     /// Overwrite governor state from a checkpoint (bypasses the slew/quantize
     /// logic set_cap_mhz applies — the values were in effect when saved).
-    void restore(double cap_mhz, double current_mhz, long transitions)
+    void restore(double cap_mhz, double current_mhz)
     {
         cap_mhz_ = cap_mhz;
         current_mhz_ = current_mhz;
-        transitions_ = transitions;
+        transitions_ = 0;
     }
 
 private:

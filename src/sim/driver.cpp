@@ -54,7 +54,6 @@ std::function<void(Args...)> chain(std::function<void(Args...)> first,
 struct NodeBaseline {
     double cpu_j = 0.0;
     double dram_j = 0.0;
-    double aux_t = 0.0;
     std::vector<double> gpu_j;
 };
 
@@ -139,7 +138,6 @@ RunResult run_instrumented(const SystemSpec& system, const WorkloadTrace& trace,
         NodeBaseline& b = baselines[static_cast<std::size_t>(n)];
         b.cpu_j = node.cpu().package_energy_j();
         b.dram_j = node.cpu().dram_energy_j();
-        b.aux_t = result.loop_start_s;
         for (int g = 0; g < node.gpu_count(); ++g) b.gpu_j.push_back(node.gpu(g).energy_j());
     }
 
@@ -186,28 +184,14 @@ RunResult run_instrumented(const SystemSpec& system, const WorkloadTrace& trace,
                 const std::string prefix = "node." + std::to_string(n) + ".";
                 w.put_f64(prefix + "cpu_j", b.cpu_j);
                 w.put_f64(prefix + "dram_j", b.dram_j);
-                w.put_f64(prefix + "aux_t", b.aux_t);
                 w.put_f64_vec(prefix + "gpu_j", b.gpu_j);
-                const pmt::State& p = pmt_start[static_cast<std::size_t>(n)];
-                w.put_f64(prefix + "pmt_timestamp_s", p.timestamp_s);
-                w.put_f64(prefix + "pmt_joules", p.joules);
+                // The loop-window PMT reading uses the joules alone.
+                w.put_f64(prefix + "pmt_joules",
+                          pmt_start[static_cast<std::size_t>(n)].joules);
             }
             sections.push_back({"driver", w.take()});
         }
-        const auto gpus = cluster.all_gpus();
-        for (std::size_t i = 0; i < gpus.size(); ++i) {
-            checkpoint::StateWriter w;
-            gpus[i]->save_state(w);
-            sections.push_back({"gpu." + std::to_string(i), w.take()});
-        }
-        for (int n = 0; n < cluster.n_nodes(); ++n) {
-            checkpoint::StateWriter w;
-            cluster.node(n).cpu().save_state(w);
-            sections.push_back({"cpu." + std::to_string(n), w.take()});
-            checkpoint::StateWriter c;
-            cluster.node(n).counters().save_state(c);
-            sections.push_back({"pmcounters." + std::to_string(n), c.take()});
-        }
+        for (int n = 0; n < cluster.n_nodes(); ++n) cluster.node(n).save_state(sections);
         {
             checkpoint::StateWriter w;
             job.save_state(w);
@@ -261,23 +245,12 @@ RunResult run_instrumented(const SystemSpec& system, const WorkloadTrace& trace,
                 const std::string prefix = "node." + std::to_string(n) + ".";
                 b.cpu_j = r.get_f64(prefix + "cpu_j");
                 b.dram_j = r.get_f64(prefix + "dram_j");
-                b.aux_t = r.get_f64(prefix + "aux_t");
                 b.gpu_j = r.get_f64_vec(prefix + "gpu_j");
-                pmt::State& p = pmt_start[static_cast<std::size_t>(n)];
-                p.timestamp_s = r.get_f64(prefix + "pmt_timestamp_s");
-                p.joules = r.get_f64(prefix + "pmt_joules");
+                pmt_start[static_cast<std::size_t>(n)].joules =
+                    r.get_f64(prefix + "pmt_joules");
             }
         }
-        const auto gpus = cluster.all_gpus();
-        for (std::size_t i = 0; i < gpus.size(); ++i) {
-            gpus[i]->restore_state(snap.reader("gpu." + std::to_string(i)));
-        }
-        for (int n = 0; n < cluster.n_nodes(); ++n) {
-            cluster.node(n).cpu().restore_state(
-                snap.reader("cpu." + std::to_string(n)));
-            cluster.node(n).counters().restore_state(
-                snap.reader("pmcounters." + std::to_string(n)));
-        }
+        for (int n = 0; n < cluster.n_nodes(); ++n) cluster.node(n).restore_state(snap);
         job.restore_state(snap.reader("slurm"));
         if (config.checkpoint_participants) {
             config.checkpoint_participants->restore_all(snap);
@@ -429,7 +402,8 @@ RunResult run_instrumented(const SystemSpec& system, const WorkloadTrace& trace,
         const NodeBaseline& b = baselines[static_cast<std::size_t>(n)];
         result.cpu_energy_j += node.cpu().package_energy_j() - b.cpu_j;
         result.memory_energy_j += node.cpu().dram_energy_j() - b.dram_j;
-        result.other_energy_j += system.aux_power_w * (result.loop_end_s - b.aux_t);
+        result.other_energy_j +=
+            system.aux_power_w * (result.loop_end_s - result.loop_start_s);
         for (int g = 0; g < node.gpu_count(); ++g) {
             result.gpu_energy_j +=
                 node.gpu(g).energy_j() - b.gpu_j[static_cast<std::size_t>(g)];

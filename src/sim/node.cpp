@@ -53,6 +53,30 @@ void Node::sync_to(double t, double cpu_utilization, double mem_activity)
     counters_->sample_to(t);
 }
 
+void Node::save_state(std::vector<checkpoint::Section>& sections) const
+{
+    for (const auto& g : gpus_) {
+        checkpoint::StateWriter w;
+        g->save_state(w);
+        sections.push_back({"gpu." + std::to_string(g->index()), w.take()});
+    }
+    checkpoint::StateWriter cpu;
+    cpu_.save_state(cpu);
+    sections.push_back({"cpu." + std::to_string(index_), cpu.take()});
+    checkpoint::StateWriter counters;
+    counters_->save_state(counters);
+    sections.push_back({"pmcounters." + std::to_string(index_), counters.take()});
+}
+
+void Node::restore_state(const checkpoint::Snapshot& snap)
+{
+    for (auto& g : gpus_) {
+        g->restore_state(snap.reader("gpu." + std::to_string(g->index())));
+    }
+    cpu_.restore_state(snap.reader("cpu." + std::to_string(index_)));
+    counters_->restore_state(snap.reader("pmcounters." + std::to_string(index_)));
+}
+
 Cluster::Cluster(const SystemSpec& system, int n_ranks)
     : system_(system), n_ranks_(n_ranks)
 {

@@ -2,6 +2,7 @@
 /// \file node.hpp
 /// \brief A compute node (CPU + GPUs + pm_counters) and a cluster of them.
 
+#include "checkpoint/checkpoint.hpp"
 #include "cpusim/cpu.hpp"
 #include "gpusim/device.hpp"
 #include "pmcounters/pm_counters.hpp"
@@ -40,6 +41,13 @@ public:
     void sync_to(double t, double cpu_utilization = 0.12, double mem_activity = 0.06);
 
     std::vector<gpusim::GpuDevice*> gpu_pointers();
+
+    /// The node's physics as checkpoint sections `gpu.<device index>` (one
+    /// per GPU), `cpu.<node index>` and `pmcounters.<node index>`; the run
+    /// driver and the fleet both checkpoint a node through these.
+    void save_state(std::vector<checkpoint::Section>& sections) const;
+    /// Overwrite the node's physics from those sections of `snap`.
+    void restore_state(const checkpoint::Snapshot& snap);
 
 private:
     SystemSpec system_;

@@ -66,6 +66,30 @@ void Job::finish(double time_s)
     }
 }
 
+void Job::save_state(checkpoint::StateWriter& writer) const
+{
+    if (!started_ || finished_) {
+        throw std::logic_error("slurm Job: only a running job is checkpointed");
+    }
+    writer.put_f64_vec("baseline_j", baseline_j_);
+    writer.put_f64("start_time", start_time_);
+}
+
+void Job::restore_state(const checkpoint::StateReader& reader)
+{
+    std::vector<double> baseline_j = reader.get_f64_vec("baseline_j");
+    if (baseline_j.size() != nodes_.size()) {
+        throw checkpoint::CheckpointError("slurm: baseline_j holds " +
+                                          std::to_string(baseline_j.size()) +
+                                          " nodes, the job has " +
+                                          std::to_string(nodes_.size()));
+    }
+    baseline_j_ = std::move(baseline_j);
+    start_time_ = reader.get_f64("start_time");
+    started_ = true;
+    finished_ = false;
+}
+
 double Job::consumed_energy_j() const
 {
     if (!started_) return 0.0;

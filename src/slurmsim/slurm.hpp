@@ -59,27 +59,15 @@ public:
 
     JobRecord record() const;
 
-    /// Checkpoint accounting state.  The start-of-job counter baselines were
-    /// captured before the stepping loop; a resumed process must inherit
-    /// them, not re-snapshot mid-run values.
-    void save_state(checkpoint::StateWriter& writer) const
-    {
-        writer.put_f64_vec("baseline_j", baseline_j_);
-        writer.put_f64_vec("final_j", final_j_);
-        writer.put_f64("start_time", start_time_);
-        writer.put_f64("end_time", end_time_);
-        writer.put_bool("started", started_);
-        writer.put_bool("finished", finished_);
-    }
-    void restore_state(const checkpoint::StateReader& reader)
-    {
-        baseline_j_ = reader.get_f64_vec("baseline_j");
-        final_j_ = reader.get_f64_vec("final_j");
-        start_time_ = reader.get_f64("start_time");
-        end_time_ = reader.get_f64("end_time");
-        started_ = reader.get_bool("started");
-        finished_ = reader.get_bool("finished");
-    }
+    /// Checkpoint a running job: its start time and the start-of-job counter
+    /// baselines, captured before the stepping loop, which a resumed process
+    /// must inherit, not re-snapshot mid-run.  Only a running job is ever
+    /// checkpointed (the driver finishes its job after the loop, the fleet
+    /// saves running jobs only), so save_state throws std::logic_error on a
+    /// job that is unstarted or finished, and restore_state leaves the job
+    /// running.
+    void save_state(checkpoint::StateWriter& writer) const;
+    void restore_state(const checkpoint::StateReader& reader);
 
 private:
     std::string job_id_;

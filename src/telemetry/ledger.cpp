@@ -429,8 +429,7 @@ std::string AttributionLedger::top_exposition(std::size_t top_n) const
     return out;
 }
 
-bool AttributionLedger::write_jsonl(const std::string& path,
-                                    const Json& header) const
+std::string AttributionLedger::jsonl(const Json& header) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     Json h = Json::object();
@@ -472,7 +471,12 @@ bool AttributionLedger::write_jsonl(const std::string& path,
         append_decision(line, d);
         out += "}\n";
     }
-    return util::atomic_write_file(path, out);
+    return out;
+}
+
+bool AttributionLedger::write_jsonl(const std::string& path, const Json& header) const
+{
+    return util::atomic_write_file(path, jsonl(header));
 }
 
 void AttributionLedger::save_state(checkpoint::StateWriter& writer) const
@@ -481,15 +485,6 @@ void AttributionLedger::save_state(checkpoint::StateWriter& writer) const
     writer.put_i64("n_ranks", n_ranks_);
     writer.put_i64("steps_completed", steps_completed_);
     writer.put_i64("next_decision_id", next_decision_id_);
-    for (int r = 0; r < n_ranks_; ++r) {
-        const RankState& rs = ranks_[static_cast<std::size_t>(r)];
-        const std::string prefix = "rank." + std::to_string(r) + ".";
-        writer.put_bool(prefix + "primed", rs.primed);
-        writer.put_f64(prefix + "last_energy_j", rs.last_energy_j);
-        writer.put_f64(prefix + "last_time_s", rs.last_time_s);
-        writer.put_i64(prefix + "prev_function", rs.prev_function);
-        writer.put_f64(prefix + "applied_mhz", rs.applied_mhz);
-    }
     writer.put_u64("buckets", buckets_.size());
     std::size_t i = 0;
     for (const auto& [key, cell] : buckets_) {
@@ -566,16 +561,9 @@ void AttributionLedger::restore_state(const checkpoint::StateReader& reader)
     }
     steps_completed_ = static_cast<int>(reader.get_i64("steps_completed"));
     next_decision_id_ = reader.get_i64("next_decision_id");
-    for (int r = 0; r < n_ranks_; ++r) {
-        RankState& rs = ranks_[static_cast<std::size_t>(r)];
-        const std::string prefix = "rank." + std::to_string(r) + ".";
-        rs.primed = reader.get_bool(prefix + "primed");
-        rs.last_energy_j = reader.get_f64(prefix + "last_energy_j");
-        rs.last_time_s = reader.get_f64(prefix + "last_time_s");
-        rs.prev_function = static_cast<int>(reader.get_i64(prefix + "prev_function"));
-        rs.applied_mhz = reader.get_f64(prefix + "applied_mhz");
-        rs.dev = nullptr; // re-bound by the first before_function hook
-    }
+    // on_step_end swept every rank up to its device's energy and time, so a
+    // rank restarts unprimed: its first before-hook primes it there again.
+    ranks_.assign(ranks_.size(), RankState{});
     buckets_.clear();
     const std::uint64_t n_buckets = reader.get_u64("buckets");
     for (std::uint64_t i = 0; i < n_buckets; ++i) {

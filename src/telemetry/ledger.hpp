@@ -109,14 +109,17 @@ public:
     /// telemetry::check_exposition.
     std::string top_exposition(std::size_t top_n = 16) const;
 
-    /// Write the full ledger as JSONL: one header object (the caller's
-    /// `header` plus the schema), then one line per bucket, then one line
-    /// per decision, in deterministic order.  Atomic temp+rename; false on
-    /// I/O failure.
+    /// The full ledger as JSONL: one header object (the caller's `header`
+    /// plus the schema), then one line per bucket, then one line per
+    /// decision, in deterministic order.
+    std::string jsonl(const Json& header = {}) const;
+    /// Write jsonl(header) to `path`.  Atomic temp+rename; false on I/O
+    /// failure.
     bool write_jsonl(const std::string& path, const Json& header = {}) const;
 
-    /// Checkpoint the complete ledger state; a resumed run's JSONL is
-    /// byte-identical to an uninterrupted one's.
+    /// Checkpoint the buckets and decisions; a resumed run's JSONL is
+    /// byte-identical to an uninterrupted one's.  Each step end sweeps every
+    /// rank's window shut, so the per-rank windows are not saved.
     void save_state(checkpoint::StateWriter& writer) const;
     void restore_state(const checkpoint::StateReader& reader);
 

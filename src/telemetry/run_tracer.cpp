@@ -1,5 +1,6 @@
 #include "telemetry/run_tracer.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace gsph::telemetry {
@@ -14,9 +15,8 @@ std::size_t checked_ranks(int n_ranks)
 
 } // namespace
 
-RunTracer::RunTracer(int n_ranks, RunTracerConfig config)
+RunTracer::RunTracer(int n_ranks)
     : n_ranks_(n_ranks),
-      config_(std::move(config)),
       step_open_(checked_ranks(n_ranks), false),
       last_time_s_(static_cast<std::size_t>(n_ranks), 0.0)
 {
@@ -49,7 +49,7 @@ void RunTracer::on_before(int rank, gpusim::GpuDevice& dev, sph::SphFunction fn)
         tracer_.begin(rank, 0, "step " + std::to_string(current_step_), now, "step");
         step_open_[r] = true;
     }
-    tracer_.begin(rank, 0, sph::to_string(fn), now, config_.category);
+    tracer_.begin(rank, 0, sph::to_string(fn), now, "sph");
     last_time_s_[r] = now;
 }
 
@@ -58,15 +58,12 @@ void RunTracer::on_after(int rank, gpusim::GpuDevice& dev, sph::SphFunction /*fn
 {
     const auto r = static_cast<std::size_t>(rank);
     tracer_.end(rank, 0, res.end_s);
-    if (config_.counters) {
-        tracer_.counter(rank, "clock_mhz", res.end_s, res.mean_clock_mhz);
-        // The *applied* (requested) clock next to the effective one makes a
-        // stuck or throttled device visible as two diverging tracks.
-        tracer_.counter(rank, "applied_clock_mhz", res.end_s,
-                        dev.application_clock_mhz());
-        tracer_.counter(rank, "power_w", res.end_s, res.mean_power_w);
-        tracer_.counter(rank, "energy_j", res.end_s, dev.energy_j());
-    }
+    tracer_.counter(rank, "clock_mhz", res.end_s, res.mean_clock_mhz);
+    // The *applied* (requested) clock next to the effective one makes a
+    // stuck or throttled device visible as two diverging tracks.
+    tracer_.counter(rank, "applied_clock_mhz", res.end_s, dev.application_clock_mhz());
+    tracer_.counter(rank, "power_w", res.end_s, res.mean_power_w);
+    tracer_.counter(rank, "energy_j", res.end_s, dev.energy_j());
     last_time_s_[r] = res.end_s;
 }
 
@@ -92,27 +89,13 @@ void RunTracer::add_counter_series(int pid, const std::string& name,
 void RunTracer::save_state(checkpoint::StateWriter& writer) const
 {
     writer.put_i64("current_step", current_step_);
-    std::vector<std::uint64_t> open_flags;
-    for (const bool open : step_open_) open_flags.push_back(open ? 1 : 0);
-    writer.put_u64_vec("step_open", open_flags);
-    writer.put_f64_vec("last_time_s", last_time_s_);
     tracer_.save_state(writer);
 }
 
 void RunTracer::restore_state(const checkpoint::StateReader& reader)
 {
     current_step_ = static_cast<int>(reader.get_i64("current_step"));
-    const auto open_flags = reader.get_u64_vec("step_open");
-    const auto last_times = reader.get_f64_vec("last_time_s");
-    if (open_flags.size() != step_open_.size() ||
-        last_times.size() != last_time_s_.size()) {
-        throw checkpoint::CheckpointError(
-            "runtracer: checkpointed rank count does not match this run");
-    }
-    for (std::size_t r = 0; r < open_flags.size(); ++r) {
-        step_open_[r] = open_flags[r] != 0;
-    }
-    last_time_s_ = last_times;
+    std::fill(step_open_.begin(), step_open_.end(), false);
     tracer_.restore_state(reader);
 }
 

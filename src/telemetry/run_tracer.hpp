@@ -21,14 +21,9 @@
 
 namespace gsph::telemetry {
 
-struct RunTracerConfig {
-    bool counters = true;        ///< emit clock/power/energy counter tracks
-    std::string category = "sph";
-};
-
 class RunTracer {
 public:
-    explicit RunTracer(int n_ranks, RunTracerConfig config = {});
+    explicit RunTracer(int n_ranks);
 
     /// Append the tracing hooks (sim::RunHooks states the order).
     void attach(sim::RunHooks& hooks);
@@ -46,10 +41,12 @@ public:
         return tracer_.write_file(path);
     }
 
-    /// Checkpoint the step bookkeeping plus the full tracer contents
+    /// Checkpoint the step index plus the full tracer contents
     /// (SpanTracer::save_state: every recorded event, args included, and the
     /// open-span depths) so a resumed run's --trace-json covers the whole
-    /// run, not just the steps after the resume point.
+    /// run, not just the steps after the resume point.  Every step span is
+    /// closed at a step boundary, so the per-rank span bookkeeping is not
+    /// saved.
     void save_state(checkpoint::StateWriter& writer) const;
     void restore_state(const checkpoint::StateReader& reader);
 
@@ -60,7 +57,6 @@ private:
     void on_step_end(int step);
 
     int n_ranks_;
-    RunTracerConfig config_;
     SpanTracer tracer_;
     int current_step_ = 0;
     std::vector<bool> step_open_;    ///< per rank: "step N" span open

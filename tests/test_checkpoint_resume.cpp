@@ -11,6 +11,7 @@
 #include "faults/fault_injector.hpp"
 #include "sim/driver.hpp"
 #include "sim/system.hpp"
+#include "telemetry/ledger.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/run_tracer.hpp"
 #include "telemetry/sampler.hpp"
@@ -402,6 +403,55 @@ TEST(CheckpointResumeTracer, ResumedRunReproducesTheTrace)
         sim::RunConfig resumed = base;
         resumed.resume = &snap;
         EXPECT_EQ(traced_run(resumed), reference);
+    }
+}
+
+// ---- attribution ledger across a checkpoint/resume boundary ----------------
+
+TEST(CheckpointResumeLedger, ResumedRunReproducesTheLedger)
+{
+    // A restored ledger starts every rank unprimed: the first before-hook
+    // primes it at the device energy and time the last step end swept it
+    // to, so the resumed JSONL is byte-identical to the uninterrupted one.
+    for (const int threads : {1, 4}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        sim::RunConfig base;
+        base.n_ranks = 2;
+        base.n_threads = threads;
+        base.setup_s = 2.0;
+
+        const auto ledger_run = [&](const sim::RunConfig& c) {
+            telemetry::AttributionLedger ledger(base.n_ranks);
+            sim::RunHooks hooks;
+            ledger.attach(hooks);
+            auto policy = core::make_mandyn_policy(core::reference_a100_turbulence_table());
+            checkpoint::StateRegistry registry;
+            registry.add(
+                "policy", [&](checkpoint::StateWriter& w) { policy->save_state(w); },
+                [&](const checkpoint::StateReader& r) { policy->restore_state(r); });
+            registry.add(
+                "ledger", [&](checkpoint::StateWriter& w) { ledger.save_state(w); },
+                [&](const checkpoint::StateReader& r) { ledger.restore_state(r); });
+            sim::RunConfig run = c;
+            run.checkpoint_participants = &registry;
+            core::run_with_policy(sim::mini_hpc(), trace(), run, *policy, hooks);
+            return ledger.jsonl();
+        };
+
+        const std::string reference = ledger_run(base);
+
+        TempDir dir;
+        sim::RunConfig checkpointed = base;
+        checkpointed.checkpoint_every = 2;
+        checkpointed.checkpoint_dir = dir.path();
+        checkpointed.config_hash = "test";
+        EXPECT_EQ(ledger_run(checkpointed), reference);
+
+        const checkpoint::Snapshot snap = checkpoint::read_latest(dir.path());
+        ASSERT_EQ(snap.step, 4);
+        sim::RunConfig resumed = base;
+        resumed.resume = &snap;
+        EXPECT_EQ(ledger_run(resumed), reference);
     }
 }
 

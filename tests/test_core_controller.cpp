@@ -2,11 +2,18 @@
 
 #include "nvmlsim/nvml.hpp"
 #include "rocmsmi/rocm_smi.hpp"
+#include "telemetry/metrics.hpp"
 
 #include <gtest/gtest.h>
 
 namespace gsph::core {
 namespace {
+
+/// The registry's count of applies skipped as redundant.
+double skipped_calls()
+{
+    return telemetry::MetricsRegistry::global().value("controller.skipped.calls");
+}
 
 class ControllerFixture : public ::testing::Test {
 protected:
@@ -44,10 +51,11 @@ TEST_F(ControllerFixture, SkipsRedundantCalls)
     FrequencyController ctl(reference_a100_turbulence_table(), 1);
     ctl.apply(0, sph::SphFunction::kXMass);            // 1005: set
     const long calls = ctl.backend_calls();
+    const double skipped = skipped_calls();
     ctl.apply(0, sph::SphFunction::kEquationOfState);  // 1005: skipped
     ctl.apply(0, sph::SphFunction::kAVswitches);       // 1005: skipped
     EXPECT_EQ(ctl.backend_calls(), calls);
-    EXPECT_EQ(ctl.skipped_calls(), 2);
+    EXPECT_EQ(skipped_calls(), skipped + 2.0);
     ctl.apply(0, sph::SphFunction::kMomentumEnergy);   // 1350: set
     EXPECT_EQ(ctl.backend_calls(), calls + 1);
 }
@@ -100,10 +108,11 @@ TEST_F(ControllerFixture, FailedApplyDoesNotPoisonCache)
     // arrives, the controller retries instead of skipping.
     nvmlsim::set_user_clock_permission(false);
     FrequencyController ctl(reference_a100_turbulence_table(), 1);
+    const double skipped = skipped_calls();
     EXPECT_EQ(ctl.apply(0, sph::SphFunction::kXMass), ClockStatus::kPermissionDenied);
     nvmlsim::set_user_clock_permission(true);
     EXPECT_EQ(ctl.apply(0, sph::SphFunction::kXMass), ClockStatus::kOk);
-    EXPECT_EQ(ctl.skipped_calls(), 0);
+    EXPECT_EQ(skipped_calls(), skipped);
     EXPECT_DOUBLE_EQ(dev0_.application_clock_mhz(), 1005.0);
 }
 

@@ -346,6 +346,38 @@ TEST(OnlineTuner, RestoreRejectsMissingStage)
     EXPECT_THROW(fresh->restore_state(reader), checkpoint::CheckpointError);
 }
 
+TEST(OnlineTuner, RestoreRejectsIndicesItsStageWouldRead)
+{
+    // A confirming function reads its predicted candidate, a waiting one its
+    // seed anchor: restoring either stage with the index at -1 ("none"), or
+    // any index below -1, must be refused, not read out of bounds later.
+    auto policy = make_online_mandyn_policy(config_with_band());
+    core::run_with_policy(sim::mini_hpc(), turb450(), run_config(3), *policy);
+    checkpoint::StateWriter writer;
+    policy->save_state(writer);
+    const auto with = [&writer](std::vector<std::pair<std::string, std::string>> values) {
+        std::string payload = writer.str();
+        for (const auto& [key, value] : values) {
+            const auto pos = payload.find(key + "=");
+            EXPECT_NE(pos, std::string::npos) << key;
+            const auto eol = payload.find('\n', pos);
+            payload.replace(pos, eol - pos, key + "=" + value);
+        }
+        return payload;
+    };
+    for (const std::string& payload :
+         {with({{"fn.0.stage", "3"}, {"fn.0.predicted_idx", "-1"}}),
+          with({{"fn.0.stage", "1"}, {"fn.0.seed_anchor", "-1"}}),
+          with({{"fn.0.predicted_idx", "-2"}}), with({{"fn.0.seed_anchor", "-2"}})}) {
+        auto fresh = make_online_mandyn_policy(config_with_band());
+        sim::RunHooks hooks;
+        fresh->attach(hooks, 1);
+        EXPECT_THROW(fresh->restore_state(checkpoint::StateReader("policy", payload)),
+                     checkpoint::CheckpointError)
+            << payload.substr(0, 200);
+    }
+}
+
 // ---- decision audit: no phantom predictions -------------------------------
 
 TEST(OnlineTuner, WarmupDecisionsAreMarkedNoPrediction)

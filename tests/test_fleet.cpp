@@ -390,6 +390,45 @@ TEST(FleetDeterminism, CheckpointResumeBitIdentical)
     expect_identical(reference, resumed);
 }
 
+/// A checkpoint is input from outside the process: a resume refuses indices
+/// that point outside the job list or the fleet, and baselines that do not
+/// hold one energy per GPU of the job, instead of reading out of bounds.
+TEST(FleetDeterminism, ResumeRejectsIndicesOutsideTheFleet)
+{
+    TempDir dir;
+    auto cfg = small_fleet(fleet::FleetPolicy::kNegotiated);
+    const fleet::PowerCoordinator probe(fleet::FleetPolicy::kUncapped, 0.0,
+                                        cfg.system, cfg.n_nodes);
+    cfg.budget_w = 0.6 * cfg.n_nodes * probe.node_tdp_w();
+    auto paused_cfg = cfg;
+    paused_cfg.checkpoint_every = 3;
+    paused_cfg.checkpoint_dir = dir.path() + "/ck";
+    paused_cfg.stop_after_rounds = 3;
+    ASSERT_TRUE(fleet::run_fleet(paused_cfg).paused);
+    const checkpoint::Snapshot snap = checkpoint::read_latest(dir.path() + "/ck");
+    ASSERT_GT(snap.reader("fleet").get_u64("n_running"), 0u);
+
+    const auto with = [&snap](const std::string& key, const std::string& value) {
+        checkpoint::Snapshot corrupt = snap;
+        for (checkpoint::Section& section : corrupt.sections) {
+            if (section.name != "fleet") continue;
+            const auto pos = section.data.find(key + "=");
+            EXPECT_NE(pos, std::string::npos) << key;
+            const auto eol = section.data.find('\n', pos);
+            section.data.replace(pos, eol - pos, key + "=" + value);
+        }
+        return corrupt;
+    };
+    for (const auto& [key, value] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"queue", "6"}, {"run.0.nodes", "4"}, {"run.0.gpu_baseline_j", ""}}) {
+        const checkpoint::Snapshot corrupt = with(key, value);
+        auto resume_cfg = cfg;
+        resume_cfg.resume = &corrupt;
+        EXPECT_THROW(fleet::run_fleet(resume_cfg), checkpoint::CheckpointError) << key;
+    }
+}
+
 // ------------------------------------------------------- CLI kill -> resume
 
 std::string slurp(const std::string& path)

@@ -403,16 +403,18 @@ TEST(Device, TraceSavesMatchAFreshSave)
     EXPECT_EQ(saved(restored), saved(dev));
 }
 
-/// The registry's kernel-batch and clock-transition totals.
+/// The registry's kernel-batch, clock-transition and cap-set totals.
 struct Published {
     double batches;
     double transitions;
+    double cap_sets;
 };
 
 Published published()
 {
     const auto& reg = telemetry::MetricsRegistry::global();
-    return {reg.value("gpusim.kernel_batches"), reg.value("governor.transitions")};
+    return {reg.value("gpusim.kernel_batches"), reg.value("governor.transitions"),
+            reg.value("governor.cap_sets")};
 }
 
 TEST(Device, CountsReachTheRegistryOnlyWhenPublished)
@@ -426,18 +428,24 @@ TEST(Device, CountsReachTheRegistryOnlyWhenPublished)
         dev.idle(0.1);             // 1110 MHz -> park
         EXPECT_EQ(published().batches, before.batches);
         EXPECT_EQ(published().transitions, before.transitions);
+        EXPECT_EQ(published().cap_sets, before.cap_sets);
 
         dev.publish_counters();
         EXPECT_EQ(published().batches, before.batches + 2.0);
         EXPECT_EQ(published().transitions, before.transitions + 2.0);
+        EXPECT_EQ(published().cap_sets, before.cap_sets + 1.0);
         dev.publish_counters(); // nothing new: adds nothing
         EXPECT_EQ(published().batches, before.batches + 2.0);
+        EXPECT_EQ(published().cap_sets, before.cap_sets + 1.0);
 
         dev.execute(big_kernel());
+        dev.reset_application_clocks();
+        dev.set_clock_policy(ClockPolicy::kNativeDvfs);
     }
     // The destructor publishes what was left.
     EXPECT_EQ(published().batches, before.batches + 3.0);
     EXPECT_EQ(published().transitions, before.transitions + 3.0);
+    EXPECT_EQ(published().cap_sets, before.cap_sets + 3.0);
 }
 
 TEST(Device, RestoreDropsCountsFromBeforeTheRestore)
@@ -456,6 +464,7 @@ TEST(Device, RestoreDropsCountsFromBeforeTheRestore)
         dev.publish_counters();
         EXPECT_EQ(published().batches, before.batches);
         EXPECT_EQ(published().transitions, before.transitions);
+        EXPECT_EQ(published().cap_sets, before.cap_sets);
 
         // Work after the restore is counted as usual.
         dev.set_application_clocks(1593.0, 1110.0);
@@ -463,6 +472,7 @@ TEST(Device, RestoreDropsCountsFromBeforeTheRestore)
     }
     EXPECT_EQ(published().batches, before.batches + 1.0);
     EXPECT_EQ(published().transitions, before.transitions + 1.0);
+    EXPECT_EQ(published().cap_sets, before.cap_sets + 1.0);
 }
 
 TEST(Device, NoTracesByDefault)

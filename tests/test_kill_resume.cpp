@@ -110,6 +110,23 @@ std::map<std::string, std::string> summary_members(const std::string& path)
     return out;
 }
 
+/// The --metrics-json document minus the checkpoint writer's counters: a
+/// resumed run commits and restores differently, in different bytes and
+/// seconds, from the run it resumes.
+std::string metrics_without_checkpoint(const std::string& path)
+{
+    const std::string text = slurp(path);
+    EXPECT_FALSE(text.empty()) << "missing metrics " << path;
+    if (text.empty()) return {};
+    telemetry::Json doc = telemetry::Json::parse(text);
+    telemetry::Json counters = telemetry::Json::object();
+    for (const auto& [name, value] : doc.at("counters").members()) {
+        if (name.rfind("checkpoint.", 0) != 0) counters[name] = value;
+    }
+    doc["counters"] = std::move(counters);
+    return doc.dump();
+}
+
 struct KillCase {
     int threads;
     int ranks;
@@ -169,6 +186,8 @@ TEST_P(KillResume, ResumedSummaryMatchesUninterruptedMinusProvenance)
     TempDir dir;
     const std::string ref_summary = dir.path() + "/ref.json";
     const std::string res_summary = dir.path() + "/resumed.json";
+    const std::string ref_metrics = dir.path() + "/ref_metrics.json";
+    const std::string res_metrics = dir.path() + "/resumed_metrics.json";
     const std::string ref_ckpt = dir.path() + "/ck_ref";
     const std::string kill_ckpt = dir.path() + "/ck_kill";
     std::vector<std::string> extra;
@@ -183,18 +202,26 @@ TEST_P(KillResume, ResumedSummaryMatchesUninterruptedMinusProvenance)
                  "9007199254740993"};
     }
 
+    const auto with_metrics = [&extra](const std::string& path) {
+        std::vector<std::string> args = extra;
+        args.insert(args.end(), {"--metrics-json", path});
+        return args;
+    };
+
     // Uninterrupted reference (same durable faults, no kill clause).
-    ASSERT_TRUE(exited_zero(
-        run_cli(run_args(param, ref_ckpt, ref_summary, param.faults, extra))));
+    ASSERT_TRUE(exited_zero(run_cli(
+        run_args(param, ref_ckpt, ref_summary, param.faults, with_metrics(ref_metrics)))));
 
     // Killed run: SIGKILL at end of step index 4, after the step-4 commit.
     std::string killer = param.faults;
     if (!killer.empty()) killer += ";";
     killer += "kill-at-step:step=4";
-    const int status = run_cli(run_args(param, kill_ckpt, res_summary, killer, extra));
+    const int status = run_cli(
+        run_args(param, kill_ckpt, res_summary, killer, with_metrics(res_metrics)));
     ASSERT_TRUE(WIFSIGNALED(status)) << "status " << status;
     EXPECT_EQ(WTERMSIG(status), SIGKILL);
     EXPECT_TRUE(slurp(res_summary).empty()) << "killed run must not emit a summary";
+    EXPECT_TRUE(slurp(res_metrics).empty()) << "killed run must not emit metrics";
     if (param.inputs) {
         // The config echo holds the seed as a double, so neither the hash
         // nor the summary could tell 2^53 + 1 from 2^53; the checkpoint must.
@@ -204,12 +231,15 @@ TEST_P(KillResume, ResumedSummaryMatchesUninterruptedMinusProvenance)
 
     // Resume: run-defining options come from the checkpoint, not the flags.
     ASSERT_TRUE(exited_zero(run_cli({"run", "--resume", kill_ckpt, "--summary-json",
-                                     res_summary, "--log-level", "off"})));
+                                     res_summary, "--metrics-json", res_metrics,
+                                     "--log-level", "off"})));
 
     const auto ref = summary_members(ref_summary);
     const auto resumed = summary_members(res_summary);
     ASSERT_FALSE(ref.empty());
     EXPECT_EQ(resumed, ref);
+    EXPECT_EQ(metrics_without_checkpoint(res_metrics),
+              metrics_without_checkpoint(ref_metrics));
 
     // Provenance must record the resume itself.
     const auto doc = telemetry::Json::parse(slurp(res_summary));
@@ -229,7 +259,10 @@ INSTANTIATE_TEST_SUITE_P(
                     // (and the config hash) on its own.
                     KillCase{1, 2, "online", "", "model"},
                     KillCase{4, 2, "online", "", "model"},
-                    KillCase{1, 2, "mandyn", "transient-set:p=0.2", "", true}),
+                    KillCase{1, 2, "mandyn", "transient-set:p=0.2", "", true},
+                    // The only policy whose governor state crosses a step
+                    // boundary.
+                    KillCase{4, 2, "dvfs", "", ""}),
     case_name);
 
 /// The summary minus provenance.argv (the command line itself), dumped.

@@ -134,19 +134,21 @@ TEST_F(DriverFixture, EveryFunctionAccountedOncePerStepPerRank)
 
 TEST_F(DriverFixture, DeviceCountsArePublishedByEveryStepEnd)
 {
-    // Devices count kernel batches and clock transitions in plain members
-    // and publish them at each step end, before the after_step hooks; the
-    // driver adds one function call per rank.  Three ranks leave one of the
-    // second node's two GPUs unused, idling under the clock policy.
+    // Devices count kernel batches, clock transitions and governor cap sets
+    // in plain members and publish them at each step end, before the
+    // after_step hooks; the driver adds one function call per rank.  Three
+    // ranks leave one of the second node's two GPUs unused, idling under the
+    // clock policy.
     const auto value = [](const char* name) {
         return telemetry::MetricsRegistry::global().value(name);
     };
     struct Case {
         gpusim::ClockPolicy policy;
         double transitions; ///< as counted when every transition bumped the registry
+        double cap_sets;    ///< likewise for every cap the governor was given
     };
-    for (const Case c : {Case{gpusim::ClockPolicy::kLockedAppClock, 90.0},
-                         Case{gpusim::ClockPolicy::kNativeDvfs, 204.0}}) {
+    for (const Case c : {Case{gpusim::ClockPolicy::kLockedAppClock, 90.0, 0.0},
+                         Case{gpusim::ClockPolicy::kNativeDvfs, 204.0, 4.0}}) {
         for (const int threads : {1, 4}) {
             SCOPED_TRACE(std::to_string(threads) + " threads, policy " +
                          std::to_string(static_cast<int>(c.policy)));
@@ -157,6 +159,7 @@ TEST_F(DriverFixture, DeviceCountsArePublishedByEveryStepEnd)
             const double calls0 = value("driver.function_calls");
             const double batches0 = value("gpusim.kernel_batches");
             const double transitions0 = value("governor.transitions");
+            const double cap_sets0 = value("governor.cap_sets");
             double rank_kernels = 0.0;
             int steps_seen = 0;
             RunHooks hooks;
@@ -166,6 +169,8 @@ TEST_F(DriverFixture, DeviceCountsArePublishedByEveryStepEnd)
                                       .functions.size());
                 EXPECT_EQ(value("driver.function_calls") - calls0, rank_kernels) << step;
                 EXPECT_EQ(value("gpusim.kernel_batches") - batches0, rank_kernels) << step;
+                // Every cap is set before the loop.
+                EXPECT_EQ(value("governor.cap_sets") - cap_sets0, c.cap_sets) << step;
                 ++steps_seen;
             };
             run_instrumented(mini_hpc(), trace(), cfg, hooks);
@@ -173,6 +178,7 @@ TEST_F(DriverFixture, DeviceCountsArePublishedByEveryStepEnd)
             EXPECT_EQ(value("driver.function_calls") - calls0, rank_kernels);
             EXPECT_EQ(value("gpusim.kernel_batches") - batches0, rank_kernels);
             EXPECT_EQ(value("governor.transitions") - transitions0, c.transitions);
+            EXPECT_EQ(value("governor.cap_sets") - cap_sets0, c.cap_sets);
         }
     }
 }

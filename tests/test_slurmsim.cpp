@@ -139,15 +139,49 @@ TEST(SlurmJob, FloorsPerNodeNotCrossNodeTotal)
     // total instead over-reports whenever the per-node fractions sum past 1.
     TestNode a, b;
     Job job("50", "floor", {&a.counters, &b.counters});
-    checkpoint::StateWriter writer;
-    writer.put_f64_vec("baseline_j", {0.0, 0.0});
-    writer.put_f64_vec("final_j", {10.6, 10.5});
-    writer.put_f64("start_time", 0.0);
-    writer.put_f64("end_time", 1.0);
-    writer.put_bool("started", true);
-    writer.put_bool("finished", true);
-    job.restore_state(checkpoint::StateReader("slurm", writer.str()));
-    EXPECT_DOUBLE_EQ(job.consumed_energy_j(), 20.0); // not floor(21.1) == 21
+    job.start(0.0);
+    const double baseline = a.counters.node_energy_j(); // the same on both nodes
+    // Advance both nodes until each one's delta has a fractional part of at
+    // least half a joule, so the per-node fractions sum past 1.
+    double t = 0.0;
+    double delta = 0.0;
+    do {
+        t += 0.1;
+        a.advance(0.1, t);
+        b.advance(0.1, t);
+        delta = a.counters.node_energy_j() - baseline;
+    } while (delta - std::floor(delta) < 0.5);
+    ASSERT_EQ(b.counters.node_energy_j(), a.counters.node_energy_j());
+    job.finish(t);
+    EXPECT_DOUBLE_EQ(job.consumed_energy_j(), 2.0 * std::floor(delta));
+    EXPECT_LT(job.consumed_energy_j(), std::floor(2.0 * delta)); // the cross-node floor
+}
+
+TEST(SlurmJob, CheckpointsOnlyARunningJob)
+{
+    // A checkpoint falls between steps, where a job is always running.
+    TestNode node;
+    Job job("52", "ckpt", {&node.counters});
+    checkpoint::StateWriter unstarted;
+    EXPECT_THROW(job.save_state(unstarted), std::logic_error);
+    job.start(0.0);
+    node.advance(5.0, 5.0);
+    checkpoint::StateWriter running;
+    job.save_state(running);
+
+    Job two_nodes("52", "ckpt", {&node.counters, &node.counters});
+    EXPECT_THROW(two_nodes.restore_state(checkpoint::StateReader("slurm", running.str())),
+                 checkpoint::CheckpointError); // one baseline per node
+    Job restored("52", "ckpt", {&node.counters});
+    restored.restore_state(checkpoint::StateReader("slurm", running.str()));
+    EXPECT_TRUE(restored.started());
+    EXPECT_FALSE(restored.finished());
+    EXPECT_EQ(restored.record().consumed_energy_j, job.record().consumed_energy_j);
+    job.finish(5.0);
+    restored.finish(5.0);
+    EXPECT_EQ(restored.record().consumed_energy_j, job.record().consumed_energy_j);
+    checkpoint::StateWriter finished;
+    EXPECT_THROW(job.save_state(finished), std::logic_error);
 }
 
 TEST(SlurmJob, RunningJobReportsTimeAndEnergySoFar)
