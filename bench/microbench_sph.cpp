@@ -3,6 +3,7 @@
 /// full time-step.  These measure host throughput of the real physics (not
 /// simulated device time).
 
+#include "sim/workload.hpp"
 #include "sph/functions.hpp"
 #include "sph/ic.hpp"
 #include "sph/kernel.hpp"
@@ -63,6 +64,59 @@ void BM_NeighborSearch(benchmark::State& state)
                             static_cast<std::int64_t>(sim.particles().size()));
 }
 BENCHMARK(BM_NeighborSearch)->Arg(8)->Arg(12)->Arg(16);
+
+/// A simulation as `sim::record_trace` builds it (default neighbour target
+/// 100, default seed), after its first domain decomposition and, when
+/// `through` is a pair loop, every function before it.
+sph::SphSimulation make_recorded(sim::WorkloadKind kind, int nside,
+                                 sph::SphFunction through = sph::SphFunction::kFindNeighbors)
+{
+    sim::WorkloadSpec spec;
+    spec.kind = kind;
+    spec.real_nside = nside;
+    auto simulation = sim::make_simulation(spec);
+    for (const sph::SphFunction fn : sph::function_order(simulation.config().gravity)) {
+        if (fn == through) break;
+        simulation.run_function(fn);
+    }
+    return simulation;
+}
+
+/// FindNeighbors at the record workload's shapes: turbulence 12^3 (a 4^3
+/// grid of 27 particles per cell) and Evrard 10^3 (open box, dense core).
+void BM_RecordNeighborSearch(benchmark::State& state, sim::WorkloadKind kind, int nside)
+{
+    auto simulation = make_recorded(kind, nside);
+    sph::NeighborList nl;
+    std::size_t pairs = 0;
+    for (auto _ : state) {
+        pairs = sph::find_all_neighbors(simulation.particles(), simulation.box(), nl);
+        benchmark::DoNotOptimize(pairs);
+    }
+    state.counters["pairs"] = static_cast<double>(pairs);
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(simulation.particles().size()));
+}
+BENCHMARK_CAPTURE(BM_RecordNeighborSearch, turbulence12,
+                  sim::WorkloadKind::kSubsonicTurbulence, 12);
+BENCHMARK_CAPTURE(BM_RecordNeighborSearch, evrard10, sim::WorkloadKind::kEvrardCollapse, 10);
+
+/// One pair loop on the turbulence 12^3 recording's first-step state.  Each
+/// rewrites only its own outputs, so repeats do the same work.
+void BM_PairLoops(benchmark::State& state, sph::SphFunction fn)
+{
+    auto simulation = make_recorded(sim::WorkloadKind::kSubsonicTurbulence, 12, fn);
+    for (auto _ : state) {
+        const auto work = simulation.run_function(fn);
+        benchmark::DoNotOptimize(work.flops);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(simulation.neighbors().total_pairs()));
+}
+BENCHMARK_CAPTURE(BM_PairLoops, XMass, sph::SphFunction::kXMass);
+BENCHMARK_CAPTURE(BM_PairLoops, NormalizationGradh, sph::SphFunction::kNormalizationGradh);
+BENCHMARK_CAPTURE(BM_PairLoops, IADVelocityDivCurl, sph::SphFunction::kIadVelocityDivCurl);
+BENCHMARK_CAPTURE(BM_PairLoops, MomentumEnergy, sph::SphFunction::kMomentumEnergy);
 
 void BM_OctreeBuild(benchmark::State& state)
 {

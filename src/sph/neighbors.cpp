@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace gsph::sph {
@@ -83,22 +84,39 @@ void CellGrid::assign(const ParticleSet& particles)
         cell_of_[i] = c;
         ++cell_start_[c + 1];
     }
+    max_cell_ = 0;
     for (std::size_t c = 0; c + 1 < cell_start_.size(); ++c) {
+        max_cell_ = std::max(max_cell_, cell_start_[c + 1]);
         cell_start_[c + 1] += cell_start_[c];
     }
 
     // Stable counting sort: particles keep ascending index order in a cell.
+    // Each cell's bounding box grows with the coordinates it receives; a
+    // NaN never widens one, and its own candidate tests all fail anyway.
     std::vector<std::uint32_t> next(cell_start_.begin(), cell_start_.end() - 1);
     index_.resize(n);
     sx_.resize(n);
     sy_.resize(n);
     sz_.resize(n);
+    const double inf = std::numeric_limits<double>::infinity();
+    cell_lo_.assign(cell_count(), Vec3{inf, inf, inf});
+    cell_hi_.assign(cell_count(), Vec3{-inf, -inf, -inf});
+    max_abs_ = Vec3{};
+    auto widen = [](double v, double& lo, double& hi, double& max_abs) {
+        if (v < lo) lo = v;
+        if (v > hi) hi = v;
+        if (std::fabs(v) > max_abs) max_abs = std::fabs(v);
+    };
     for (std::size_t i = 0; i < n; ++i) {
-        const std::uint32_t q = next[cell_of_[i]]++;
+        const std::uint32_t c = cell_of_[i];
+        const std::uint32_t q = next[c]++;
         index_[q] = static_cast<std::uint32_t>(i);
         sx_[q] = particles.x[i];
         sy_[q] = particles.y[i];
         sz_[q] = particles.z[i];
+        widen(sx_[q], cell_lo_[c].x, cell_hi_[c].x, max_abs_.x);
+        widen(sy_[q], cell_lo_[c].y, cell_hi_[c].y, max_abs_.y);
+        widen(sz_[q], cell_lo_[c].z, cell_hi_[c].z, max_abs_.z);
     }
 }
 
@@ -161,6 +179,26 @@ std::size_t CellGrid::find_neighbors(ParticleSet& particles, NeighborList& out) 
         k = static_cast<int>(m);
     };
 
+    // The skip's rounding margin (DESIGN.md, sph).  A candidate's d_x is
+    // (x_i - x_q) - s_x and the gap to a cell is max(lo - (x_i - s_x),
+    // (x_i - s_x) - hi): with M the largest |coordinate| or |shift| on the
+    // axis, each is within 5 u M of its exact value (u = 2^-53), so a gap
+    // less 16 u M is below every candidate's computed |d_x|.  Summing the
+    // squares then errs by at most 3 u relative on each side, which a
+    // threshold 16 u above r2max covers.
+    constexpr double kEps = std::numeric_limits<double>::epsilon(); // 2u
+    const Vec3 margin{8.0 * kEps * std::max(max_abs_.x, box_.periodic_x ? lx : 0.0),
+                      8.0 * kEps * std::max(max_abs_.y, box_.periodic_y ? ly : 0.0),
+                      8.0 * kEps * std::max(max_abs_.z, box_.periodic_z ? lz : 0.0)};
+    // The gap from v to [lo, hi] less the margin, or 0; a NaN gives 0.
+    auto gap = [](double v, double lo, double hi, double eps) {
+        const double g = std::max(lo - v, v - hi) - eps;
+        return g > 0.0 ? g : 0.0;
+    };
+    // Squared distances and kept slots of one scanned cell.
+    std::vector<double> d2(max_cell_);
+    std::vector<std::uint32_t> hits(max_cell_);
+
     const auto ngmax = static_cast<std::size_t>(out.ngmax);
     // Reserve the fixed budget up front, as SPH-EXA allocates n * ngmax, so
     // the arrays never grow by copying.  Pages no stored pair reaches are
@@ -174,6 +212,7 @@ std::size_t CellGrid::find_neighbors(ParticleSet& particles, NeighborList& out) 
         const Vec3 xi = particles.pos(i);
         const double radius = 2.0 * particles.h[i];
         const double r2max = radius * radius;
+        const double r2skip = r2max * (1.0 + 8.0 * kEps);
         const auto ci = static_cast<int>(cell_of_[i]);
         const int cx = ci % nx_;
         const int cy = ci / nx_ % ny_;
@@ -216,10 +255,32 @@ std::size_t CellGrid::find_neighbors(ParticleSet& particles, NeighborList& out) 
                     const std::uint32_t q_end = cell_start_[c + 1];
 
                     if (!per_pair) {
-                        for (std::uint32_t q = cell_start_[c]; q < q_end; ++q) {
-                            const Vec3 d = Vec3{xi.x - sx_[q], xi.y - sy_[q], xi.z - sz_[q]} - s;
-                            if (!(d.norm2() < r2max)) continue;
-                            const std::uint32_t j = index_[q];
+                        const Vec3& lo = cell_lo_[c];
+                        const Vec3& hi = cell_hi_[c];
+                        const double gx = gap(xi.x - s.x, lo.x, hi.x, margin.x);
+                        const double gy = gap(xi.y - s.y, lo.y, hi.y, margin.y);
+                        const double gz = gap(xi.z - s.z, lo.z, hi.z, margin.z);
+                        if (gx * gx + gy * gy + gz * gz > r2skip) continue;
+
+                        // Two passes with no branch: every squared distance,
+                        // then the slots under r2max, in slot order.
+                        const std::uint32_t q0 = cell_start_[c];
+                        const std::uint32_t m = q_end - q0;
+                        const double* px = sx_.data() + q0;
+                        const double* py = sy_.data() + q0;
+                        const double* pz = sz_.data() + q0;
+                        double* dist2 = d2.data();
+                        for (std::uint32_t k = 0; k < m; ++k) {
+                            dist2[k] = (Vec3{xi.x - px[k], xi.y - py[k], xi.z - pz[k]} - s)
+                                           .norm2();
+                        }
+                        std::uint32_t kept = 0;
+                        for (std::uint32_t k = 0; k < m; ++k) {
+                            hits[kept] = q0 + k;
+                            kept += dist2[k] < r2max ? 1u : 0u;
+                        }
+                        for (std::uint32_t t = 0; t < kept; ++t) {
+                            const std::uint32_t j = index_[hits[t]];
                             if (j != i) keep(j, code);
                         }
                         continue;

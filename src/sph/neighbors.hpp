@@ -74,6 +74,12 @@ public:
     /// in cell-stencil order and ascending index within a cell.  Also
     /// updates `particles.nc`.  Returns the total number of pairs found
     /// (before the ngmax cap).  `particles` must be the set last assigned.
+    ///
+    /// Where every periodic axis has 3 or more cells, a stencil cell is
+    /// scanned only when the lower bound on its distance (from the cell's
+    /// particle bounding box, less a rounding margin) can be under 2*h_i;
+    /// the cells it skips hold no pair, so the lists are those of a full
+    /// scan.
     std::size_t find_neighbors(ParticleSet& particles, NeighborList& out) const;
 
 private:
@@ -88,6 +94,11 @@ private:
     std::vector<std::uint32_t> cell_of_;    ///< particle -> cell
     std::vector<std::uint32_t> index_;      ///< slot -> particle, ascending within a cell
     std::vector<double> sx_, sy_, sz_;      ///< slot -> position copy
+    /// Cell -> bounding box of its particles' slot coordinates (lo > hi when
+    /// empty); on an open axis it covers particles clamped into an edge cell.
+    std::vector<Vec3> cell_lo_, cell_hi_;
+    std::uint32_t max_cell_ = 0; ///< particles in the fullest cell
+    Vec3 max_abs_;               ///< per axis: largest |coordinate| assigned
 };
 
 /// Convenience: build a grid sized by the current max smoothing length and

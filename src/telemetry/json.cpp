@@ -134,6 +134,23 @@ void append_json_escaped(std::string& out, std::string_view s)
     }
 }
 
+std::string well_formed_utf8(std::string_view s)
+{
+    std::string out;
+    out.reserve(s.size());
+    for (std::size_t i = 0; i < s.size();) {
+        if (const std::size_t len = utf8_sequence_length(s, i); len != 0) {
+            out.append(s, i, len);
+            i += len;
+        }
+        else {
+            out += "\xEF\xBF\xBD"; // U+FFFD
+            ++i;
+        }
+    }
+    return out;
+}
+
 std::string json_escape(const std::string& s)
 {
     std::string out;

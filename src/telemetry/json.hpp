@@ -108,6 +108,10 @@ void append_json_number(std::string& out, double v);
 /// bytes that are not well-formed UTF-8 become \ufffd.
 void append_json_escaped(std::string& out, std::string_view s);
 
+/// `s` as Json::parse reads back append_json_escaped's text of it: each
+/// byte that is not part of well-formed UTF-8 becomes U+FFFD.
+std::string well_formed_utf8(std::string_view s);
+
 /// Escape a string for embedding in JSON (without surrounding quotes).
 std::string json_escape(const std::string& s);
 

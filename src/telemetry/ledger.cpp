@@ -59,15 +59,74 @@ public:
         append_json_escaped(out, value);
         out += '"';
     }
+    void numbers(std::string_view k, const std::vector<double>& values)
+    {
+        std::string& out = key(k);
+        out += '[';
+        for (std::size_t i = 0; i < values.size(); ++i) {
+            if (i) out += ',';
+            append_json_number(out, values[i]);
+        }
+        out += ']';
+    }
+    /// A nested object whose members `fill` appends.
+    template <class Fill>
+    void object(std::string_view k, const Fill& fill)
+    {
+        std::string& out = key(k);
+        out += '{';
+        JsonMembers inner(out);
+        fill(inner);
+        out += '}';
+    }
 
 private:
     std::string& out_;
     bool first_ = true;
 };
 
-/// The members of one decision.  A repeated input name keeps its first
+/// Sets the members of a Json object to what Json::parse reads back from
+/// JsonMembers' text: a non-finite number becomes null and a byte that is
+/// not well-formed UTF-8 becomes U+FFFD, so both dump the same bytes.
+class JsonTreeMembers {
+public:
+    explicit JsonTreeMembers(Json& object) : object_(object) {}
+
+    void number(std::string_view k, double value) { member(k) = json_number(value); }
+    void boolean(std::string_view k, bool value) { member(k) = value; }
+    void string(std::string_view k, std::string_view value)
+    {
+        member(k) = well_formed_utf8(value);
+    }
+    void numbers(std::string_view k, const std::vector<double>& values)
+    {
+        Json array = Json::array();
+        for (double v : values) array.push_back(json_number(v));
+        member(k) = std::move(array);
+    }
+    template <class Fill>
+    void object(std::string_view k, const Fill& fill)
+    {
+        Json inner = Json::object();
+        JsonTreeMembers members(inner);
+        fill(members);
+        member(k) = std::move(inner);
+    }
+
+private:
+    static Json json_number(double v) { return std::isfinite(v) ? Json(v) : Json(); }
+    /// A repeated key keeps its first position and takes the last value, as
+    /// the parser does.
+    Json& member(std::string_view k) { return object_[well_formed_utf8(k)]; }
+
+    Json& object_;
+};
+
+/// The members of one decision, for the JSONL line (JsonMembers) and the
+/// live view (JsonTreeMembers).  A repeated input name keeps its first
 /// position and its last value, as in a Json object.
-void append_decision(JsonMembers& m, const AuditedDecision& d)
+template <class Members>
+void describe_decision(Members& m, const AuditedDecision& d)
 {
     const DecisionRecord& r = d.record;
     m.number("id", static_cast<double>(d.id));
@@ -75,13 +134,7 @@ void append_decision(JsonMembers& m, const AuditedDecision& d)
     m.string("policy", r.policy);
     m.number("rank", r.rank);
     m.string("function", fn_name(r.function));
-    std::string& candidates = m.key("candidate_mhz");
-    candidates += '[';
-    for (std::size_t i = 0; i < r.candidate_mhz.size(); ++i) {
-        if (i) candidates += ',';
-        append_json_number(candidates, r.candidate_mhz[i]);
-    }
-    candidates += ']';
+    m.numbers("candidate_mhz", r.candidate_mhz);
     m.number("chosen_mhz", r.chosen_mhz);
     // Untraced runs omit the key entirely so pre-tracing consumers (and
     // byte-identity tests) see unchanged documents.
@@ -95,21 +148,21 @@ void append_decision(JsonMembers& m, const AuditedDecision& d)
     else {
         m.boolean("no_prediction", true);
     }
-    std::string& inputs_text = m.key("inputs");
-    inputs_text += '{';
-    JsonMembers inputs(inputs_text);
-    for (std::size_t i = 0; i < r.inputs.size(); ++i) {
-        const std::string& name = r.inputs[i].first;
-        bool repeated = false;
-        for (std::size_t k = 0; k < i && !repeated; ++k) repeated = r.inputs[k].first == name;
-        if (repeated) continue;
-        double value = r.inputs[i].second;
-        for (std::size_t k = i + 1; k < r.inputs.size(); ++k) {
-            if (r.inputs[k].first == name) value = r.inputs[k].second;
+    m.object("inputs", [&r](auto& inputs) {
+        for (std::size_t i = 0; i < r.inputs.size(); ++i) {
+            const std::string& name = r.inputs[i].first;
+            bool repeated = false;
+            for (std::size_t k = 0; k < i && !repeated; ++k) {
+                repeated = r.inputs[k].first == name;
+            }
+            if (repeated) continue;
+            double value = r.inputs[i].second;
+            for (std::size_t k = i + 1; k < r.inputs.size(); ++k) {
+                if (r.inputs[k].first == name) value = r.inputs[k].second;
+            }
+            inputs.number(name, value);
         }
-        inputs.number(name, value);
-    }
-    inputs_text += '}';
+    });
     m.boolean("resolved", d.resolved);
     m.number("realized_edp", d.realized_edp);
     if (d.resolved && r.predicted_edp > 0.0) {
@@ -361,14 +414,11 @@ Json AttributionLedger::attribution_json(std::size_t max_decisions) const
     Json decisions = Json::array();
     const std::size_t start =
         decisions_.size() > max_decisions ? decisions_.size() - max_decisions : 0;
-    // The live view parses the JSONL writer's text: one encoder per record.
-    std::string text;
     for (std::size_t i = start; i < decisions_.size(); ++i) {
-        text = "{";
-        JsonMembers members(text);
-        append_decision(members, decisions_[i]);
-        text += '}';
-        decisions.push_back(Json::parse(text));
+        Json decision = Json::object();
+        JsonTreeMembers members(decision);
+        describe_decision(members, decisions_[i]);
+        decisions.push_back(std::move(decision));
     }
     j["decisions"] = std::move(decisions);
     return j;
@@ -468,7 +518,7 @@ std::string AttributionLedger::jsonl(const Json& header) const
         out += '{';
         JsonMembers line(out);
         line.string("type", "decision");
-        append_decision(line, d);
+        describe_decision(line, d);
         out += "}\n";
     }
     return out;

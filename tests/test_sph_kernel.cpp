@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 namespace gsph::sph {
 namespace {
@@ -97,6 +102,93 @@ TEST_P(KernelTypeTest, DwDhConsistentWithFiniteDifference)
     const double r = 0.8, h = 1.0, eps = 1e-5;
     const double fd = (kern.w(r, h + eps) - kern.w(r, h - eps)) / (2.0 * eps);
     EXPECT_NEAR(kern.dw_dh(r, h), fd, 5e-3 * std::fabs(fd) + 1e-6);
+}
+
+/// KernelTable's lookups as they were defined out of line in kernel.cpp,
+/// over tables built the same way: the inlined header definitions must
+/// return the same bits.
+class OutOfLineKernel {
+public:
+    explicit OutOfLineKernel(KernelType type)
+    {
+        for (std::size_t i = 0; i <= kSize; ++i) {
+            const double q = kQMax * static_cast<double>(i) / static_cast<double>(kSize);
+            if (type == KernelType::kCubicSpline) {
+                w_table_[i] = cubic_spline_w(q, 1.0);
+                dw_table_[i] = cubic_spline_dw_dr(q, 1.0);
+            }
+            else {
+                w_table_[i] = wendland_c2_w(q, 1.0);
+                dw_table_[i] = wendland_c2_dw_dr(q, 1.0);
+            }
+        }
+        w_table_[kSize] = 0.0;
+        dw_table_[kSize] = 0.0;
+    }
+
+    double w(double r, double h) const
+    {
+        const double q = r / h;
+        return lookup(w_table_, q) / (h * h * h);
+    }
+    double dw_dr(double r, double h) const
+    {
+        const double q = r / h;
+        return lookup(dw_table_, q) / (h * h * h * h);
+    }
+    double dw_dh(double r, double h) const
+    {
+        const double q = r / h;
+        const double w_val = w(r, h);
+        const double dw_dq = lookup(dw_table_, q) / (h * h * h);
+        return -(3.0 * w_val + q * dw_dq) / h;
+    }
+
+private:
+    static constexpr std::size_t kSize = KernelTable::kSize;
+    static constexpr double kQMax = KernelTable::kQMax;
+
+    double lookup(const std::array<double, kSize + 1>& table, double q) const
+    {
+        if (q < 0.0 || q >= kQMax) return 0.0;
+        const double pos = q / kQMax * static_cast<double>(kSize);
+        const std::size_t i = static_cast<std::size_t>(pos);
+        const double frac = pos - static_cast<double>(i);
+        return table[i] * (1.0 - frac) + table[i + 1] * frac;
+    }
+
+    std::array<double, kSize + 1> w_table_{};
+    std::array<double, kSize + 1> dw_table_{};
+};
+
+TEST_P(KernelTypeTest, LookupsMatchOutOfLineBodiesBitForBit)
+{
+    const KernelTable kern(GetParam());
+    const OutOfLineKernel ref(GetParam());
+    const double inf = std::numeric_limits<double>::infinity();
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    int checked = 0;
+    for (double h : {1.0, 0.5, 0.37, 3.0, 1e-3, 0.0123456789}) {
+        // q on every knot and halfway between, at 2 and past it.
+        std::vector<double> radii = {0.0, 2.0 * h, std::nextafter(2.0 * h, inf),
+                                     std::nextafter(2.0 * h, 0.0), 2.5 * h, 7.0 * h};
+        for (std::size_t k = 0; k <= KernelTable::kSize; ++k) {
+            const double q = KernelTable::kQMax * static_cast<double>(k) /
+                             static_cast<double>(KernelTable::kSize);
+            radii.push_back(q * h);
+            radii.push_back((q + 0.5 * KernelTable::kQMax / KernelTable::kSize) * h);
+            radii.push_back(std::nextafter(q * h, inf));
+        }
+        for (double r : radii) {
+            ASSERT_EQ(bits(kern.w(r, h)), bits(ref.w(r, h))) << "w r=" << r << " h=" << h;
+            ASSERT_EQ(bits(kern.dw_dr(r, h)), bits(ref.dw_dr(r, h)))
+                << "dw_dr r=" << r << " h=" << h;
+            ASSERT_EQ(bits(kern.dw_dh(r, h)), bits(ref.dw_dh(r, h)))
+                << "dw_dh r=" << r << " h=" << h;
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, 6 * (6 + 3 * (static_cast<int>(KernelTable::kSize) + 1)));
 }
 
 INSTANTIATE_TEST_SUITE_P(BothKernels, KernelTypeTest,

@@ -351,6 +351,7 @@ struct SearchCase {
     bool variable_h;
     int ngmax;
     int cells_per_axis; ///< expected grid size of a cube; 0 = not a cube
+    bool clustered = false; ///< dense core, h varying 3x (see clustered_particles)
 };
 
 void PrintTo(const SearchCase& c, std::ostream* os) { *os << c.name; }
@@ -385,13 +386,54 @@ std::vector<SearchCase> search_cases()
     }
     cases.push_back({"mixed_periodicity", mixed_box(), 300, 0.2, true, 150, 0});
     cases.push_back({"mixed_periodicity_capped", mixed_box(), 300, 0.2, true, 20, 0});
+    // The physics recorder's shapes: about 27 particles per cell on 4 and 3
+    // cells per axis (turbulence 12^3 and 9^3), and an Evrard-like open box.
+    for (bool periodic : {false, true}) {
+        const std::string box = periodic ? "periodic" : "open";
+        cases.push_back({box + "_4cells_27per_cell", Box::cube(0.0, 1.0, periodic), 1728, 0.12,
+                         false, 150, 4});
+        cases.push_back({box + "_4cells_27per_cell_varh", Box::cube(0.0, 1.0, periodic), 1728,
+                         0.12, true, 150, 4});
+        cases.push_back({box + "_3cells_27per_cell_varh", Box::cube(0.0, 1.0, periodic), 729,
+                         0.16, true, 150, 3});
+    }
+    cases.push_back({"open_clustered", Box::cube(-0.8, 0.8, false), 1000, 0.2, true, 150, 4,
+                     true});
+    cases.push_back({"open_clustered_capped", Box::cube(-0.8, 0.8, false), 1000, 0.2, true, 40,
+                     4, true});
     return cases;
+}
+
+/// A sphere of radius 1 about the origin whose density rises steeply to
+/// the centre, with h from hmax/3 in the core to hmax at the rim.  The box
+/// is smaller than the sphere, so open-axis particles outside it are
+/// clamped into the edge cells.
+ParticleSet clustered_particles(const SearchCase& c, std::uint64_t seed)
+{
+    ParticleSet ps;
+    ps.resize(c.n);
+    util::Rng rng(seed);
+    for (std::size_t i = 0; i < c.n; ++i) {
+        const double u = rng.uniform();
+        const double r = u * u;
+        const double cos_t = rng.uniform(-1.0, 1.0);
+        const double sin_t = std::sqrt(1.0 - cos_t * cos_t);
+        const double phi = rng.uniform(0.0, 2.0 * 3.14159265358979323846);
+        ps.x[i] = r * sin_t * std::cos(phi);
+        ps.y[i] = r * sin_t * std::sin(phi);
+        ps.z[i] = r * cos_t;
+        ps.h[i] = c.hmax * (1.0 + 2.0 * r) / 3.0;
+        ps.m[i] = 1.0;
+    }
+    ps.h[0] = c.hmax;
+    return ps;
 }
 
 /// Random particles with max h exactly `hmax`, and a few on the box faces
 /// and corners, where the cell clamp and the periodic wrap meet.
 ParticleSet case_particles(const SearchCase& c, std::uint64_t seed)
 {
+    if (c.clustered) return clustered_particles(c, seed);
     ParticleSet ps = random_particles(c.n, c.box, c.hmax, seed);
     util::Rng rng(seed + 1);
     if (c.variable_h) {
@@ -478,6 +520,67 @@ INSTANTIATE_TEST_SUITE_P(Boxes, CellListDifferential, ::testing::ValuesIn(search
                          [](const ::testing::TestParamInfo<SearchCase>& search) {
                              return search.param.name;
                          });
+
+/// Pairs whose distance is 2 h_i exactly, and with h_i one ulp either side,
+/// across a cell face and through a periodic wrap.  The cell skip's bound
+/// rounds differently from the candidate test there, so the lists must
+/// still be the reference search's, pair for pair.
+TEST(CellGrid, PairsAtTheSupportRadiusMatchReferenceSearch)
+{
+    // Two particles make a 4^3 grid (cells 0.25 wide) for h_i up to 0.1.
+    const double f = 1.0 / 1024.0;
+    std::vector<std::pair<Vec3, Vec3>> pairs = {
+        // Distance 2^-8 exactly: across the face at 0.25 on each axis ...
+        {{0.25 - f, 0.5, 0.5}, {0.25 + 3.0 * f, 0.5, 0.5}},
+        {{0.5, 0.25 - f, 0.5}, {0.5, 0.25 + 3.0 * f, 0.5}},
+        {{0.5, 0.5, 0.25 - f}, {0.5, 0.5, 0.25 + 3.0 * f}},
+        // ... and through the wrap at 0 = 1.
+        {{f, 0.5, 0.5}, {1.0 - 3.0 * f, 0.5, 0.5}},
+        {{0.5, f, 0.5}, {0.5, 1.0 - 3.0 * f, 0.5}},
+        {{0.5, 0.5, f}, {0.5, 0.5, 1.0 - 3.0 * f}},
+    };
+    // Off-axis pairs from near a corner, most across faces or the wrap,
+    // whose distances round.
+    util::Rng rng(86);
+    for (int k = 0; k < 300; ++k) {
+        const Vec3 xi{rng.uniform(0.0, 0.04), rng.uniform(0.21, 0.29), rng.uniform(0.0, 1.0)};
+        Vec3 xj = xi + Vec3{rng.uniform(-0.1, 0.05), rng.uniform(-0.05, 0.05),
+                            rng.uniform(-0.05, 0.05)};
+        xj.x = xj.x < 0.0 ? xj.x + 1.0 : xj.x;
+        xj.z = xj.z < 0.0 ? xj.z + 1.0 : (xj.z > 1.0 ? xj.z - 1.0 : xj.z);
+        pairs.push_back({xi, xj});
+    }
+    int found = 0;
+    int missed = 0;
+    for (bool periodic : {true, false}) {
+        const Box box = Box::cube(0.0, 1.0, periodic);
+        for (const auto& [xi, xj] : pairs) {
+            const double h0 = 0.5 * std::sqrt(box.min_image(xi, xj).norm2());
+            if (!(h0 > 0.0 && h0 <= 0.1)) continue;
+            for (double h : {std::nextafter(h0, 0.0), h0, std::nextafter(h0, 1.0)}) {
+                ParticleSet ps;
+                ps.resize(2);
+                ps.x = {xi.x, xj.x};
+                ps.y = {xi.y, xj.y};
+                ps.z = {xi.z, xj.z};
+                ps.h = {h, 0.01};
+                ps.m = {1.0, 1.0};
+                ASSERT_EQ(CellGrid(box, 2.0 * h, 2).nx(), 4);
+                const ReferenceSearch ref = reference_search(ps, box, 150);
+                NeighborList nl;
+                EXPECT_EQ(find_all_neighbors(ps, box, nl), ref.pre_cap_pairs);
+                ASSERT_EQ(nl.list, ref.list)
+                    << (periodic ? "periodic" : "open") << " x_i (" << xi.x << ", " << xi.y
+                    << ", " << xi.z << ") x_j (" << xj.x << ", " << xj.y << ", " << xj.z
+                    << ") h_i " << h;
+                (nl.count(0) == 1 ? found : missed) += 1;
+            }
+        }
+    }
+    // Both outcomes occur at the boundary.
+    EXPECT_GT(found, 100);
+    EXPECT_GT(missed, 100);
+}
 
 TEST(NeighborList, DisplacementKeepsMinImageSignedZeros)
 {

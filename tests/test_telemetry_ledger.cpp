@@ -21,7 +21,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -488,6 +490,124 @@ TEST(AttributionLedger, JsonlMatchesTheJsonObjectWriter)
     ASSERT_EQ(last_line.rfind(type, 0), 0u) << last_line;
     EXPECT_EQ(live.at("decisions").items()[1].dump(-1) + "\n",
               "{" + last_line.substr(type.size()));
+}
+
+/// attribution_json as it was built before it described decisions
+/// directly: each decision's JSONL text, minus "type", parsed back.
+Json reference_attribution_json(const AttributionLedger& ledger, std::size_t max_decisions)
+{
+    Json j = ledger.attribution_json(0);
+    const std::string text = jsonl(ledger);
+    std::vector<std::string> lines;
+    for (std::size_t pos = 0; pos < text.size();) {
+        const std::size_t end = text.find('\n', pos);
+        lines.push_back(text.substr(pos, end - pos));
+        pos = end + 1;
+    }
+    const std::string type = "{\"type\":\"decision\",";
+    std::vector<std::string> decisions;
+    for (const std::string& line : lines) {
+        if (line.rfind(type, 0) == 0) decisions.push_back("{" + line.substr(type.size()));
+    }
+    Json trailer = Json::array();
+    const std::size_t start =
+        decisions.size() > max_decisions ? decisions.size() - max_decisions : 0;
+    for (std::size_t i = start; i < decisions.size(); ++i) {
+        trailer.push_back(Json::parse(decisions[i]));
+    }
+    j["decisions"] = std::move(trailer);
+    return j;
+}
+
+/// Same types, members in the same order, numbers with the same bits.
+::testing::AssertionResult same_tree(const Json& a, const Json& b, const std::string& path)
+{
+    if (a.type() != b.type()) {
+        return ::testing::AssertionFailure() << path << ": types differ";
+    }
+    switch (a.type()) {
+        case Json::Type::kNull: return ::testing::AssertionSuccess();
+        case Json::Type::kBool:
+            if (a.as_bool() == b.as_bool()) return ::testing::AssertionSuccess();
+            return ::testing::AssertionFailure() << path << ": bools differ";
+        case Json::Type::kNumber:
+            if (std::bit_cast<std::uint64_t>(a.as_number()) ==
+                std::bit_cast<std::uint64_t>(b.as_number())) {
+                return ::testing::AssertionSuccess();
+            }
+            return ::testing::AssertionFailure()
+                   << path << ": " << a.as_number() << " vs " << b.as_number();
+        case Json::Type::kString:
+            if (a.as_string() == b.as_string()) return ::testing::AssertionSuccess();
+            return ::testing::AssertionFailure()
+                   << path << ": \"" << a.as_string() << "\" vs \"" << b.as_string() << "\"";
+        case Json::Type::kArray:
+            if (a.size() != b.size()) {
+                return ::testing::AssertionFailure() << path << ": array sizes differ";
+            }
+            for (std::size_t i = 0; i < a.size(); ++i) {
+                auto r = same_tree(a.at(i), b.at(i), path + "[" + std::to_string(i) + "]");
+                if (!r) return r;
+            }
+            return ::testing::AssertionSuccess();
+        case Json::Type::kObject:
+            if (a.size() != b.size()) {
+                return ::testing::AssertionFailure() << path << ": member counts differ";
+            }
+            for (std::size_t i = 0; i < a.size(); ++i) {
+                const auto& [ka, va] = a.members()[i];
+                const auto& [kb, vb] = b.members()[i];
+                if (ka != kb) {
+                    return ::testing::AssertionFailure()
+                           << path << ": member " << i << " is \"" << ka << "\" vs \"" << kb
+                           << "\"";
+                }
+                auto r = same_tree(va, vb, path + "." + ka);
+                if (!r) return r;
+            }
+            return ::testing::AssertionSuccess();
+    }
+    return ::testing::AssertionFailure() << path << ": unknown type";
+}
+
+TEST(AttributionLedger, AttributionJsonMatchesTheParsedJsonlDecisions)
+{
+    MetricsRegistry::global().reset();
+    AttributionLedger ledger(2);
+    run_with_ledger(ledger, 2);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    // Non-finite numbers (null in the text), a repeated input name, a
+    // trace id, no prediction, escapes and bytes that are not UTF-8.
+    DecisionRecord odd;
+    odd.policy = "quote\" back\\ \x01 \xff \xce\xbb";
+    odd.rank = 7;
+    odd.function = -1;
+    odd.candidate_mhz = {nan, 1005.0, -inf};
+    odd.chosen_mhz = -0.0;
+    odd.predicted_edp = 0.0;
+    odd.inputs = {{"a", 1.0}, {"b\n", nan}, {"a", inf}, {"", -inf}, {"b\n", 2.5e15},
+                  {"\xfe", 1.0}, {"\xff", 2.0}};
+    odd.trace_id = "4bf92f3577b34da6a3ce929d0e0e4736";
+    audit_decision(odd);
+    DecisionRecord predicted;
+    predicted.policy = "Test";
+    predicted.rank = 1;
+    predicted.function = 3;
+    predicted.candidate_mhz = {1005.0, 1410.5};
+    predicted.chosen_mhz = 1410.5;
+    predicted.predicted_edp = inf;
+    predicted.inputs = {{"x", -nan}, {"x", 0.1}};
+    audit_decision(predicted);
+
+    for (const std::size_t max_decisions : {std::size_t{0}, std::size_t{2}, std::size_t{64},
+                                            ledger.decision_count()}) {
+        const Json live = ledger.attribution_json(max_decisions);
+        const Json reference = reference_attribution_json(ledger, max_decisions);
+        EXPECT_TRUE(same_tree(live, reference, "attribution")) << "max " << max_decisions;
+        EXPECT_EQ(live.dump(2), reference.dump(2)) << "max " << max_decisions;
+    }
+    EXPECT_GE(ledger.decision_count(), 4u);
 }
 
 // -------------------------------------------------------------- exposures ---
