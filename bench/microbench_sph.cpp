@@ -10,6 +10,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <string>
+
 namespace {
 
 using namespace gsph;
@@ -101,22 +104,59 @@ BENCHMARK_CAPTURE(BM_RecordNeighborSearch, turbulence12,
                   sim::WorkloadKind::kSubsonicTurbulence, 12);
 BENCHMARK_CAPTURE(BM_RecordNeighborSearch, evrard10, sim::WorkloadKind::kEvrardCollapse, 10);
 
-/// One pair loop on the turbulence 12^3 recording's first-step state.  Each
-/// rewrites only its own outputs, so repeats do the same work.
-void BM_PairLoops(benchmark::State& state, sph::SphFunction fn)
+/// The pair loops from `first` through `last` (in execution order) on a
+/// recording's first-step state.  Each rewrites only its own outputs, so
+/// repeats do the same work.
+void BM_PairLoops(benchmark::State& state, sim::WorkloadKind kind, int nside,
+                  sph::SphFunction first, sph::SphFunction last)
 {
-    auto simulation = make_recorded(sim::WorkloadKind::kSubsonicTurbulence, 12, fn);
+    auto simulation = make_recorded(kind, nside, first);
+    const auto order = sph::function_order(simulation.config().gravity);
+    const auto from = std::find(order.begin(), order.end(), first);
+    const auto to = std::find(from, order.end(), last) + 1;
     for (auto _ : state) {
-        const auto work = simulation.run_function(fn);
-        benchmark::DoNotOptimize(work.flops);
+        for (auto fn = from; fn != to; ++fn) {
+            const auto work = simulation.run_function(*fn);
+            benchmark::DoNotOptimize(work.flops);
+        }
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(simulation.neighbors().total_pairs()));
 }
-BENCHMARK_CAPTURE(BM_PairLoops, XMass, sph::SphFunction::kXMass);
-BENCHMARK_CAPTURE(BM_PairLoops, NormalizationGradh, sph::SphFunction::kNormalizationGradh);
-BENCHMARK_CAPTURE(BM_PairLoops, IADVelocityDivCurl, sph::SphFunction::kIadVelocityDivCurl);
-BENCHMARK_CAPTURE(BM_PairLoops, MomentumEnergy, sph::SphFunction::kMomentumEnergy);
+
+/// BM_PairLoops/<loop>/<shape> at the record workload's two shapes.
+/// `Density` is XMass and NormalizationGradh, which share one pass over the
+/// pairs.
+const bool kPairLoopsRegistered = [] {
+    using sph::SphFunction;
+    struct Loop {
+        const char* name;
+        SphFunction first, last;
+    };
+    const Loop loops[] = {
+        {"Density", SphFunction::kXMass, SphFunction::kNormalizationGradh},
+        {"IADVelocityDivCurl", SphFunction::kIadVelocityDivCurl,
+         SphFunction::kIadVelocityDivCurl},
+        {"MomentumEnergy", SphFunction::kMomentumEnergy, SphFunction::kMomentumEnergy},
+    };
+    struct Shape {
+        const char* name;
+        sim::WorkloadKind kind;
+        int nside;
+    };
+    const Shape shapes[] = {{"turbulence12", sim::WorkloadKind::kSubsonicTurbulence, 12},
+                            {"evrard10", sim::WorkloadKind::kEvrardCollapse, 10}};
+    for (const Shape& shape : shapes) {
+        for (const Loop& loop : loops) {
+            const std::string name =
+                std::string("BM_PairLoops/") + loop.name + "/" + shape.name;
+            benchmark::RegisterBenchmark(name.c_str(), [shape, loop](benchmark::State& st) {
+                BM_PairLoops(st, shape.kind, shape.nside, loop.first, loop.last);
+            });
+        }
+    }
+    return true;
+}();
 
 void BM_OctreeBuild(benchmark::State& state)
 {

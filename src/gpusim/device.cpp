@@ -252,8 +252,10 @@ KernelResult GpuDevice::execute_governed(const KernelWork& work)
     KernelResult r;
     r.start_s = now_s_;
 
-    governor_.on_kernel_launch();
+    // The launch boost that opens the batch is charged like the re-boosts
+    // within it.
     const long transitions_before = governor_.transition_count();
+    governor_.on_kernel_launch();
 
     double progress = 0.0;           // fraction of the batch completed
     double clock_time_integral = 0.0; // for the time-weighted mean clock

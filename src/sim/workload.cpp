@@ -1,11 +1,11 @@
 #include "sim/workload.hpp"
 
 #include "sph/decomposition.hpp"
-#include "util/strings.hpp"
 
+#include <array>
 #include <charconv>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <type_traits>
 
 namespace gsph::sim {
@@ -138,128 +138,145 @@ std::string WorkloadTrace::serialize() const
 
 namespace {
 
-// Numeric field parsers that turn std::sto* exceptions (and trailing-junk
-// acceptance gaps) into line-numbered parse errors instead of leaking
-// std::invalid_argument("stod") with no context.
-[[noreturn]] void parse_fail(int line_no, const std::string& what,
-                             const std::string& value)
+[[noreturn]] void parse_fail(int line_no, const std::string& what, std::string_view value)
 {
     throw std::invalid_argument("WorkloadTrace::parse: line " +
                                 std::to_string(line_no) + ": bad " + what + " '" +
-                                value + "'");
+                                std::string(value) + "'");
 }
 
-double parse_double(const std::string& s, int line_no, const char* what)
+/// All of `s` as a number, or a line-numbered parse error.  std::from_chars
+/// reads exactly what serialize() writes (subnormals, signed zeros and
+/// infinities included) and takes no leading whitespace, '+' or hex.
+template <typename T>
+T parse_number(std::string_view s, int line_no, const char* what)
 {
-    try {
-        std::size_t pos = 0;
-        const double v = std::stod(s, &pos);
-        if (pos != s.size()) parse_fail(line_no, what, s);
-        return v;
-    }
-    catch (const std::invalid_argument&) {
-        parse_fail(line_no, what, s);
-    }
-    catch (const std::out_of_range&) {
-        parse_fail(line_no, what, s);
-    }
+    T value{};
+    const char* end = s.data() + s.size();
+    const auto [ptr, ec] = std::from_chars(s.data(), end, value);
+    if (ec != std::errc{} || ptr != end) parse_fail(line_no, what, s);
+    return value;
 }
 
-long long parse_int(const std::string& s, int line_no, const char* what)
+/// Splits `line` at `delim` as repeated std::getline calls would (a trailing
+/// delimiter starts no empty field), keeping the first N fields; returns the
+/// field count, which exceeds N when the line has more.
+template <std::size_t N>
+std::size_t split_fields(std::string_view line, char delim,
+                         std::array<std::string_view, N>& fields)
 {
-    try {
-        std::size_t pos = 0;
-        const long long v = std::stoll(s, &pos);
-        if (pos != s.size()) parse_fail(line_no, what, s);
-        return v;
+    std::size_t count = 0;
+    while (!line.empty()) {
+        const std::size_t cut = line.find(delim);
+        if (count < N) fields[count] = line.substr(0, cut);
+        ++count;
+        if (cut == std::string_view::npos) break;
+        line.remove_prefix(cut + 1);
     }
-    catch (const std::invalid_argument&) {
-        parse_fail(line_no, what, s);
-    }
-    catch (const std::out_of_range&) {
-        parse_fail(line_no, what, s);
-    }
+    return count;
 }
+
+/// Reads `text` line by line as std::getline does: a last line needs no
+/// newline, and a final newline starts no empty line.
+class LineReader {
+public:
+    explicit LineReader(std::string_view text) : rest_(text) {}
+
+    bool next(std::string_view& line)
+    {
+        if (rest_.empty()) return false;
+        const std::size_t cut = rest_.find('\n');
+        line = rest_.substr(0, cut);
+        rest_.remove_prefix(cut == std::string_view::npos ? rest_.size() : cut + 1);
+        return true;
+    }
+
+private:
+    std::string_view rest_;
+};
 
 } // namespace
 
 WorkloadTrace WorkloadTrace::parse(const std::string& text)
 {
-    std::istringstream is(text);
-    std::string line;
+    LineReader lines(text);
+    std::string_view line;
     int line_no = 1;
-    if (!std::getline(is, line) || line != "# greensph workload trace v1") {
+    if (!lines.next(line) || line != "# greensph workload trace v1") {
         throw std::invalid_argument("WorkloadTrace::parse: bad magic line");
     }
     WorkloadTrace trace;
-    auto expect_field = [&](const char* key) -> std::string {
-        if (!std::getline(is, line)) {
+    auto expect_field = [&](const char* key) -> std::string_view {
+        if (!lines.next(line)) {
             throw std::invalid_argument(std::string("WorkloadTrace::parse: missing ") +
                                         key);
         }
         ++line_no;
-        const auto parts = util::split(line, ',');
-        if (parts.size() != 2 || parts[0] != key) {
+        std::array<std::string_view, 2> parts;
+        if (split_fields(line, ',', parts) != 2 || parts[0] != key) {
             throw std::invalid_argument("WorkloadTrace::parse: expected '" +
-                                        std::string(key) + "', got '" + line + "'");
+                                        std::string(key) + "', got '" + std::string(line) +
+                                        "'");
         }
         return parts[1];
     };
-    trace.workload_name = expect_field("workload");
+    trace.workload_name = std::string(expect_field("workload"));
     // expect_field advances line_no, so grab the text before parsing it
     // (argument evaluation order would otherwise be unspecified).
-    const std::string kind_text = expect_field("kind");
-    const long long kind_id = parse_int(kind_text, line_no, "kind");
+    const std::string_view kind_text = expect_field("kind");
+    const auto kind_id = parse_number<long long>(kind_text, line_no, "kind");
     if (kind_id < 0 || kind_id > static_cast<long long>(WorkloadKind::kSedovBlast)) {
         parse_fail(line_no, "kind", std::to_string(kind_id));
     }
     trace.kind = static_cast<WorkloadKind>(kind_id);
-    const std::string n_particles_text = expect_field("n_particles_real");
-    trace.n_particles_real = parse_double(n_particles_text, line_no, "n_particles_real");
-    const std::string per_gpu_text = expect_field("particles_per_gpu");
-    trace.particles_per_gpu = parse_double(per_gpu_text, line_no, "particles_per_gpu");
-    const std::string halo_text = expect_field("halo_surface_prefactor");
+    const std::string_view n_particles_text = expect_field("n_particles_real");
+    trace.n_particles_real =
+        parse_number<double>(n_particles_text, line_no, "n_particles_real");
+    const std::string_view per_gpu_text = expect_field("particles_per_gpu");
+    trace.particles_per_gpu =
+        parse_number<double>(per_gpu_text, line_no, "particles_per_gpu");
+    const std::string_view halo_text = expect_field("halo_surface_prefactor");
     trace.halo_surface_prefactor =
-        parse_double(halo_text, line_no, "halo_surface_prefactor");
-    if (!std::getline(is, line) || !util::starts_with(line, "step,function,")) {
+        parse_number<double>(halo_text, line_no, "halo_surface_prefactor");
+    if (!lines.next(line) || !line.starts_with("step,function,")) {
         throw std::invalid_argument("WorkloadTrace::parse: missing column header");
     }
     ++line_no;
-    while (std::getline(is, line)) {
+    while (lines.next(line)) {
         ++line_no;
         if (line.empty()) continue;
-        const auto parts = util::split(line, ',');
-        if (parts.size() != 8) {
+        std::array<std::string_view, 8> parts;
+        if (split_fields(line, ',', parts) != parts.size()) {
             throw std::invalid_argument("WorkloadTrace::parse: line " +
-                                        std::to_string(line_no) + ": bad row '" + line +
-                                        "'");
+                                        std::to_string(line_no) + ": bad row '" +
+                                        std::string(line) + "'");
         }
         // Step indices must grow contiguously (each row belongs to the
         // current or the next step).  Without this check a single corrupt
         // index like 4000000000 makes the resize below allocate gigabytes.
-        const long long step_id = parse_int(parts[0], line_no, "step index");
+        const auto step_id = parse_number<long long>(parts[0], line_no, "step index");
         if (step_id < 0 || step_id > static_cast<long long>(trace.steps.size())) {
             throw std::invalid_argument(
                 "WorkloadTrace::parse: line " + std::to_string(line_no) +
-                ": non-contiguous step index " + parts[0] + " (expected <= " +
+                ": non-contiguous step index " + std::string(parts[0]) + " (expected <= " +
                 std::to_string(trace.steps.size()) + ")");
         }
         const std::size_t step = static_cast<std::size_t>(step_id);
         if (step == trace.steps.size()) trace.steps.emplace_back();
-        const long long fn_id = parse_int(parts[1], line_no, "function id");
+        const auto fn_id = parse_number<long long>(parts[1], line_no, "function id");
         if (fn_id < 0 || fn_id >= sph::kSphFunctionCount) {
             throw std::invalid_argument("WorkloadTrace::parse: line " +
                                         std::to_string(line_no) + ": bad function id " +
-                                        parts[1]);
+                                        std::string(parts[1]));
         }
         FunctionRecord fr;
         fr.fn = static_cast<sph::SphFunction>(fn_id);
-        fr.work.flops = parse_double(parts[2], line_no, "flops");
-        fr.work.dram_bytes = parse_double(parts[3], line_no, "dram_bytes");
-        fr.work.gather_fraction = parse_double(parts[4], line_no, "gather_fraction");
-        fr.work.flop_efficiency = parse_double(parts[5], line_no, "flop_efficiency");
-        fr.work.launches = parse_int(parts[6], line_no, "launches");
-        fr.work.threads = parse_int(parts[7], line_no, "threads");
+        fr.work.flops = parse_number<double>(parts[2], line_no, "flops");
+        fr.work.dram_bytes = parse_number<double>(parts[3], line_no, "dram_bytes");
+        fr.work.gather_fraction = parse_number<double>(parts[4], line_no, "gather_fraction");
+        fr.work.flop_efficiency = parse_number<double>(parts[5], line_no, "flop_efficiency");
+        fr.work.launches = parse_number<std::int64_t>(parts[6], line_no, "launches");
+        fr.work.threads = parse_number<std::int64_t>(parts[7], line_no, "threads");
         trace.steps[step].functions.push_back(std::move(fr));
     }
     if (trace.steps.empty()) {

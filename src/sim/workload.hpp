@@ -67,7 +67,10 @@ struct WorkloadTrace {
 
     /// Serialize to a text artifact (CSV with a metadata header) so traces
     /// can be recorded once and reused across sessions/tools; parse throws
-    /// std::invalid_argument on malformed input.
+    /// std::invalid_argument, naming the line, on malformed input.  parse
+    /// reads numbers with std::from_chars: every double serialize() writes
+    /// (subnormals, signed zeros, infinities) reads back bit for bit, and a
+    /// number with a leading '+', whitespace or a hex form is rejected.
     std::string serialize() const;
     static WorkloadTrace parse(const std::string& text);
 };

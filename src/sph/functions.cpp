@@ -61,6 +61,108 @@ gpusim::KernelWork make_work(const CostSpec& cost, double pairs, double particle
     return w;
 }
 
+// The pair loops run in three passes per particle (DESIGN.md, sph): gather
+// each neighbour's displacement (and h_j) into PairScratch; evaluate the
+// kernel terms of every pair in an element-wise pass with no branch, which
+// GCC vectorizes with SSE2 (each lane rounds as scalar code does); then form
+// the neighbour sums in list order.  Every term keeps the operands and
+// evaluation order of KernelTable's scalar lookups, so the results are
+// bit-equal to evaluating them pair by pair.  The element-wise passes are
+// kept out of line: there GCC takes their __restrict outputs to miss the
+// kernel tables, which it cannot prove once they are inlined into a loop
+// over particles, and the loop stays scalar.
+
+/// One particle's neighbours: displacement components, h_j and two per-pair
+/// results.  Sized by ngmax (grown for a longer list), so it is per particle,
+/// never per pair.
+struct PairScratch {
+    std::vector<double> dx, dy, dz, hj, a, b;
+
+    explicit PairScratch(int ngmax) { fit(static_cast<std::size_t>(std::max(ngmax, 0))); }
+    void fit(std::size_t count)
+    {
+        if (dx.size() >= count) return;
+        for (std::vector<double>* v : {&dx, &dy, &dz, &hj, &a, &b}) v->resize(count);
+    }
+};
+
+/// Gathers x_i - x_j of each neighbour of i (x_j - x_i when `reverse`) as
+/// NeighborList::displacement and reverse_displacement give it, and h_j when
+/// `with_h`; returns the neighbour count.
+std::size_t gather(const NeighborList& nl, const ParticleSet& ps, std::size_t i,
+                   bool reverse, bool with_h, PairScratch& s)
+{
+    const std::size_t first = nl.offsets[i];
+    const std::size_t count = nl.count(i);
+    s.fit(count);
+    const Vec3 xi = ps.pos(i);
+    for (std::size_t k = 0; k < count; ++k) {
+        const std::size_t p = first + k;
+        const std::uint32_t j = nl.list[p];
+        const Vec3 d = reverse ? nl.reverse_displacement(p, xi, ps.pos(j))
+                               : nl.displacement(p, xi, ps.pos(j));
+        s.dx[k] = d.x;
+        s.dy[k] = d.y;
+        s.dz[k] = d.z;
+        if (with_h) s.hj[k] = ps.h[j];
+    }
+    return count;
+}
+
+/// Vec3::norm of (dx, dy, dz).
+inline double norm(double dx, double dy, double dz)
+{
+    return std::sqrt(dx * dx + dy * dy + dz * dz);
+}
+
+/// w[k] = W(r_k, h) and dw_dh[k] = dW/dh(r_k, h), r_k = |d_k|, for k < n.
+[[gnu::noinline]] void density_terms(const KernelTable& kern, double h, std::size_t n,
+                                     const double* __restrict dx,
+                                     const double* __restrict dy,
+                                     const double* __restrict dz, double* __restrict w,
+                                     double* __restrict dw_dh)
+{
+    const double h3 = h * h * h;
+    for (std::size_t k = 0; k < n; ++k) {
+        const double q = norm(dx[k], dy[k], dz[k]) / h;
+        const double wk = kern.w_at(q) / h3;
+        w[k] = wk;
+        dw_dh[k] = -(3.0 * wk + q * (kern.dw_at(q) / h3)) / h;
+    }
+}
+
+/// w[k] = W(r_k, h), r_k = |d_k|, for k < n.
+[[gnu::noinline]] void kernel_values(const KernelTable& kern, double h, std::size_t n,
+                                     const double* __restrict dx,
+                                     const double* __restrict dy,
+                                     const double* __restrict dz, double* __restrict w)
+{
+    const double h3 = h * h * h;
+    for (std::size_t k = 0; k < n; ++k) {
+        w[k] = kern.w_at(norm(dx[k], dy[k], dz[k]) / h) / h3;
+    }
+}
+
+/// r[k] = |d_k| and dw_r[k] = (dW/dr(r_k, h) + dW/dr(r_k, hj_k)) / 2 / r_k for
+/// k < n (NaN where r_k = 0, which the sums skip).
+[[gnu::noinline]] void gradient_terms(const KernelTable& kern, double h, std::size_t n,
+                                      const double* __restrict dx,
+                                      const double* __restrict dy,
+                                      const double* __restrict dz,
+                                      const double* __restrict hj, double* __restrict r,
+                                      double* __restrict dw_r)
+{
+    const double h4 = h * h * h * h;
+    for (std::size_t k = 0; k < n; ++k) {
+        const double rk = norm(dx[k], dy[k], dz[k]);
+        const double hk = hj[k];
+        const double dw =
+            0.5 * (kern.dw_at(rk / h) / h4 + kern.dw_at(rk / hk) / (hk * hk * hk * hk));
+        r[k] = rk;
+        dw_r[k] = dw / rk;
+    }
+}
+
 } // namespace
 
 const char* to_string(SphFunction fn)
@@ -167,18 +269,30 @@ gpusim::KernelWork SphSimulation::xmass()
     }
     const KernelTable& kern = kernel_;
     const std::size_t n = particles_.size();
+    PairScratch s(neighbors_.ngmax);
     for (std::size_t i = 0; i < n; ++i) {
         const double hi = particles_.h[i];
-        double xm = particles_.m[i] * kern.w(0.0, hi); // self contribution
-        const Vec3 xi = particles_.pos(i);
-        for (std::size_t p = neighbors_.offsets[i]; p < neighbors_.offsets[i + 1]; ++p) {
-            const std::uint32_t j = neighbors_.list[p];
-            const double r = neighbors_.displacement(p, xi, particles_.pos(j)).norm();
-            xm += particles_.m[j] * kern.w(r, hi);
+        const std::size_t first = neighbors_.offsets[i];
+        const std::size_t count =
+            gather(neighbors_, particles_, i, /*reverse=*/false, /*with_h=*/false, s);
+        density_terms(kern, hi, count, s.dx.data(), s.dy.data(), s.dz.data(), s.a.data(),
+                      s.b.data());
+        // Self contributions, then the neighbours in list order.
+        double xm = particles_.m[i] * kern.w(0.0, hi);
+        double dsum = particles_.m[i] * kern.dw_dh(0.0, hi);
+        for (std::size_t k = 0; k < count; ++k) {
+            const double mj = particles_.m[neighbors_.list[first + k]];
+            xm += mj * s.a[k];
+            dsum += mj * s.b[k];
         }
         particles_.xmass[i] = xm;
         // Density from the volume-element sum (equal-mass scheme).
         particles_.rho[i] = xm;
+        // NormalizationGradh's Omega_i = 1 + (h / 3 rho) * sum_j m_j dW/dh,
+        // from the same pairs: dw_dh evaluates W(r, h_i) exactly as w does.
+        const double rho = std::max(xm, 1e-30);
+        const double omega = 1.0 + hi / (3.0 * rho) * dsum;
+        particles_.gradh[i] = std::clamp(omega, 0.2, 3.0);
     }
     return make_work(kXMassCost, static_cast<double>(neighbors_.total_pairs()),
                      static_cast<double>(n), kXMassCost.launches);
@@ -186,24 +300,10 @@ gpusim::KernelWork SphSimulation::xmass()
 
 gpusim::KernelWork SphSimulation::normalization_gradh()
 {
-    const KernelTable& kern = kernel_;
-    const std::size_t n = particles_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        const double hi = particles_.h[i];
-        double dsum = particles_.m[i] * kern.dw_dh(0.0, hi);
-        const Vec3 xi = particles_.pos(i);
-        for (std::size_t p = neighbors_.offsets[i]; p < neighbors_.offsets[i + 1]; ++p) {
-            const std::uint32_t j = neighbors_.list[p];
-            const double r = neighbors_.displacement(p, xi, particles_.pos(j)).norm();
-            dsum += particles_.m[j] * kern.dw_dh(r, hi);
-        }
-        // Omega_i = 1 + (h / 3 rho) * sum_j m_j dW/dh
-        const double rho = std::max(particles_.rho[i], 1e-30);
-        const double omega = 1.0 + hi / (3.0 * rho) * dsum;
-        particles_.gradh[i] = std::clamp(omega, 0.2, 3.0);
-    }
+    // xmass() computed Omega_i in its pass over the same pairs; this submits
+    // the work a GPU implementation's separate kernel executes.
     return make_work(kGradhCost, static_cast<double>(neighbors_.total_pairs()),
-                     static_cast<double>(n), kGradhCost.launches);
+                     static_cast<double>(particles_.size()), kGradhCost.launches);
 }
 
 gpusim::KernelWork SphSimulation::equation_of_state()
@@ -228,29 +328,21 @@ gpusim::KernelWork SphSimulation::iad_velocity_div_curl()
     for (std::size_t j = 0; j < n; ++j) {
         volume[j] = particles_.m[j] / std::max(particles_.rho[j], 1e-30);
     }
-    // x_j - x_i and W(|x_j - x_i|, h_i) of each neighbour, from the first
-    // loop for the second (grown to the longest list, at most ngmax).
-    std::vector<Vec3> disp;
-    std::vector<double> wgt;
+    // x_j - x_i and W(|x_j - x_i|, h_i) of each neighbour, for both loops.
+    PairScratch s(neighbors_.ngmax);
     for (std::size_t i = 0; i < n; ++i) {
         const double hi = particles_.h[i];
-        const Vec3 xi = particles_.pos(i);
         const Vec3 vi = particles_.vel(i);
         const std::size_t first = neighbors_.offsets[i];
-        const std::size_t count = neighbors_.count(i);
-        if (disp.size() < count) {
-            disp.resize(count);
-            wgt.resize(count);
-        }
+        const std::size_t count =
+            gather(neighbors_, particles_, i, /*reverse=*/true, /*with_h=*/false, s);
+        kernel_values(kern, hi, count, s.dx.data(), s.dy.data(), s.dz.data(), s.a.data());
 
         Sym3 tau;
         for (std::size_t k = 0; k < count; ++k) {
-            const std::uint32_t j = neighbors_.list[first + k];
-            const Vec3 d = neighbors_.reverse_displacement(first + k, xi, particles_.pos(j));
-            const double w = kern.w(d.norm(), hi);
-            disp[k] = d;
-            wgt[k] = w;
-            const double vj = volume[j];
+            const Vec3 d{s.dx[k], s.dy[k], s.dz[k]};
+            const double w = s.a[k];
+            const double vj = volume[neighbors_.list[first + k]];
             tau.xx += vj * d.x * d.x * w;
             tau.xy += vj * d.x * d.y * w;
             tau.xz += vj * d.x * d.z * w;
@@ -266,8 +358,8 @@ gpusim::KernelWork SphSimulation::iad_velocity_div_curl()
                gzz = 0;
         for (std::size_t k = 0; k < count; ++k) {
             const std::uint32_t j = neighbors_.list[first + k];
-            const Vec3 d = disp[k];
-            const double w = wgt[k];
+            const Vec3 d{s.dx[k], s.dy[k], s.dz[k]};
+            const double w = s.a[k];
             const double vj = volume[j];
             const Vec3 grad = cinv.mul(d) * w; // IAD gradient direction
             const Vec3 dv = particles_.vel(j) - vi;
@@ -326,9 +418,9 @@ gpusim::KernelWork SphSimulation::momentum_energy()
         const double rho_j = std::max(particles_.rho[j], 1e-30);
         p_term[j] = particles_.p[j] / (particles_.gradh[j] * rho_j * rho_j);
     }
+    PairScratch s(neighbors_.ngmax);
     for (std::size_t i = 0; i < n; ++i) {
         const double hi = particles_.h[i];
-        const Vec3 xi = particles_.pos(i);
         const Vec3 vi = particles_.vel(i);
         const double rho_i = std::max(particles_.rho[i], 1e-30);
         const double pi_term = p_term[i];
@@ -338,19 +430,23 @@ gpusim::KernelWork SphSimulation::momentum_energy()
         double du_av = 0.0;
         double vsig_max = particles_.c[i];
 
-        for (std::size_t p = neighbors_.offsets[i]; p < neighbors_.offsets[i + 1]; ++p) {
-            const std::uint32_t j = neighbors_.list[p];
-            const Vec3 d = neighbors_.displacement(p, xi, particles_.pos(j)); // x_i - x_j
-            const double r = d.norm();
+        const std::size_t first = neighbors_.offsets[i];
+        const std::size_t count =
+            gather(neighbors_, particles_, i, /*reverse=*/false, /*with_h=*/true, s);
+        gradient_terms(kern, hi, count, s.dx.data(), s.dy.data(), s.dz.data(), s.hj.data(),
+                       s.a.data(), s.b.data());
+        for (std::size_t k = 0; k < count; ++k) {
+            const double r = s.a[k];
             if (r <= 0.0) continue;
-            const double hj = particles_.h[j];
+            const std::uint32_t j = neighbors_.list[first + k];
+            const Vec3 d{s.dx[k], s.dy[k], s.dz[k]}; // x_i - x_j
+            const double hj = s.hj[k];
             const double rho_j = std::max(particles_.rho[j], 1e-30);
             const double pj_term = p_term[j];
 
             // Symmetrized kernel gradient keeps momentum exchange
             // antisymmetric (pairwise conservation).
-            const double dw = 0.5 * (kern.dw_dr(r, hi) + kern.dw_dr(r, hj));
-            const Vec3 grad = d * (dw / r);
+            const Vec3 grad = d * s.b[k];
 
             const Vec3 vij = vi - particles_.vel(j);
             const double vr = vij.dot(d);

@@ -64,6 +64,7 @@ KernelTable::KernelTable(KernelType type) : type_(type)
             dw_table_[i] = wendland_c2_dw_dr(q, 1.0);
         }
     }
+    // Zero at q = kQMax; the padding entry past it stays zero.
     w_table_[kSize] = 0.0;
     dw_table_[kSize] = 0.0;
 }

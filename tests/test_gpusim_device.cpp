@@ -171,8 +171,8 @@ public:
         const double mem_scale = mem_mhz_ / spec_.memory_clock_mhz;
         KernelResult r;
         r.start_s = now_;
-        governor_.on_kernel_launch();
         const long transitions_before = governor_.transition_count();
+        governor_.on_kernel_launch();
         double progress = 0.0;
         double clock_time_integral = 0.0;
         double energy = 0.0;
@@ -332,6 +332,42 @@ TEST(Device, GovernedExecuteMatchesAReferenceLoop)
             ASSERT_EQ(got[k].time, want[k].time) << spec.name << " sample " << k;
             ASSERT_EQ(got[k].value, want[k].value) << spec.name << " sample " << k;
         }
+    }
+}
+
+TEST(Device, EveryTransitionOfAGovernedBatchIsCharged)
+{
+    // Each batch starts below the boost floor, so its first launch boosts
+    // the clock: that transition costs transition_energy_j like the ones
+    // later in the batch.  The idle decay between batches costs none.
+    constexpr double kTransitionJ = 0.25;
+    GpuDeviceSpec free_spec = a100_sxm4_80g();
+    free_spec.transition_energy_j = 0.0;
+    GpuDeviceSpec priced_spec = free_spec;
+    priced_spec.transition_energy_j = kTransitionJ;
+    GpuDevice free_dev(free_spec);
+    GpuDevice priced(priced_spec);
+    free_dev.set_clock_policy(ClockPolicy::kNativeDvfs);
+    priced.set_clock_policy(ClockPolicy::kNativeDvfs);
+    for (int batch = 0; batch < 3; ++batch) {
+        SCOPED_TRACE("batch " + std::to_string(batch));
+        ASSERT_LT(priced.current_clock_mhz(), priced_spec.governor.boost_floor_mhz);
+        const long before = priced.clock_transitions();
+        const KernelResult free_run = free_dev.execute(big_kernel());
+        const KernelResult priced_run = priced.execute(big_kernel());
+        const long transitions = priced.clock_transitions() - before;
+        ASSERT_GE(transitions, 1);
+        EXPECT_NEAR(priced_run.energy_j - free_run.energy_j,
+                    static_cast<double>(transitions) * kTransitionJ, 1e-9);
+
+        const double free_before_idle = free_dev.energy_j();
+        const double priced_before_idle = priced.energy_j();
+        const long before_idle = priced.clock_transitions();
+        free_dev.idle(2.0);
+        priced.idle(2.0);
+        ASSERT_GT(priced.clock_transitions(), before_idle);
+        EXPECT_NEAR(priced.energy_j() - priced_before_idle,
+                    free_dev.energy_j() - free_before_idle, 1e-9);
     }
 }
 

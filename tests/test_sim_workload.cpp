@@ -177,20 +177,12 @@ std::string reference_serialize(const WorkloadTrace& trace)
     return os.str();
 }
 
-TEST(Workload, SerializeMatchesOstreamReference)
+/// A trace of random doubles drawn to hit the formatting edges: subnormals,
+/// -0.0, integral values from 1e15 up past 1e17 (where %.17g switches to
+/// exponent form), tiny and huge magnitudes, and int64 counts near their
+/// limits.
+WorkloadTrace random_trace(std::mt19937_64& rng, int round)
 {
-    for (const WorkloadKind kind : {WorkloadKind::kSubsonicTurbulence,
-                                    WorkloadKind::kEvrardCollapse,
-                                    WorkloadKind::kSedovBlast}) {
-        const auto trace = record_trace(small_spec(kind));
-        EXPECT_EQ(trace.serialize(), reference_serialize(trace)) << to_string(kind);
-    }
-
-    // Random doubles drawn to hit the formatting edges: subnormals, -0.0,
-    // integral values from 1e15 up past 1e17 (where %.17g switches to
-    // exponent form), tiny and huge magnitudes, and int64 counts near their
-    // limits.
-    std::mt19937_64 rng(20241017);
     auto any_double = [&rng]() {
         switch (rng() % 8) {
             case 0: return std::numeric_limits<double>::denorm_min() *
@@ -215,27 +207,41 @@ TEST(Workload, SerializeMatchesOstreamReference)
             default: return static_cast<std::int64_t>(rng() % 100000);
         }
     };
-    for (int round = 0; round < 50; ++round) {
-        WorkloadTrace trace;
-        trace.workload_name = "Random" + std::to_string(round);
-        trace.kind = static_cast<WorkloadKind>(round % 3);
-        trace.n_particles_real = any_double();
-        trace.particles_per_gpu = any_double();
-        trace.halo_surface_prefactor = any_double();
-        trace.steps.resize(static_cast<std::size_t>(rng() % 4 + 1));
-        for (auto& step : trace.steps) {
-            for (int f = 0; f < sph::kSphFunctionCount; ++f) {
-                FunctionRecord fr;
-                fr.fn = static_cast<sph::SphFunction>(f);
-                fr.work.flops = any_double();
-                fr.work.dram_bytes = any_double();
-                fr.work.gather_fraction = any_double();
-                fr.work.flop_efficiency = any_double();
-                fr.work.launches = any_count();
-                fr.work.threads = any_count();
-                step.functions.push_back(fr);
-            }
+    WorkloadTrace trace;
+    trace.workload_name = "Random" + std::to_string(round);
+    trace.kind = static_cast<WorkloadKind>(round % 3);
+    trace.n_particles_real = any_double();
+    trace.particles_per_gpu = any_double();
+    trace.halo_surface_prefactor = any_double();
+    trace.steps.resize(static_cast<std::size_t>(rng() % 4 + 1));
+    for (auto& step : trace.steps) {
+        for (int f = 0; f < sph::kSphFunctionCount; ++f) {
+            FunctionRecord fr;
+            fr.fn = static_cast<sph::SphFunction>(f);
+            fr.work.flops = any_double();
+            fr.work.dram_bytes = any_double();
+            fr.work.gather_fraction = any_double();
+            fr.work.flop_efficiency = any_double();
+            fr.work.launches = any_count();
+            fr.work.threads = any_count();
+            step.functions.push_back(fr);
         }
+    }
+    return trace;
+}
+
+TEST(Workload, SerializeMatchesOstreamReference)
+{
+    for (const WorkloadKind kind : {WorkloadKind::kSubsonicTurbulence,
+                                    WorkloadKind::kEvrardCollapse,
+                                    WorkloadKind::kSedovBlast}) {
+        const auto trace = record_trace(small_spec(kind));
+        EXPECT_EQ(trace.serialize(), reference_serialize(trace)) << to_string(kind);
+    }
+
+    std::mt19937_64 rng(20241017);
+    for (int round = 0; round < 50; ++round) {
+        const WorkloadTrace trace = random_trace(rng, round);
         ASSERT_EQ(trace.serialize(), reference_serialize(trace)) << "round " << round;
     }
 }
@@ -338,6 +344,81 @@ TEST(Workload, ParseReportsLineNumberForBadNumericField)
         std::invalid_argument);
 }
 
+
+TEST(Workload, ParseReadsBackEveryDoubleBitForBit)
+{
+    // std::stod rejected subnormals as out of range; from_chars reads back
+    // every double serialize() writes, infinities and signed zeros included.
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    const double inf = std::numeric_limits<double>::infinity();
+    const double tiny = std::numeric_limits<double>::denorm_min();
+    std::mt19937_64 rng(20251020);
+    for (int round = 0; round < 50; ++round) {
+        WorkloadTrace trace = random_trace(rng, round);
+        auto& fns = trace.steps[0].functions;
+        fns[0].work.flops = tiny;
+        fns[0].work.dram_bytes = -tiny;
+        fns[1].work.flops = inf;
+        fns[1].work.dram_bytes = -inf;
+        fns[2].work.flops = 0.0;
+        fns[2].work.dram_bytes = -0.0;
+        fns[3].work.flops = std::numeric_limits<double>::max();
+        fns[3].work.dram_bytes = std::numeric_limits<double>::min();
+        if (round == 0) trace.halo_surface_prefactor = tiny;
+
+        const WorkloadTrace parsed = WorkloadTrace::parse(trace.serialize());
+        SCOPED_TRACE("round " + std::to_string(round));
+        EXPECT_EQ(parsed.workload_name, trace.workload_name);
+        EXPECT_EQ(parsed.kind, trace.kind);
+        EXPECT_EQ(bits(parsed.n_particles_real), bits(trace.n_particles_real));
+        EXPECT_EQ(bits(parsed.particles_per_gpu), bits(trace.particles_per_gpu));
+        EXPECT_EQ(bits(parsed.halo_surface_prefactor), bits(trace.halo_surface_prefactor));
+        ASSERT_EQ(parsed.steps.size(), trace.steps.size());
+        for (std::size_t s = 0; s < trace.steps.size(); ++s) {
+            const auto& want = trace.steps[s].functions;
+            const auto& got = parsed.steps[s].functions;
+            ASSERT_EQ(got.size(), want.size());
+            for (std::size_t f = 0; f < want.size(); ++f) {
+                EXPECT_EQ(got[f].fn, want[f].fn);
+                EXPECT_EQ(bits(got[f].work.flops), bits(want[f].work.flops));
+                EXPECT_EQ(bits(got[f].work.dram_bytes), bits(want[f].work.dram_bytes));
+                EXPECT_EQ(bits(got[f].work.gather_fraction), bits(want[f].work.gather_fraction));
+                EXPECT_EQ(bits(got[f].work.flop_efficiency), bits(want[f].work.flop_efficiency));
+                EXPECT_EQ(got[f].work.launches, want[f].work.launches);
+                EXPECT_EQ(got[f].work.threads, want[f].work.threads);
+            }
+        }
+    }
+}
+
+TEST(Workload, ParseRejectsLeadingSignSpaceAndHex)
+{
+    // std::stod and std::stoll took these; a number is now exactly what
+    // serialize() writes.
+    for (const char* row : {"0,1,+1e9,1e8,0.1,0.5,10,1000", "0,1, 1e9,1e8,0.1,0.5,10,1000",
+                            "0,1,0x1p3,1e8,0.1,0.5,10,1000", "+0,1,1e9,1e8,0.1,0.5,10,1000",
+                            "0,1,1e9,1e8,0.1,0.5,+10,1000", "0,1,1e9,1e8,0.1,0.5,10, 1000"}) {
+        EXPECT_THROW(WorkloadTrace::parse(valid_trace_text("0", row)), std::invalid_argument)
+            << row;
+    }
+    EXPECT_THROW(WorkloadTrace::parse(valid_trace_text("+0")), std::invalid_argument);
+    EXPECT_THROW(WorkloadTrace::parse(valid_trace_text(" 0")), std::invalid_argument);
+}
+
+TEST(Workload, ParseSplitsLinesAndFieldsAsBefore)
+{
+    // No final newline, blank lines between rows, and a trailing comma (which
+    // starts no ninth field) all parse; a ninth field does not.
+    std::string text = valid_trace_text("0", "0,1,1e9,1e8,0.1,0.5,10,1000\n\n"
+                                             "0,2,1e9,1e8,0.1,0.5,10,1000,");
+    text.pop_back(); // the newline after the last row
+    const auto trace = WorkloadTrace::parse(text);
+    ASSERT_EQ(trace.n_steps(), 1);
+    EXPECT_EQ(trace.steps[0].functions.size(), 2u);
+    EXPECT_THROW(
+        WorkloadTrace::parse(valid_trace_text("0", "0,1,1e9,1e8,0.1,0.5,10,1000,7")),
+        std::invalid_argument);
+}
 
 TEST(Workload, SedovTraceRecordsAndRuns)
 {

@@ -1,9 +1,16 @@
 #include "sph/functions.hpp"
 #include "sph/ic.hpp"
+#include "sph_scalar_kernel.hpp"
+#include "util/rng.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <utility>
 
 namespace gsph::sph {
 namespace {
@@ -362,6 +369,321 @@ TEST(Functions, InvalidSmoothingLengthThrows)
     ps.h = {0.1, 0.0};
     EXPECT_THROW(SphSimulation(ps, Box::cube(0.0, 1.0, true), SphConfig{}),
                  std::invalid_argument);
+}
+
+// --- Pair loops against their one-pair-at-a-time references --------------
+
+// The four pair loops as they were written one pair at a time, each pass
+// over a neighbour list computing its own kernel terms.
+
+void reference_xmass(ParticleSet& ps, const NeighborList& nl,
+                     const test::ScalarKernel& kern)
+{
+    for (std::size_t i = 0; i < ps.size(); ++i) {
+        const double hi = ps.h[i];
+        double xm = ps.m[i] * kern.w(0.0, hi);
+        const Vec3 xi = ps.pos(i);
+        for (std::size_t p = nl.offsets[i]; p < nl.offsets[i + 1]; ++p) {
+            const std::uint32_t j = nl.list[p];
+            const double r = nl.displacement(p, xi, ps.pos(j)).norm();
+            xm += ps.m[j] * kern.w(r, hi);
+        }
+        ps.xmass[i] = xm;
+        ps.rho[i] = xm;
+    }
+}
+
+void reference_gradh(ParticleSet& ps, const NeighborList& nl,
+                     const test::ScalarKernel& kern)
+{
+    for (std::size_t i = 0; i < ps.size(); ++i) {
+        const double hi = ps.h[i];
+        double dsum = ps.m[i] * kern.dw_dh(0.0, hi);
+        const Vec3 xi = ps.pos(i);
+        for (std::size_t p = nl.offsets[i]; p < nl.offsets[i + 1]; ++p) {
+            const std::uint32_t j = nl.list[p];
+            const double r = nl.displacement(p, xi, ps.pos(j)).norm();
+            dsum += ps.m[j] * kern.dw_dh(r, hi);
+        }
+        const double rho = std::max(ps.rho[i], 1e-30);
+        const double omega = 1.0 + hi / (3.0 * rho) * dsum;
+        ps.gradh[i] = std::clamp(omega, 0.2, 3.0);
+    }
+}
+
+void reference_iad(ParticleSet& ps, const NeighborList& nl, const test::ScalarKernel& kern)
+{
+    const std::size_t n = ps.size();
+    std::vector<double> volume(n);
+    for (std::size_t j = 0; j < n; ++j) volume[j] = ps.m[j] / std::max(ps.rho[j], 1e-30);
+    for (std::size_t i = 0; i < n; ++i) {
+        const double hi = ps.h[i];
+        const Vec3 xi = ps.pos(i);
+        const Vec3 vi = ps.vel(i);
+        Sym3 tau;
+        for (std::size_t p = nl.offsets[i]; p < nl.offsets[i + 1]; ++p) {
+            const std::uint32_t j = nl.list[p];
+            const Vec3 d = nl.reverse_displacement(p, xi, ps.pos(j));
+            const double w = kern.w(d.norm(), hi);
+            const double vj = volume[j];
+            tau.xx += vj * d.x * d.x * w;
+            tau.xy += vj * d.x * d.y * w;
+            tau.xz += vj * d.x * d.z * w;
+            tau.yy += vj * d.y * d.y * w;
+            tau.yz += vj * d.y * d.z * w;
+            tau.zz += vj * d.z * d.z * w;
+        }
+        const Sym3 cinv = tau.inverse();
+        ps.iad[i] = cinv;
+        double gxx = 0, gxy = 0, gxz = 0, gyx = 0, gyy = 0, gyz = 0, gzx = 0, gzy = 0,
+               gzz = 0;
+        for (std::size_t p = nl.offsets[i]; p < nl.offsets[i + 1]; ++p) {
+            const std::uint32_t j = nl.list[p];
+            const Vec3 d = nl.reverse_displacement(p, xi, ps.pos(j));
+            const double w = kern.w(d.norm(), hi);
+            const double vj = volume[j];
+            const Vec3 grad = cinv.mul(d) * w;
+            const Vec3 dv = ps.vel(j) - vi;
+            gxx += vj * dv.x * grad.x;
+            gxy += vj * dv.x * grad.y;
+            gxz += vj * dv.x * grad.z;
+            gyx += vj * dv.y * grad.x;
+            gyy += vj * dv.y * grad.y;
+            gyz += vj * dv.y * grad.z;
+            gzx += vj * dv.z * grad.x;
+            gzy += vj * dv.z * grad.y;
+            gzz += vj * dv.z * grad.z;
+        }
+        ps.div_v[i] = gxx + gyy + gzz;
+        const Vec3 curl{gzy - gyz, gxz - gzx, gyx - gxy};
+        ps.curl_v[i] = curl.norm();
+    }
+}
+
+void reference_momentum_energy(ParticleSet& ps, const NeighborList& nl,
+                               const test::ScalarKernel& kern, double av_beta_factor)
+{
+    const std::size_t n = ps.size();
+    std::vector<double> p_term(n);
+    for (std::size_t j = 0; j < n; ++j) {
+        const double rho_j = std::max(ps.rho[j], 1e-30);
+        p_term[j] = ps.p[j] / (ps.gradh[j] * rho_j * rho_j);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+        const double hi = ps.h[i];
+        const Vec3 xi = ps.pos(i);
+        const Vec3 vi = ps.vel(i);
+        const double rho_i = std::max(ps.rho[i], 1e-30);
+        const double pi_term = p_term[i];
+        Vec3 acc{0.0, 0.0, 0.0};
+        double du_press = 0.0;
+        double du_av = 0.0;
+        double vsig_max = ps.c[i];
+        for (std::size_t p = nl.offsets[i]; p < nl.offsets[i + 1]; ++p) {
+            const std::uint32_t j = nl.list[p];
+            const Vec3 d = nl.displacement(p, xi, ps.pos(j));
+            const double r = d.norm();
+            if (r <= 0.0) continue;
+            const double hj = ps.h[j];
+            const double rho_j = std::max(ps.rho[j], 1e-30);
+            const double pj_term = p_term[j];
+            const double dw = 0.5 * (kern.dw_dr(r, hi) + kern.dw_dr(r, hj));
+            const Vec3 grad = d * (dw / r);
+            const Vec3 vij = vi - ps.vel(j);
+            const double vr = vij.dot(d);
+            double visc = 0.0;
+            if (vr < 0.0) {
+                const double h_mean = 0.5 * (hi + hj);
+                const double mu = h_mean * vr / (r * r + 0.01 * h_mean * h_mean);
+                const double c_mean = 0.5 * (ps.c[i] + ps.c[j]);
+                const double rho_mean = 0.5 * (rho_i + rho_j);
+                const double alpha = 0.5 * (ps.alpha[i] + ps.alpha[j]);
+                const double beta = av_beta_factor * alpha;
+                visc = (-alpha * c_mean * mu + beta * mu * mu) / rho_mean;
+                vsig_max = std::max(vsig_max, c_mean - 2.0 * mu);
+            }
+            const double mj = ps.m[j];
+            acc -= mj * (pi_term + pj_term + visc) * grad;
+            du_press += mj * vij.dot(grad);
+            du_av += mj * visc * vij.dot(grad);
+        }
+        ps.ax[i] = acc.x;
+        ps.ay[i] = acc.y;
+        ps.az[i] = acc.z;
+        ps.du[i] = pi_term * du_press + 0.5 * du_av;
+        ps.vsig[i] = vsig_max;
+    }
+}
+
+template <typename T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b)
+{
+    return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+/// Every particle field of `got` has the bits of `want`.
+void expect_same_fields(const ParticleSet& got, const ParticleSet& want,
+                        const std::string& where)
+{
+    const std::pair<const char*, std::vector<double> ParticleSet::*> fields[] = {
+        {"x", &ParticleSet::x},         {"y", &ParticleSet::y},
+        {"z", &ParticleSet::z},         {"vx", &ParticleSet::vx},
+        {"vy", &ParticleSet::vy},       {"vz", &ParticleSet::vz},
+        {"ax", &ParticleSet::ax},       {"ay", &ParticleSet::ay},
+        {"az", &ParticleSet::az},       {"h", &ParticleSet::h},
+        {"m", &ParticleSet::m},         {"rho", &ParticleSet::rho},
+        {"u", &ParticleSet::u},         {"du", &ParticleSet::du},
+        {"p", &ParticleSet::p},         {"c", &ParticleSet::c},
+        {"xmass", &ParticleSet::xmass}, {"gradh", &ParticleSet::gradh},
+        {"div_v", &ParticleSet::div_v}, {"curl_v", &ParticleSet::curl_v},
+        {"alpha", &ParticleSet::alpha}, {"vsig", &ParticleSet::vsig},
+    };
+    for (const auto& [name, field] : fields) {
+        EXPECT_TRUE(same_bits(got.*field, want.*field)) << where << ": " << name;
+    }
+    EXPECT_TRUE(same_bits(got.iad, want.iad)) << where << ": iad";
+    EXPECT_TRUE(same_bits(got.key, want.key)) << where << ": key";
+    EXPECT_TRUE(same_bits(got.nc, want.nc)) << where << ": nc";
+}
+
+/// Runs `steps` steps of `sim` and checks each pair loop against its
+/// reference, run on a copy of the particles taken just before it.  xmass()
+/// also forms NormalizationGradh's Omega, so its reference is both loops.
+void expect_pair_loops_match_references(SphSimulation& sim, int steps)
+{
+    const test::ScalarKernel kern(sim.config().kernel_type);
+    int checked = 0;
+    for (int s = 0; s < steps; ++s) {
+        for (const SphFunction fn : function_order(sim.config().gravity)) {
+            ParticleSet want = sim.particles();
+            const NeighborList& nl = sim.neighbors();
+            switch (fn) {
+                case SphFunction::kXMass:
+                    reference_xmass(want, nl, kern);
+                    reference_gradh(want, nl, kern);
+                    break;
+                case SphFunction::kNormalizationGradh: reference_gradh(want, nl, kern); break;
+                case SphFunction::kIadVelocityDivCurl: reference_iad(want, nl, kern); break;
+                case SphFunction::kMomentumEnergy:
+                    reference_momentum_energy(want, nl, kern, sim.config().av_beta_factor);
+                    break;
+                default: sim.run_function(fn); continue;
+            }
+            sim.run_function(fn);
+            expect_same_fields(sim.particles(), want,
+                               std::string(to_string(fn)) + " step " + std::to_string(s));
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, 4 * steps);
+}
+
+SphSimulation recorder_turbulence(int nside, SphConfig config = {})
+{
+    TurbulenceParams p;
+    p.nside = nside; // the recorder's default neighbour target, 100
+    return make_subsonic_turbulence(p, config);
+}
+
+/// Cells per axis of the grid find_all_neighbors builds for `sim` now.
+int cells_per_axis(const SphSimulation& sim)
+{
+    const ParticleSet& ps = sim.particles();
+    const double hmax = *std::max_element(ps.h.begin(), ps.h.end());
+    return CellGrid(sim.box(), 2.0 * hmax, ps.size()).nx();
+}
+
+TEST(PairLoops, MatchReferencesOnTurbulence8PerPairImages)
+{
+    // 2 cells per axis: every stored pair's image is found per pair.
+    auto sim = recorder_turbulence(8);
+    ASSERT_EQ(cells_per_axis(sim), 2);
+    expect_pair_loops_match_references(sim, 3);
+}
+
+TEST(PairLoops, MatchReferencesOnTurbulence12StencilShift)
+{
+    // 4 cells per axis: images come from the stencil cell's shift.
+    auto sim = recorder_turbulence(12);
+    ASSERT_EQ(cells_per_axis(sim), 4);
+    expect_pair_loops_match_references(sim, 2);
+}
+
+TEST(PairLoops, MatchReferencesOnEvrard10OpenBox)
+{
+    EvrardParams p;
+    p.n_particles = 1000;
+    auto sim = make_evrard_collapse(p);
+    expect_pair_loops_match_references(sim, 2);
+}
+
+TEST(PairLoops, MatchReferencesOnListsTruncatedAtNgmax)
+{
+    SphConfig config;
+    config.ngmax = 40; // well under the ~100 neighbours each particle has
+    auto sim = recorder_turbulence(10, config);
+    sim.domain_decomp_and_sync();
+    sim.find_neighbors();
+    ASSERT_EQ(sim.neighbors().truncated.size(), sim.particles().size());
+    expect_pair_loops_match_references(sim, 2);
+}
+
+/// An open box with a cluster of particles of varied h, two of them at the
+/// same position, and one particle out of everyone's reach.
+SphSimulation edge_case_simulation()
+{
+    constexpr std::size_t kCluster = 300;
+    util::Rng rng(0x5eed);
+    ParticleSet ps;
+    ps.resize(kCluster + 1);
+    for (std::size_t i = 0; i < kCluster; ++i) {
+        ps.x[i] = rng.uniform(0.0, 0.5);
+        ps.y[i] = rng.uniform(0.0, 0.5);
+        ps.z[i] = rng.uniform(0.0, 0.5);
+        ps.vx[i] = rng.uniform(-0.1, 0.1);
+        ps.vy[i] = rng.uniform(-0.1, 0.1);
+        ps.vz[i] = rng.uniform(-0.1, 0.1);
+        ps.h[i] = rng.uniform(0.03, 0.12);
+    }
+    ps.x[1] = ps.x[0];
+    ps.y[1] = ps.y[0];
+    ps.z[1] = ps.z[0];
+    ps.x[kCluster] = ps.y[kCluster] = ps.z[kCluster] = 0.95;
+    ps.h[kCluster] = 0.02;
+    for (std::size_t i = 0; i <= kCluster; ++i) {
+        ps.m[i] = 1.0 / static_cast<double>(kCluster + 1);
+        ps.u[i] = 1.0;
+    }
+    return SphSimulation(ps, Box::cube(0.0, 1.0, false), SphConfig{});
+}
+
+TEST(PairLoops, MatchReferencesOnCoincidentFarAndIsolatedParticles)
+{
+    auto sim = edge_case_simulation();
+    {
+        // The neighbour list holds each edge case.
+        auto probe = edge_case_simulation();
+        probe.domain_decomp_and_sync();
+        probe.find_neighbors();
+        const ParticleSet& ps = probe.particles();
+        const NeighborList& nl = probe.neighbors();
+        bool coincident = false;
+        bool outside_hj = false;
+        bool lonely = false;
+        for (std::size_t i = 0; i < ps.size(); ++i) {
+            lonely = lonely || nl.count(i) == 0;
+            for (std::size_t p = nl.offsets[i]; p < nl.offsets[i + 1]; ++p) {
+                const std::uint32_t j = nl.list[p];
+                const double r = nl.displacement(p, ps.pos(i), ps.pos(j)).norm();
+                coincident = coincident || r == 0.0;
+                outside_hj = outside_hj || r >= 2.0 * ps.h[j];
+            }
+        }
+        EXPECT_TRUE(coincident);
+        EXPECT_TRUE(outside_hj);
+        EXPECT_TRUE(lonely);
+    }
+    expect_pair_loops_match_references(sim, 2);
 }
 
 } // namespace

@@ -1,4 +1,5 @@
 #include "sph/kernel.hpp"
+#include "sph_scalar_kernel.hpp"
 
 #include <gtest/gtest.h>
 
@@ -104,74 +105,18 @@ TEST_P(KernelTypeTest, DwDhConsistentWithFiniteDifference)
     EXPECT_NEAR(kern.dw_dh(r, h), fd, 5e-3 * std::fabs(fd) + 1e-6);
 }
 
-/// KernelTable's lookups as they were defined out of line in kernel.cpp,
-/// over tables built the same way: the inlined header definitions must
-/// return the same bits.
-class OutOfLineKernel {
-public:
-    explicit OutOfLineKernel(KernelType type)
-    {
-        for (std::size_t i = 0; i <= kSize; ++i) {
-            const double q = kQMax * static_cast<double>(i) / static_cast<double>(kSize);
-            if (type == KernelType::kCubicSpline) {
-                w_table_[i] = cubic_spline_w(q, 1.0);
-                dw_table_[i] = cubic_spline_dw_dr(q, 1.0);
-            }
-            else {
-                w_table_[i] = wendland_c2_w(q, 1.0);
-                dw_table_[i] = wendland_c2_dw_dr(q, 1.0);
-            }
-        }
-        w_table_[kSize] = 0.0;
-        dw_table_[kSize] = 0.0;
-    }
-
-    double w(double r, double h) const
-    {
-        const double q = r / h;
-        return lookup(w_table_, q) / (h * h * h);
-    }
-    double dw_dr(double r, double h) const
-    {
-        const double q = r / h;
-        return lookup(dw_table_, q) / (h * h * h * h);
-    }
-    double dw_dh(double r, double h) const
-    {
-        const double q = r / h;
-        const double w_val = w(r, h);
-        const double dw_dq = lookup(dw_table_, q) / (h * h * h);
-        return -(3.0 * w_val + q * dw_dq) / h;
-    }
-
-private:
-    static constexpr std::size_t kSize = KernelTable::kSize;
-    static constexpr double kQMax = KernelTable::kQMax;
-
-    double lookup(const std::array<double, kSize + 1>& table, double q) const
-    {
-        if (q < 0.0 || q >= kQMax) return 0.0;
-        const double pos = q / kQMax * static_cast<double>(kSize);
-        const std::size_t i = static_cast<std::size_t>(pos);
-        const double frac = pos - static_cast<double>(i);
-        return table[i] * (1.0 - frac) + table[i + 1] * frac;
-    }
-
-    std::array<double, kSize + 1> w_table_{};
-    std::array<double, kSize + 1> dw_table_{};
-};
-
 TEST_P(KernelTypeTest, LookupsMatchOutOfLineBodiesBitForBit)
 {
     const KernelTable kern(GetParam());
-    const OutOfLineKernel ref(GetParam());
+    // The lookups as they were defined out of line in kernel.cpp.
+    const test::ScalarKernel ref(GetParam());
     const double inf = std::numeric_limits<double>::infinity();
     const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
     int checked = 0;
     for (double h : {1.0, 0.5, 0.37, 3.0, 1e-3, 0.0123456789}) {
-        // q on every knot and halfway between, at 2 and past it.
-        std::vector<double> radii = {0.0, 2.0 * h, std::nextafter(2.0 * h, inf),
-                                     std::nextafter(2.0 * h, 0.0), 2.5 * h, 7.0 * h};
+        // q on every knot and halfway between, at ±0, at 2 and past it.
+        std::vector<double> radii = {0.0, -0.0, 2.0 * h, std::nextafter(2.0 * h, inf),
+                                     std::nextafter(2.0 * h, 0.0), 2.5 * h, 7.0 * h, 1e300};
         for (std::size_t k = 0; k <= KernelTable::kSize; ++k) {
             const double q = KernelTable::kQMax * static_cast<double>(k) /
                              static_cast<double>(KernelTable::kSize);
@@ -188,7 +133,20 @@ TEST_P(KernelTypeTest, LookupsMatchOutOfLineBodiesBitForBit)
             ++checked;
         }
     }
-    EXPECT_EQ(checked, 6 * (6 + 3 * (static_cast<int>(KernelTable::kSize) + 1)));
+    EXPECT_EQ(checked, 6 * (8 + 3 * (static_cast<int>(KernelTable::kSize) + 1)));
+
+    // The tables at q itself, where the select clamps |q| to kQMax and masks
+    // a negative q: both must read what the early return gave.
+    const double q_max = KernelTable::kQMax;
+    for (double q : {std::nextafter(q_max, 0.0), q_max, std::nextafter(q_max, inf), 1e300, inf,
+                     0.0, -0.0, -1e-300, -1.0, -q_max, -7.0, -inf, 0.5, 1.0, 1.5}) {
+        EXPECT_EQ(bits(kern.w_at(q)), bits(ref.w_at(q))) << "w_at q=" << q;
+        EXPECT_EQ(bits(kern.dw_at(q)), bits(ref.dw_at(q))) << "dw_at q=" << q;
+    }
+    // The early return's reading of NaN was undefined; the select reads +0.0.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_EQ(bits(kern.w_at(nan)), bits(0.0));
+    EXPECT_EQ(bits(kern.dw_at(nan)), bits(0.0));
 }
 
 INSTANTIATE_TEST_SUITE_P(BothKernels, KernelTypeTest,
