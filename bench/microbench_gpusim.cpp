@@ -1,11 +1,14 @@
 /// google-benchmark microbenchmarks of the device-model substrate: kernel
-/// pricing, locked/governed execution, governor stepping and the
-/// instrumented-driver overhead per simulated function call.
+/// pricing, locked/governed execution, governor stepping, the pm_counters
+/// sampler and the instrumented-driver overhead per simulated function call.
 /// Locked execution is timed under power caps of four depths, on one
-/// repeated kernel and on a fleet node's sequence of kernels.
+/// repeated kernel and on a fleet node's sequence of kernels, and apart from
+/// its pricing (BM_ExecutePriced).
 
+#include "cpusim/cpu.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/roofline.hpp"
+#include "pmcounters/pm_counters.hpp"
 #include "sim/driver.hpp"
 #include "util/rng.hpp"
 
@@ -13,6 +16,7 @@
 
 #include <array>
 #include <memory>
+#include <string>
 #include <vector>
 
 namespace {
@@ -120,6 +124,46 @@ void BM_ExecuteLockedCappedStep(benchmark::State& state)
     state.SetLabel(kCapLabels[static_cast<std::size_t>(state.range(0))]);
 }
 BENCHMARK(BM_ExecuteLockedCappedStep)->DenseRange(0, 3);
+
+/// Locked execution of a batch priced once, as a fleet job's GPUs run a
+/// function priced once per round: the accounting alone, under a cap at 45%
+/// of TDP.
+void BM_ExecutePriced(benchmark::State& state)
+{
+    gpusim::GpuDevice dev(gpusim::a100_sxm4_80g());
+    dev.set_power_limit_w(cap_limit_w(dev, 2));
+    const gpusim::LockedPrice price = dev.price_locked(sample_work());
+    for (auto _ : state) {
+        const auto r = dev.execute_priced(price);
+        benchmark::DoNotOptimize(r.energy_j);
+    }
+    state.SetLabel(kCapLabels[2]);
+}
+BENCHMARK(BM_ExecutePriced);
+
+/// One pm_counters sample_to on a four-GPU node at 10 Hz, `gap` ms of node
+/// time after the previous one (the argument), so each call crosses
+/// gap * 10 Hz ticks; node time grows from 0 through the run.
+void BM_PmCountersSampleTo(benchmark::State& state)
+{
+    cpusim::CpuDevice cpu(cpusim::epyc_7113());
+    std::vector<std::unique_ptr<gpusim::GpuDevice>> gpus;
+    std::vector<gpusim::GpuDevice*> gpu_ptrs;
+    for (int g = 0; g < 4; ++g) {
+        gpus.push_back(std::make_unique<gpusim::GpuDevice>(gpusim::a100_sxm4_80g(), g));
+        gpu_ptrs.push_back(gpus.back().get());
+    }
+    pmcounters::PmCounters counters({}, &cpu, gpu_ptrs);
+    const double gap_s = static_cast<double>(state.range(0)) * 1e-3;
+    double now = 0.0;
+    for (auto _ : state) {
+        now += gap_s;
+        counters.sample_to(now);
+        benchmark::DoNotOptimize(counters.freshness());
+    }
+    state.SetLabel("gap " + std::to_string(state.range(0)) + " ms");
+}
+BENCHMARK(BM_PmCountersSampleTo)->Arg(100)->Arg(20'000)->Arg(600'000);
 
 void BM_ExecuteGoverned(benchmark::State& state)
 {

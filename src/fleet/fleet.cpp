@@ -124,6 +124,10 @@ FleetResult run_fleet(const FleetConfig& config)
         config.mandyn_table ? *config.mandyn_table
                             : core::reference_a100_turbulence_table();
     const bool per_kernel_clocks = config.policy == FleetPolicy::kNegotiated;
+    // work_jitter is exactly 1 without jitter, and only then do a job's GPUs
+    // share their work.
+    const bool jittered = !(config.rank_jitter <= 0.0);
+    std::vector<std::optional<gpusim::LockedPrice>> prices; ///< per function
 
     // Deterministic fleet trace identity: derived from the config hash, so
     // re-runs produce the same trace/span ids.
@@ -438,16 +442,24 @@ FleetResult run_fleet(const FleetConfig& config)
         }
 
         // (4) one workload step per running job, (job, node) in order.
+        // Without jitter every GPU of a job runs the same work for a
+        // function, so each (job, function) is priced once and its price
+        // runs on every locked GPU whose clocks and limit it was priced
+        // under; a GPU under other clocks or another limit is priced anew.
+        // Jittered work and governed GPUs run per GPU.
         for (RunningJob& rj : running) {
             const sim::StepRecord& step =
                 config.trace.steps[static_cast<std::size_t>(rj.steps_done) %
                                    config.trace.steps.size()];
             const double scale = config.trace.work_scale() * rj.spec.work_scale;
+            prices.assign(step.functions.size(), std::nullopt);
             for (int slot = 0; slot < static_cast<int>(rj.nodes.size()); ++slot) {
                 sim::Node& node = *nodes[static_cast<std::size_t>(
                     rj.nodes[static_cast<std::size_t>(slot)])];
                 int call = 0;
                 for (const sim::FunctionRecord& fr : step.functions) {
+                    std::optional<gpusim::LockedPrice>& price =
+                        prices[static_cast<std::size_t>(call)];
                     for (int g = 0; g < node.gpu_count(); ++g) {
                         gpusim::GpuDevice& dev = node.gpu(g);
                         if (per_kernel_clocks) {
@@ -455,10 +467,18 @@ FleetResult run_fleet(const FleetConfig& config)
                                 config.system.gpu.memory_clock_mhz,
                                 clock_table.get(fr.fn));
                         }
-                        const int rank_key = rj.spec.id * 65536 + slot * gpn + g;
-                        const double jit = sim::work_jitter(
-                            config.rank_jitter, rank_key, rj.steps_done, call);
-                        dev.execute(gpusim::scaled(fr.work, scale * jit));
+                        if (jittered ||
+                            dev.clock_policy() != gpusim::ClockPolicy::kLockedAppClock) {
+                            const int rank_key = rj.spec.id * 65536 + slot * gpn + g;
+                            const double jit = sim::work_jitter(
+                                config.rank_jitter, rank_key, rj.steps_done, call);
+                            dev.execute(gpusim::scaled(fr.work, scale * jit));
+                            continue;
+                        }
+                        if (!price || !dev.can_apply(*price)) {
+                            price = dev.price_locked(gpusim::scaled(fr.work, scale));
+                        }
+                        dev.execute_priced(*price);
                     }
                     ++call;
                 }

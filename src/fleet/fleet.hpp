@@ -15,7 +15,10 @@
 /// Execution is round-based, on the calling thread: admission + scheduling +
 /// cap apportionment, then one workload step per running job over its
 /// (job, node) work items in order, then a merge (intra-job barrier,
-/// sampler catch-up, demand measurement, completions).  The round loop has
+/// sampler catch-up, demand measurement, completions).  Without rank jitter
+/// a job's GPUs run the same work, so a round prices each of the job's
+/// functions once and every GPU under the same clocks and power limit runs
+/// that price (gpusim::GpuDevice::execute_priced).  The round loop has
 /// no thread pool: on a 4-core host a 4-thread step phase took 0.99-1.10x
 /// the one-thread time, so --threads does not affect a fleet run.
 ///
@@ -88,6 +91,8 @@ struct FleetConfig {
     int n_threads = 1;
     double setup_s = 2.0;    ///< per-job launch phase (Slurm accounts it)
     double teardown_s = 1.0;
+    /// Per-GPU work jitter (sim::work_jitter); <= 0: none, and a job's
+    /// GPUs share each function's price.
     double rank_jitter = 0.0;
 
     // --- checkpoint/restart (round granularity) --------------------------

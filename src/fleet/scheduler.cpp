@@ -10,15 +10,19 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Sort node indices by (key, index): deterministic tie-break.
-void sort_by_key(std::vector<int>& idx, const std::vector<double>& key)
+/// Put the `k` smallest node indices by (key, index) first, in that order.
+/// (key, index) orders every pair of nodes, so they are the first k of a
+/// full sort; the rest are left in no particular order.
+void first_k_by_key(std::vector<int>& idx, std::size_t k, const std::vector<double>& key)
 {
-    std::sort(idx.begin(), idx.end(), [&](int a, int b) {
+    const auto before = [&](int a, int b) {
         const double ka = key[static_cast<std::size_t>(a)];
         const double kb = key[static_cast<std::size_t>(b)];
         if (ka != kb) return ka < kb;
         return a < b;
-    });
+    };
+    std::partial_sort(idx.begin(), idx.begin() + static_cast<std::ptrdiff_t>(k), idx.end(),
+                      before);
 }
 
 } // namespace
@@ -69,7 +73,7 @@ std::vector<Placement> schedule(const std::vector<JobSpec>& queue,
             }
         }
         if (eligible.size() >= k) {
-            sort_by_key(eligible, free_at);
+            first_k_by_key(eligible, k, free_at);
             Placement p;
             p.queue_index = qi;
             p.start_s = job.arrival_s;
@@ -91,7 +95,7 @@ std::vector<Placement> schedule(const std::vector<JobSpec>& queue,
         // --- reserve: the k earliest-available nodes ----------------------
         std::vector<int> all_idx(n);
         for (std::size_t i = 0; i < n; ++i) all_idx[i] = static_cast<int>(i);
-        sort_by_key(all_idx, avail);
+        first_k_by_key(all_idx, k, avail);
         const double shadow_start =
             std::max(job.arrival_s, avail[static_cast<std::size_t>(all_idx[k - 1])]);
         for (std::size_t c = 0; c < k; ++c) {

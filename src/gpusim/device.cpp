@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 
@@ -216,12 +218,9 @@ KernelResult GpuDevice::execute(const KernelWork& work)
                                                    : execute_governed(work);
 }
 
-KernelResult GpuDevice::execute_locked(const KernelWork& work)
+// Inline, so that execute_locked and execute_priced each pay no call.
+inline KernelResult GpuDevice::run_locked(double f, const KernelTiming& t)
 {
-    const double f = throttle_for_power(work, app_clock_mhz_, false);
-    const double mem_scale = mem_clock_mhz_ / spec_.memory_clock_mhz;
-    const KernelTiming t = price_kernel(spec_, work, f, mem_scale);
-
     KernelResult r;
     r.timing = t;
     r.start_s = now_s_;
@@ -243,6 +242,47 @@ KernelResult GpuDevice::execute_locked(const KernelWork& work)
     r.mean_power_w = duration > 0.0 ? r.energy_j / duration : 0.0;
     record(now_s_, f);
     return r;
+}
+
+LockedPrice GpuDevice::price_locked(const KernelWork& work) const
+{
+    LockedPrice p;
+    p.app_clock_mhz = app_clock_mhz_;
+    p.mem_clock_mhz = mem_clock_mhz_;
+    p.power_limit_w = power_limit_w_;
+    p.clock_mhz = throttle_for_power(work, app_clock_mhz_, false);
+    p.timing = price_kernel(spec_, work, p.clock_mhz, mem_clock_mhz_ / spec_.memory_clock_mhz);
+    return p;
+}
+
+bool GpuDevice::can_apply(const LockedPrice& price) const
+{
+    // Bit equality, so a price always applies on the device that made it,
+    // a NaN limit included.
+    const auto same = [](double a, double b) {
+        return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+    };
+    return policy_ == ClockPolicy::kLockedAppClock &&
+           same(price.app_clock_mhz, app_clock_mhz_) &&
+           same(price.mem_clock_mhz, mem_clock_mhz_) &&
+           same(price.power_limit_w, power_limit_w_);
+}
+
+KernelResult GpuDevice::execute_priced(const LockedPrice& price)
+{
+    if (!can_apply(price)) {
+        throw std::invalid_argument(
+            "execute_priced: priced under other clocks, another power limit or for a "
+            "governed device");
+    }
+    ++unpublished_batches_;
+    return run_locked(price.clock_mhz, price.timing);
+}
+
+KernelResult GpuDevice::execute_locked(const KernelWork& work)
+{
+    const LockedPrice p = price_locked(work);
+    return run_locked(p.clock_mhz, p.timing);
 }
 
 KernelResult GpuDevice::execute_governed(const KernelWork& work)

@@ -39,6 +39,19 @@ struct KernelResult {
     double mean_power_w = 0.0;  ///< energy / duration
 };
 
+/// A locked-clock batch priced but not yet run (GpuDevice::price_locked):
+/// the clock the power limit throttles the application clock to, and the
+/// work's timing there.  Both depend only on the work, the spec and the
+/// clocks and limit below, so any device of the same spec whose clocks and
+/// limit equal them runs the batch exactly as this price says.
+struct LockedPrice {
+    double app_clock_mhz = 0.0; ///< application clock it was priced under
+    double mem_clock_mhz = 0.0; ///< memory clock it was priced under
+    double power_limit_w = 0.0; ///< power limit it was priced under
+    double clock_mhz = 0.0;     ///< the throttled compute clock
+    KernelTiming timing;        ///< the work priced at clock_mhz
+};
+
 class GpuDevice {
 public:
     explicit GpuDevice(GpuDeviceSpec spec, int index = 0);
@@ -76,6 +89,18 @@ public:
     // --- execution --------------------------------------------------------
     /// Execute a kernel batch; advances device time and energy.
     KernelResult execute(const KernelWork& work);
+
+    /// Price `work` at this device's locked clocks and power limit without
+    /// running it.  Changes nothing on the device.
+    LockedPrice price_locked(const KernelWork& work) const;
+    /// Whether the device is in kLockedAppClock mode with the clocks and
+    /// power limit `price` was priced under.
+    bool can_apply(const LockedPrice& price) const;
+    /// Run a batch priced by price_locked on a device of the same spec:
+    /// time, energy, clock, clock trace and counts move exactly as
+    /// execute(work) moves them.  Throws std::invalid_argument unless
+    /// can_apply(price).
+    KernelResult execute_priced(const LockedPrice& price);
 
     /// Device sits idle for `seconds` (host work, MPI communication).
     void idle(double seconds);
@@ -116,6 +141,8 @@ public:
 
 private:
     KernelResult execute_locked(const KernelWork& work);
+    /// The locked batch's accounting: runs `timing` at clock `f`.
+    KernelResult run_locked(double f, const KernelTiming& timing);
     KernelResult execute_governed(const KernelWork& work);
     /// Move the effective compute clock, counting distinct transitions for
     /// "governor.transitions".

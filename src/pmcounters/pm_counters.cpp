@@ -2,7 +2,11 @@
 
 #include "util/strings.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 namespace gsph::pmcounters {
@@ -71,19 +75,58 @@ void PmCounters::publish(double now)
     s.node_energy_j = node_j;
 }
 
+double next_tick_after(double tick, double period, double limit)
+{
+    // Inside one binade [2^e, 2^(e+1)) every double is a multiple of its ulp
+    // u, so tick + period rounds to that grid whenever the sum stays in the
+    // binade, and the step fl(tick + period) - tick (exact: Sterbenz) is
+    // period rounded to a multiple of u, the same for every tick; on a
+    // round-half-even tie it depends on the parity of tick / u, which the
+    // first step inside the binade fixes.  So once two consecutive steps
+    // inside a binade agree, every later step that ends inside it is the
+    // same `step`, and n of them are one exact tick + n * step.  Steps that
+    // end in the next binade, or start off the normal positive range, are
+    // plain additions.
+    constexpr std::uint64_t kExponent = 0x7ff0'0000'0000'0000;
+    constexpr std::uint64_t kOneBinade = std::uint64_t{1} << 52;
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    double step = 0.0; // the previous step, when it stayed in its binade
+    while (tick <= limit) {
+        const double next = tick + period;
+        if (!(next > tick)) {
+            throw std::runtime_error("pm_counters: the sampling period no longer moves "
+                                     "the next tick");
+        }
+        const double top = std::bit_cast<double>(
+            (std::bit_cast<std::uint64_t>(tick) & kExponent) + kOneBinade);
+        const bool in_binade = tick >= std::numeric_limits<double>::min() && top < kInf &&
+                               next < top;
+        const double previous = step;
+        step = in_binade ? next - tick : 0.0;
+        tick = next;
+        if (!in_binade || step != previous) continue;
+
+        // The n further steps from tick whose starts are at or under the
+        // limit and whose ends are under top.  Each product and sum below is
+        // a multiple of u under top, so exact; a floor of a rounded quotient
+        // is at most one too high, which the checks take back.
+        double n = std::floor((top - tick) / step);
+        if (!(tick + n * step < top)) n -= 1.0;
+        n = std::min(n, std::floor((limit - tick) / step) + 1.0);
+        while (n > 0.0 && !(tick + (n - 1.0) * step <= limit)) n -= 1.0;
+        if (n > 0.0) tick += n * step;
+    }
+    return tick;
+}
+
 void PmCounters::sample_to(double now)
 {
     if (now < published_.time) {
         throw std::invalid_argument("PmCounters: time went backwards");
     }
-    const double period = 1.0 / config_.sample_hz;
-    bool ticked = false;
-    while (next_tick_ <= now + 1e-12) {
-        ticked = true;
-        next_tick_ += period;
-    }
-    if (!ticked) return;
-
+    const double limit = now + 1e-12;
+    if (!(next_tick_ <= limit)) return;
+    next_tick_ = next_tick_after(next_tick_, 1.0 / config_.sample_hz, limit);
     publish(now);
     ++published_.freshness;
 }

@@ -39,6 +39,12 @@ struct PmCountersConfig {
     double counter_wrap_j = 0.0;
 };
 
+/// What `while (tick <= limit) tick += period;` leaves in `tick`, bit for
+/// bit, in a few steps per binade of `tick` instead of one per tick.
+/// Throws std::runtime_error where that loop would spin forever: when a step
+/// no longer moves `tick`.
+double next_tick_after(double tick, double period, double limit);
+
 class PmCounters {
 public:
     PmCounters(PmCountersConfig config, cpusim::CpuDevice* cpu,

@@ -237,7 +237,7 @@ TuneRequest TuneRequest::from_json(const telemetry::Json& json)
     return req;
 }
 
-telemetry::Json canonical_identity(const TuneRequest& request)
+RequestIdentity request_identity(const TuneRequest& request)
 {
     auto j = telemetry::Json::object();
     j["schema"] = "greensph.tune_request/v1";
@@ -251,12 +251,15 @@ telemetry::Json canonical_identity(const TuneRequest& request)
     j["probe_iterations"] = request.model.probe_iterations;
     j["confirm_tolerance"] = request.model.confirm_tolerance;
     j["trace_hash"] = util::hex64(util::fnv1a64(request.trace.serialize()));
-    return j;
+    RequestIdentity identity;
+    identity.key = util::hex64(util::fnv1a64(j.dump()));
+    identity.json = std::move(j);
+    return identity;
 }
 
 std::string request_key(const TuneRequest& request)
 {
-    return util::hex64(util::fnv1a64(canonical_identity(request).dump()));
+    return request_identity(request).key;
 }
 
 std::string PolicyArtifact::dump() const
@@ -339,13 +342,14 @@ PolicyArtifact PolicyArtifact::parse(const std::string& text)
 }
 
 PolicyArtifact artifact_from_sweep(const TuneRequest& request,
+                                   const RequestIdentity& identity,
                                    const std::vector<tuning::FunctionSweepEntry>& sweep,
                                    const std::string& producer,
                                    const std::string& trace_id)
 {
     PolicyArtifact artifact;
-    artifact.key = request_key(request);
-    artifact.identity = canonical_identity(request);
+    artifact.key = identity.key;
+    artifact.identity = identity.json;
     artifact.producer = producer;
     artifact.trace_id = trace_id;
     artifact.default_mhz = request.device.default_app_clock_mhz;
@@ -400,12 +404,12 @@ core::ControllerAuditInfo audit_info_from_artifact(const PolicyArtifact& artifac
 }
 
 std::vector<std::string> artifact_mismatches(const PolicyArtifact& artifact,
-                                             const TuneRequest& local)
+                                             const RequestIdentity& local)
 {
     std::vector<std::pair<std::string, std::string>> have;
     std::vector<std::pair<std::string, std::string>> want;
     flatten_json(artifact.identity, "", have);
-    flatten_json(canonical_identity(local), "", want);
+    flatten_json(local.json, "", want);
 
     std::map<std::string, std::string> have_map(have.begin(), have.end());
     std::map<std::string, std::string> want_map(want.begin(), want.end());
@@ -449,7 +453,8 @@ std::string TuningService::tune(const TuneRequest& request, bool* cache_hit,
     static telemetry::Counter& coalesced = service_counter("service.coalesced");
 
     requests.inc();
-    const std::string key = request_key(request);
+    const RequestIdentity identity = request_identity(request);
+    const std::string& key = identity.key;
 
     std::shared_future<std::string> shared;
     std::promise<std::string> promise;
@@ -485,7 +490,7 @@ std::string TuningService::tune(const TuneRequest& request, bool* cache_hit,
 
     std::string text;
     try {
-        text = run_sweep(request, scope);
+        text = run_sweep(request, identity, scope);
     }
     catch (...) {
         {
@@ -510,6 +515,7 @@ std::string TuningService::tune(const TuneRequest& request, bool* cache_hit,
 }
 
 std::string TuningService::run_sweep(const TuneRequest& request,
+                                     const RequestIdentity& identity,
                                      const TraceScope& scope)
 {
     static telemetry::Counter& sweeps = service_counter("service.sweeps");
@@ -544,7 +550,7 @@ std::string TuningService::run_sweep(const TuneRequest& request,
     sweep.reserve(futures.size());
     for (auto& future : futures) sweep.push_back(future.get());
 
-    return artifact_from_sweep(request, sweep, config_.producer,
+    return artifact_from_sweep(request, identity, sweep, config_.producer,
                                scope.active() ? scope.ctx.trace_id()
                                               : std::string{})
         .dump();

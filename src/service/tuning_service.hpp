@@ -71,10 +71,17 @@ struct TuneRequest {
     static TuneRequest from_json(const telemetry::Json& json);
 };
 
-/// Canonical identity of a request: the JSON whose FNV-1a/64 hash is the
-/// store key.  The trace appears as its content hash, not its body.
-telemetry::Json canonical_identity(const TuneRequest& request);
-/// hex64(fnv1a64(canonical_identity(request).dump()))
+/// A request's canonical identity and store key.  Serializing and hashing
+/// the trace is most of their cost, so a request computes them once and
+/// hands them on.
+struct RequestIdentity {
+    /// The JSON whose FNV-1a/64 hash is the store key.  The trace appears as
+    /// its content hash, not its body.
+    telemetry::Json json;
+    std::string key; ///< hex64(fnv1a64(json.dump()))
+};
+RequestIdentity request_identity(const TuneRequest& request);
+/// request_identity(request).key
 std::string request_key(const TuneRequest& request);
 
 /// Parsed `greensph.policy/v1` artifact.
@@ -103,9 +110,10 @@ struct PolicyArtifact {
     static PolicyArtifact parse(const std::string& text);
 };
 
-/// Build the artifact for a completed sweep; `trace_id` (may be empty)
-/// lands in provenance.
+/// Build the artifact for a completed sweep of `request`, whose identity is
+/// `identity`; `trace_id` (may be empty) lands in provenance.
 PolicyArtifact artifact_from_sweep(const TuneRequest& request,
+                                   const RequestIdentity& identity,
                                    const std::vector<tuning::FunctionSweepEntry>& sweep,
                                    const std::string& producer,
                                    const std::string& trace_id = {});
@@ -119,7 +127,7 @@ core::ControllerAuditInfo audit_info_from_artifact(const PolicyArtifact& artifac
 /// local request's.  Empty = match; otherwise one human-readable line per
 /// differing field ("device.max_compute_mhz: artifact 1410, local 1500").
 std::vector<std::string> artifact_mismatches(const PolicyArtifact& artifact,
-                                             const TuneRequest& local);
+                                             const RequestIdentity& local);
 
 struct ServiceConfig {
     /// Sweep pool size (<= 0: hardware concurrency, 1: inline/serial).
@@ -156,7 +164,8 @@ public:
     std::uint64_t sweeps_run() const;
 
 private:
-    std::string run_sweep(const TuneRequest& request, const TraceScope& scope);
+    std::string run_sweep(const TuneRequest& request, const RequestIdentity& identity,
+                          const TraceScope& scope);
 
     ServiceConfig config_;
     util::ThreadPool pool_;

@@ -8,6 +8,7 @@
 
 #include "checkpoint/checkpoint.hpp"
 #include "fleet/fleet.hpp"
+#include "sim/driver.hpp" // work_jitter
 #include "sim/system.hpp"
 #include "sim/workload.hpp"
 #include "telemetry/json.hpp"
@@ -16,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
@@ -388,6 +390,106 @@ TEST(FleetDeterminism, CheckpointResumeBitIdentical)
     const auto resumed = fleet::run_fleet(resume_cfg);
     EXPECT_FALSE(resumed.paused);
     expect_identical(reference, resumed);
+}
+
+/// A fleet where jobs of up to four nodes queue, backfill and run beside
+/// each other, so a negotiated round caps a job's nodes differently.
+fleet::FleetConfig contended_fleet(fleet::FleetPolicy policy)
+{
+    fleet::FleetConfig cfg;
+    cfg.system = sim::cscs_a100();
+    cfg.trace = trace();
+    cfg.n_nodes = 6;
+    cfg.policy = policy;
+    fleet::JobMixConfig mix;
+    mix.n_jobs = 10;
+    mix.max_nodes_per_job = 4;
+    mix.min_steps = 2;
+    mix.max_steps = 4;
+    mix.est_step_s = fleet::estimate_step_s(cfg.system, cfg.trace);
+    mix.mean_interarrival_s = 0.5 * mix.est_step_s;
+    mix.seed = 11;
+    cfg.jobs = fleet::generate_jobs(mix);
+    if (policy != fleet::FleetPolicy::kUncapped) {
+        const fleet::PowerCoordinator probe(fleet::FleetPolicy::kUncapped, 0.0, cfg.system,
+                                            cfg.n_nodes);
+        cfg.budget_w = 0.5 * cfg.n_nodes * probe.node_tdp_w();
+    }
+    return cfg;
+}
+
+/// A job's GPUs share each function's price only without jitter.  With
+/// rank_jitter = 1e-300 every jitter factor is exactly 1, so the work is the
+/// same but every GPU prices its own: the shared prices must give that
+/// run's result, its published counts and its checkpoints, also when the
+/// run pauses at a round boundary and resumes.
+TEST(FleetDeterminism, SharedPricesMatchThePerGpuPathAcrossAResume)
+{
+    for (const int key : {0, 7, 65536 * 9 + 3, 1 << 30}) {
+        ASSERT_EQ(sim::work_jitter(1e-300, key, key % 5, key % 13), 1.0);
+    }
+    auto& registry = telemetry::MetricsRegistry::global();
+    const auto counts = [&registry] {
+        return std::array<double, 3>{registry.value("gpusim.kernel_batches"),
+                                     registry.value("governor.transitions"),
+                                     registry.value("governor.cap_sets")};
+    };
+    const auto run_counted = [&](const fleet::FleetConfig& cfg,
+                                 std::array<double, 3>& added) {
+        const std::array<double, 3> before = counts();
+        fleet::FleetResult result = fleet::run_fleet(cfg);
+        const std::array<double, 3> after = counts();
+        for (std::size_t i = 0; i < added.size(); ++i) added[i] = after[i] - before[i];
+        return result;
+    };
+    for (const fleet::FleetPolicy policy :
+         {fleet::FleetPolicy::kUncapped, fleet::FleetPolicy::kUniformCap,
+          fleet::FleetPolicy::kNegotiated}) {
+        SCOPED_TRACE(fleet::to_string(policy));
+        const fleet::FleetConfig shared = contended_fleet(policy);
+        const fleet::FleetConfig per_gpu = [&shared] {
+            fleet::FleetConfig cfg = shared;
+            cfg.rank_jitter = 1e-300;
+            return cfg;
+        }();
+
+        std::array<double, 3> per_gpu_counts{};
+        std::array<double, 3> shared_counts{};
+        const fleet::FleetResult reference = run_counted(per_gpu, per_gpu_counts);
+        ASSERT_EQ(reference.jobs_completed, 10);
+        ASSERT_GT(reference.rounds, 4);
+        expect_identical(run_counted(shared, shared_counts), reference);
+        EXPECT_EQ(shared_counts, per_gpu_counts);
+        EXPECT_GT(shared_counts[0], 0.0);
+
+        // Pause both at the same round boundary: the same checkpoint.
+        const int pause_at = reference.rounds / 2;
+        TempDir dir;
+        std::vector<checkpoint::Snapshot> snaps;
+        for (const fleet::FleetConfig* base : {&per_gpu, &shared}) {
+            fleet::FleetConfig paused = *base;
+            paused.checkpoint_every = pause_at;
+            paused.checkpoint_dir = dir.path() + "/ck" + std::to_string(snaps.size());
+            paused.config_hash = "5ca1ab1e";
+            paused.stop_after_rounds = pause_at;
+            ASSERT_TRUE(fleet::run_fleet(paused).paused);
+            snaps.push_back(checkpoint::read_latest(paused.checkpoint_dir));
+        }
+        ASSERT_EQ(snaps[0].sections.size(), snaps[1].sections.size());
+        for (std::size_t i = 0; i < snaps[0].sections.size(); ++i) {
+            EXPECT_EQ(snaps[1].sections[i].name, snaps[0].sections[i].name);
+            EXPECT_EQ(snaps[1].sections[i].data, snaps[0].sections[i].data)
+                << snaps[0].sections[i].name;
+        }
+
+        // Resume on the shared path, from either checkpoint.
+        for (const checkpoint::Snapshot& snap : snaps) {
+            fleet::FleetConfig resumed = shared;
+            resumed.config_hash = "5ca1ab1e";
+            resumed.resume = &snap;
+            expect_identical(fleet::run_fleet(resumed), reference);
+        }
+    }
 }
 
 /// A checkpoint is input from outside the process: a resume refuses indices

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <algorithm>
 #include <string>
 #include <type_traits>
@@ -509,6 +511,149 @@ TEST(Device, RestoreDropsCountsFromBeforeTheRestore)
     EXPECT_EQ(published().batches, before.batches + 1.0);
     EXPECT_EQ(published().transitions, before.transitions + 1.0);
     EXPECT_EQ(published().cap_sets, before.cap_sets + 1.0);
+}
+
+void expect_same_result(const KernelResult& got, const KernelResult& want)
+{
+    const auto same = [](double a, double b) {
+        return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+    };
+    EXPECT_TRUE(same(got.timing.total_s, want.timing.total_s));
+    EXPECT_TRUE(same(got.timing.busy_s, want.timing.busy_s));
+    EXPECT_TRUE(same(got.timing.compute_s, want.timing.compute_s));
+    EXPECT_TRUE(same(got.timing.memory_s, want.timing.memory_s));
+    EXPECT_TRUE(same(got.timing.overhead_s, want.timing.overhead_s));
+    EXPECT_TRUE(same(got.timing.compute_activity, want.timing.compute_activity));
+    EXPECT_TRUE(same(got.timing.memory_activity, want.timing.memory_activity));
+    EXPECT_TRUE(same(got.timing.utilization, want.timing.utilization));
+    EXPECT_TRUE(same(got.start_s, want.start_s));
+    EXPECT_TRUE(same(got.end_s, want.end_s));
+    EXPECT_TRUE(same(got.energy_j, want.energy_j));
+    EXPECT_TRUE(same(got.mean_clock_mhz, want.mean_clock_mhz));
+    EXPECT_TRUE(same(got.mean_power_w, want.mean_power_w));
+}
+
+/// What the counts of `dev` add to the registry when published.
+Published publish_and_count(GpuDevice& dev)
+{
+    const Published before = published();
+    dev.publish_counters();
+    const Published after = published();
+    return {after.batches - before.batches, after.transitions - before.transitions,
+            after.cap_sets - before.cap_sets};
+}
+
+/// execute_priced(price_locked(w)) on one device against execute(w) on an
+/// identical one, bit for bit: each result, the energy, time, clock, power,
+/// clock trace and published counts.  Uncapped, at TDP, at 45% of TDP and
+/// at idle + 21 W; at the default clocks, at ManDyn's per-function clocks
+/// and at a lowered memory clock; random batches with idles between them.
+TEST(Device, PricedExecutionMatchesExecute)
+{
+    // The clocks of core::reference_a100_turbulence_table(), as ManDyn
+    // moves between them from one function to the next.
+    constexpr std::array<double, 6> kManDynMhz = {1350.0, 1005.0, 1275.0,
+                                                  1410.0, 1005.0, 1350.0};
+    enum class Clocks { kDefault, kManDyn, kLowMemory };
+    util::Rng rng(0x9a1ce);
+    const GpuDeviceSpec spec = a100_sxm4_80g();
+    for (int depth = 0; depth < 4; ++depth) {
+        for (const Clocks clocks : {Clocks::kDefault, Clocks::kManDyn, Clocks::kLowMemory}) {
+            SCOPED_TRACE("cap depth " + std::to_string(depth) + ", clocks " +
+                         std::to_string(static_cast<int>(clocks)));
+            GpuDevice executed(spec);
+            GpuDevice priced(spec);
+            const double tdp = executed.default_power_limit_w();
+            const std::array<double, 4> limits_w = {0.0, tdp, 0.45 * tdp, spec.idle_w + 21.0};
+            for (GpuDevice* dev : {&executed, &priced}) {
+                dev->enable_tracing(true);
+                dev->set_power_limit_w(limits_w[static_cast<std::size_t>(depth)]);
+                if (clocks == Clocks::kLowMemory) {
+                    dev->set_application_clocks(0.8 * spec.memory_clock_mhz,
+                                                spec.default_app_clock_mhz);
+                }
+            }
+            for (int i = 0; i < 60; ++i) {
+                const KernelWork work = test::random_kernel(rng);
+                if (clocks == Clocks::kManDyn) {
+                    const double mhz = kManDynMhz[static_cast<std::size_t>(i) % kManDynMhz.size()];
+                    executed.set_application_clocks(spec.memory_clock_mhz, mhz);
+                    priced.set_application_clocks(spec.memory_clock_mhz, mhz);
+                }
+                const KernelResult want = executed.execute(work);
+                const LockedPrice price = priced.price_locked(work);
+                ASSERT_TRUE(priced.can_apply(price));
+                SCOPED_TRACE("batch " + std::to_string(i));
+                expect_same_result(priced.execute_priced(price), want);
+                if (i % 7 == 6) {
+                    executed.idle(0.05);
+                    priced.idle(0.05);
+                }
+                ASSERT_EQ(priced.energy_j(), executed.energy_j());
+                ASSERT_EQ(priced.now(), executed.now());
+                ASSERT_EQ(priced.current_clock_mhz(), executed.current_clock_mhz());
+                ASSERT_EQ(priced.power_w(), executed.power_w());
+            }
+            const util::TimeSeries& got = priced.clock_trace();
+            const util::TimeSeries& want = executed.clock_trace();
+            ASSERT_EQ(got.size(), want.size());
+            for (std::size_t k = 0; k < got.size(); ++k) {
+                ASSERT_EQ(got[k].time, want[k].time) << "sample " << k;
+                ASSERT_EQ(got[k].value, want[k].value) << "sample " << k;
+            }
+            const Published executed_counts = publish_and_count(executed);
+            const Published priced_counts = publish_and_count(priced);
+            EXPECT_EQ(priced_counts.batches, executed_counts.batches);
+            EXPECT_EQ(priced_counts.batches, 60.0);
+            EXPECT_EQ(priced_counts.transitions, executed_counts.transitions);
+            EXPECT_EQ(priced_counts.cap_sets, executed_counts.cap_sets);
+        }
+    }
+}
+
+/// A price runs on any device of the spec whose clocks and limit it was
+/// priced under, and nowhere else.
+TEST(Device, PricedExecutionRefusesOtherClocksLimitsAndGovernedDevices)
+{
+    const GpuDeviceSpec spec = a100_sxm4_80g();
+    GpuDevice origin(spec);
+    origin.set_power_limit_w(0.45 * origin.default_power_limit_w());
+    const LockedPrice price = origin.price_locked(big_kernel());
+    EXPECT_LT(price.clock_mhz, spec.default_app_clock_mhz); // throttled
+
+    GpuDevice twin(spec);
+    twin.set_power_limit_w(origin.power_limit_w());
+    GpuDevice other(spec);
+    other.set_power_limit_w(origin.power_limit_w());
+    ASSERT_TRUE(other.can_apply(price));
+    expect_same_result(other.execute_priced(price), twin.execute(big_kernel()));
+
+    other.set_power_limit_w(0.5 * origin.default_power_limit_w());
+    EXPECT_FALSE(other.can_apply(price));
+    EXPECT_THROW(other.execute_priced(price), std::invalid_argument);
+    other.set_power_limit_w(origin.power_limit_w());
+    other.set_application_clocks(spec.memory_clock_mhz, 1110.0);
+    EXPECT_THROW(other.execute_priced(price), std::invalid_argument);
+    other.reset_application_clocks();
+    other.set_application_clocks(0.8 * spec.memory_clock_mhz, spec.default_app_clock_mhz);
+    EXPECT_THROW(other.execute_priced(price), std::invalid_argument);
+    other.reset_application_clocks();
+    EXPECT_TRUE(other.can_apply(price));
+    other.set_clock_policy(ClockPolicy::kNativeDvfs);
+    EXPECT_THROW(other.execute_priced(price), std::invalid_argument);
+
+    // A refused price changes nothing.
+    EXPECT_EQ(other.now(), twin.now());
+    EXPECT_EQ(other.energy_j(), twin.energy_j());
+
+    // Limits compare by their bits: a NaN limit's price runs where it was
+    // made, and an uncapped price of -0 W is not one of +0 W.
+    GpuDevice nan_limited(spec);
+    nan_limited.set_power_limit_w(std::nan(""));
+    EXPECT_NO_THROW(nan_limited.execute_priced(nan_limited.price_locked(big_kernel())));
+    GpuDevice minus_zero(spec);
+    minus_zero.set_power_limit_w(-0.0);
+    EXPECT_FALSE(minus_zero.can_apply(GpuDevice(spec).price_locked(big_kernel())));
 }
 
 TEST(Device, NoTracesByDefault)

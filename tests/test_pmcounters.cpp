@@ -1,9 +1,18 @@
 #include "pmcounters/pm_counters.hpp"
 
+#include "util/rng.hpp"
+
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <algorithm>
+#include <array>
+#include <cstdint>
+#include <limits>
+#include <memory>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -273,6 +282,243 @@ TEST_F(PmFixture, RestoredCountersPublishWhatTheOriginalPublishes)
         EXPECT_EQ(restored.accel_energy_j(1), original.accel_energy_j(1));
         EXPECT_EQ(restored.other_energy_j(), original.other_energy_j());
         EXPECT_EQ(restored.freshness(), original.freshness());
+    }
+}
+
+// ------------------------------------------------- tick skip vs. the loop
+
+/// The tick loop sample_to ran before it skipped a binade at a time, kept as
+/// the reference.  Where a step no longer moves the tick that loop spun
+/// forever; the reference throws there instead, as next_tick_after does.
+double loop_next_tick(double tick, double period, double limit)
+{
+    while (tick <= limit) {
+        const double next = tick + period;
+        if (next == tick) throw std::runtime_error("stalled");
+        tick = next;
+    }
+    return tick;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// next_tick_after against the loop on one case: the same bits, or both
+/// throw.  Returns the loop's tick, or nullopt where it stalled.
+std::optional<double> expect_matches_loop(double tick, double period, double limit)
+{
+    std::optional<double> want;
+    try {
+        want = loop_next_tick(tick, period, limit);
+    }
+    catch (const std::runtime_error&) {
+    }
+    std::optional<double> got;
+    try {
+        got = next_tick_after(tick, period, limit);
+    }
+    catch (const std::runtime_error&) {
+    }
+    EXPECT_EQ(got.has_value(), want.has_value())
+        << std::hexfloat << "tick " << tick << " period " << period << " limit " << limit;
+    if (got && want) {
+        EXPECT_EQ(bits(*got), bits(*want))
+            << std::hexfloat << "tick " << tick << " period " << period << " limit " << limit
+            << ": got " << *got << ", loop " << *want;
+    }
+    return want;
+}
+
+constexpr std::array<double, 6> kSampleRates = {10.0, 3.0, 7.0, 60.0, 1000.0, 0.4};
+
+/// Random walks of node time at each sampling rate: gaps log-uniform from
+/// 1 ms to 10^4 s, each walk starting at its own offset so that ticks from
+/// 0.1 s to about 10^7 s are covered.
+TEST(NextTickAfter, MatchesTheLoopOnRandomWalks)
+{
+    util::Rng rng(0x71c5);
+    for (const double hz : kSampleRates) {
+        const double period = 1.0 / hz;
+        for (int walk = 0; walk < 5; ++walk) {
+            // Starting offsets at most 10^6 ticks in: the loop walks there.
+            double now = walk == 0 ? 0.0 : std::exp(rng.uniform(0.0, std::log(1e6 / hz)));
+            double tick = loop_next_tick(period, period, now + 1e-12);
+            for (int step = 0; step < 20; ++step) {
+                now += std::exp(rng.uniform(std::log(1e-3), std::log(1e4)));
+                const std::optional<double> next = expect_matches_loop(tick, period, now + 1e-12);
+                ASSERT_TRUE(next.has_value());
+                tick = *next;
+            }
+        }
+    }
+}
+
+/// Limits at and around binade edges 2^k: a fraction of a period and one ulp
+/// either side, from ticks a few periods below the edge (each parity of the
+/// grid position), at every sampling rate, up to where a period no longer
+/// moves the tick.
+TEST(NextTickAfter, MatchesTheLoopAtBinadeEdges)
+{
+    int stalled = 0;
+    int cases = 0;
+    for (const double hz : kSampleRates) {
+        const double period = 1.0 / hz;
+        for (int k = -6; k <= 56; ++k) {
+            const double edge = std::ldexp(1.0, k);
+            const std::array<double, 9> limits = {
+                edge - 0.75 * period, edge - 0.5 * period,
+                std::nextafter(edge, 0.0), edge,
+                std::nextafter(edge, std::numeric_limits<double>::infinity()),
+                edge + 0.25 * period, edge + 0.5 * period, edge + 1.5 * period,
+                edge + 40.0 * period};
+            for (const int below : {1, 2, 3, 5, 8, 12}) {
+                for (const double nudge : {0.0, 0.3, 0.5}) {
+                    double start = edge - (below + nudge) * period;
+                    if (!(start > 0.0)) start = period * (1.0 + nudge);
+                    for (const double limit : limits) {
+                        for (const double from : {start, std::nextafter(start, 0.0)}) {
+                            stalled += !expect_matches_loop(from, period, limit).has_value();
+                            ++cases;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // The top edges stall at every rate: both sides of the comparison ran
+    // there.
+    EXPECT_GT(stalled, 0);
+    EXPECT_LT(stalled, cases);
+}
+
+/// Round-half-even ties: a period of (2m + 1) half-ulps of the tick's
+/// binade.  The first step from a tick at an odd grid position differs from
+/// the steps after it, so a skip that does not wait for the tie to settle
+/// goes astray.
+TEST(NextTickAfter, MatchesTheLoopOnRoundHalfEvenTies)
+{
+    for (const int e : {-3, 0, 5, 20, 33}) {
+        const double low = std::ldexp(1.0, e);
+        const double u = std::ldexp(1.0, e - 52);
+        for (const double m : {1.0, 2.0, 3.0, 7.0, 1000.0, 12345.0}) {
+            const double period = (2.0 * m + 1.0) * u / 2.0;
+            for (const double start_ulps : {0.0, 1.0, 2.0, 3.0, 1001.0}) {
+                const double start = low + start_ulps * u;
+                for (const double steps : {1.0, 2.0, 3.0, 5.0, 64.0, 700.0}) {
+                    expect_matches_loop(start, period, start + steps * period);
+                }
+                // Through the top of the binade into the next one.
+                const double near_top = 2.0 * low - 50.0 * period - start_ulps * u;
+                for (const double steps : {45.0, 49.0, 50.0, 51.0, 55.0, 120.0}) {
+                    expect_matches_loop(near_top, period, near_top + steps * period);
+                }
+            }
+        }
+        // Half an ulp exactly: ties to even, so the tick moves at most once.
+        EXPECT_THROW(next_tick_after(low + u, u / 2.0, low + 4.0 * u), std::runtime_error);
+    }
+}
+
+/// Anywhere on the positive range: ticks from 2^-20 to 2^60, periods from
+/// 10^-6 to 10^4 s, limits up to 3,000 periods ahead.
+TEST(NextTickAfter, MatchesTheLoopOnRandomTicksAndPeriods)
+{
+    util::Rng rng(0xb1a5e);
+    int stalled = 0;
+    constexpr int kCases = 20'000;
+    for (int c = 0; c < kCases; ++c) {
+        const double tick = std::exp2(rng.uniform(-20.0, 60.0));
+        const double period = std::exp(rng.uniform(std::log(1e-6), std::log(1e4)));
+        const double ahead = rng.uniform() < 0.2 ? rng.uniform(-2.0, 2.0)
+                                                 : std::exp(rng.uniform(0.0, std::log(3000.0)));
+        stalled += !expect_matches_loop(tick, period, tick + ahead * period).has_value();
+    }
+    EXPECT_GT(stalled, 0);
+    EXPECT_LT(stalled, kCases / 2);
+}
+
+TEST(NextTickAfter, AStepThatNoLongerMovesTheTickThrows)
+{
+    // 2^53 + 0.1 rounds back to 2^53.
+    EXPECT_THROW(next_tick_after(0x1p53, 0.1, 0x1p53 + 10.0), std::runtime_error);
+    // A zero period stalls at once; an infinite limit stalls where the
+    // period falls under half an ulp of the tick.
+    EXPECT_THROW(next_tick_after(0.0, 0.0, 1.0), std::runtime_error);
+    EXPECT_THROW(next_tick_after(0.1, 0.1, std::numeric_limits<double>::infinity()),
+                 std::runtime_error);
+    // Nothing to step: the tick comes back as it is.
+    EXPECT_EQ(next_tick_after(0x1p53, 0.1, 1.0), 0x1p53);
+    EXPECT_EQ(next_tick_after(5.0, 0.1, std::nan("")), 5.0);
+}
+
+/// The published surface over random walks: freshness, sample time, node
+/// energy and power move exactly when the loop would have ticked, and the
+/// checkpointed next tick is the loop's, bit for bit.
+TEST(PmCounters, SampleToMatchesTheLoopOnRandomWalks)
+{
+    util::Rng rng(0x5a3f);
+    for (const double hz : kSampleRates) {
+        cpusim::CpuDevice cpu(cpusim::epyc_7113());
+        std::vector<std::unique_ptr<gpusim::GpuDevice>> gpus;
+        std::vector<gpusim::GpuDevice*> gpu_ptrs;
+        for (int g = 0; g < 4; ++g) {
+            gpus.push_back(std::make_unique<gpusim::GpuDevice>(gpusim::a100_sxm4_80g(), g));
+            gpu_ptrs.push_back(gpus.back().get());
+        }
+        PmCountersConfig config;
+        config.sample_hz = hz;
+        PmCounters pm(config, &cpu, gpu_ptrs);
+        const double period = 1.0 / config.sample_hz;
+        double tick = period;
+        for (int step = 0; step < 30; ++step) {
+            const double gap = std::exp(rng.uniform(std::log(1e-3), std::log(1e4)));
+            cpu.advance(gap);
+            for (auto& g : gpus) g->idle(gap);
+            const double now = cpu.now();
+            const long freshness = pm.freshness();
+            const double time = pm.last_sample_time();
+            const double node_j = pm.node_energy_j();
+            const double node_w = pm.node_power_w();
+
+            const bool ticks = tick <= now + 1e-12;
+            tick = loop_next_tick(tick, period, now + 1e-12);
+            pm.sample_to(now);
+
+            checkpoint::StateWriter writer;
+            pm.save_state(writer);
+            const checkpoint::StateReader saved("pmcounters.0", writer.take());
+            EXPECT_EQ(bits(saved.get_f64("next_tick")), bits(tick)) << hz << " Hz, t " << now;
+            if (ticks) {
+                double accel = 0.0;
+                for (const auto& g : gpus) accel += g->energy_j();
+                const double expected_j = cpu.package_energy_j() + cpu.dram_energy_j() +
+                                          accel + config.aux_power_w * now;
+                EXPECT_EQ(pm.freshness(), freshness + 1);
+                EXPECT_EQ(pm.last_sample_time(), now);
+                EXPECT_EQ(pm.node_energy_j(), expected_j);
+                EXPECT_EQ(pm.node_power_w(), (expected_j - node_j) / (now - time));
+            }
+            else {
+                EXPECT_EQ(pm.freshness(), freshness);
+                EXPECT_EQ(pm.last_sample_time(), time);
+                EXPECT_EQ(pm.node_energy_j(), node_j);
+                EXPECT_EQ(pm.node_power_w(), node_w);
+            }
+        }
+    }
+}
+
+TEST_F(PmFixture, SamplingPeriodBelowTheTicksResolutionThrowsAndKeepsTheState)
+{
+    for (const double hz : {1e20, std::numeric_limits<double>::infinity()}) {
+        PmCountersConfig config;
+        config.sample_hz = hz;
+        PmCounters pm(config, &cpu_, gpu_ptrs());
+        checkpoint::StateWriter before;
+        pm.save_state(before);
+        EXPECT_THROW(pm.sample_to(1.0), std::runtime_error) << hz;
+        checkpoint::StateWriter after;
+        pm.save_state(after);
+        EXPECT_EQ(after.take(), before.take()) << hz;
     }
 }
 

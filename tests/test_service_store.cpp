@@ -11,6 +11,7 @@
 #include "service/policy_store.hpp"
 #include "sim/workload.hpp"
 #include "tuning/kernel_tuner.hpp"
+#include "util/checksum.hpp"
 
 #include <gtest/gtest.h>
 
@@ -124,6 +125,22 @@ TEST(RequestKey, EmptyBandHashesAsThePaperBand)
     auto spelled = small_request();
     spelled.band = tuning::paper_frequency_band(spelled.device);
     EXPECT_EQ(request_key(omitted), request_key(spelled));
+}
+
+TEST(RequestKey, IsTheHashOfTheIdentityJson)
+{
+    // The key is what every store lookup and artifact uses; it must stay
+    // the hash of the identity JSON, which holds the trace's content hash.
+    auto request = small_request();
+    for (int variant = 0; variant < 2; ++variant) {
+        const RequestIdentity identity = request_identity(request);
+        EXPECT_EQ(identity.key, request_key(request));
+        EXPECT_EQ(identity.key, util::hex64(util::fnv1a64(identity.json.dump())));
+        EXPECT_EQ(identity.json.at("trace_hash").as_string(),
+                  util::hex64(util::fnv1a64(request.trace.serialize())));
+        request.trace.steps.pop_back();
+    }
+    EXPECT_NE(request_identity(request).key, request_key(small_request()));
 }
 
 TEST(RequestKey, WireFormatDoesNotAffectTheKey)
@@ -259,7 +276,7 @@ TEST(PolicyArtifact, ReconstructionMatchesLiveSweepProducers)
         tuning::sweep_sph_functions(request.trace, request.device, options);
 
     const PolicyArtifact artifact = PolicyArtifact::parse(
-        artifact_from_sweep(request, sweep, "test").dump());
+        artifact_from_sweep(request, request_identity(request), sweep, "test").dump());
 
     // Frequency table: identical serialization, not just close values.
     EXPECT_EQ(table_from_artifact(artifact).serialize(),
@@ -285,19 +302,20 @@ TEST(PolicyArtifact, MismatchLinesNameTheDifferingFields)
     options.iterations = request.iterations;
     const auto sweep =
         tuning::sweep_sph_functions(request.trace, request.device, options);
-    const PolicyArtifact artifact = artifact_from_sweep(request, sweep, "test");
+    const PolicyArtifact artifact =
+        artifact_from_sweep(request, request_identity(request), sweep, "test");
 
-    EXPECT_TRUE(artifact_mismatches(artifact, request).empty());
+    EXPECT_TRUE(artifact_mismatches(artifact, request_identity(request)).empty());
 
     auto other = small_request();
     other.device.idle_w += 5.0;
-    const auto lines = artifact_mismatches(artifact, other);
+    const auto lines = artifact_mismatches(artifact, request_identity(other));
     ASSERT_EQ(lines.size(), 1u);
     EXPECT_NE(lines[0].find("device.idle_w"), std::string::npos);
 
     other = small_request();
     other.trace.steps.pop_back();
-    const auto trace_lines = artifact_mismatches(artifact, other);
+    const auto trace_lines = artifact_mismatches(artifact, request_identity(other));
     ASSERT_EQ(trace_lines.size(), 1u);
     EXPECT_NE(trace_lines[0].find("trace_hash"), std::string::npos);
 }

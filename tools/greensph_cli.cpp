@@ -673,7 +673,7 @@ std::string fetch_policy_artifact(const std::string& source, const std::string& 
 /// Verify an artifact against the local request, refusing with one line per
 /// mismatched field — never silently apply clocks tuned for something else.
 service::PolicyArtifact checked_artifact(const std::string& text,
-                                         const service::TuneRequest& local,
+                                         const service::RequestIdentity& local,
                                          const std::string& source)
 {
     const auto artifact = service::PolicyArtifact::parse(text);
@@ -930,8 +930,9 @@ int cmd_run(Options opt, const std::vector<std::string>& argv)
     auto policy = make_policy(opt, system);
     if (!policy) { // "mandyn": tune first (inline sweep or stored artifact)
         if (!opt.policy_from.empty()) {
-            const service::TuneRequest local = make_tune_request(opt, system, trace);
-            const std::string key = service::request_key(local);
+            const service::RequestIdentity local =
+                service::request_identity(make_tune_request(opt, system, trace));
+            const std::string& key = local.key;
             telemetry::HttpClientOptions fetch_options;
             fetch_options.timeout_s = opt.timeout_s;
             fetch_options.traceparent =
