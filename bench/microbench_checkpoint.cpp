@@ -10,12 +10,21 @@
 /// host seconds, amortized over the 10 steps between commits, against the
 /// simulated step duration.  BM_CommitCheckpoint isolates the per-commit
 /// write cost the checkpoint.write_seconds telemetry counter reports.
+/// BM_CommitGrowingRun commits an observe-shaped run (8 ranks of ManDyn with
+/// the span tracer, live sampler and ledger, rank 0's clock trace) at steps
+/// 5 to 40 and reports the bytes of the first, second and last commit and
+/// their mean: with records that only grow logged once, the last commit
+/// costs what the second does.
 
 #include "checkpoint/checkpoint.hpp"
+#include "core/frequency_table.hpp"
 #include "core/policy.hpp"
 #include "sim/driver.hpp"
 #include "sim/workload.hpp"
+#include "telemetry/ledger.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/run_tracer.hpp"
+#include "telemetry/sampler.hpp"
 
 #include <benchmark/benchmark.h>
 
@@ -161,6 +170,84 @@ void BM_RunWithCheckpointing(benchmark::State& state)
     remove_dir(dir);
 }
 
+/// One observe-shaped run of `n_steps` steps, checkpointed every 5; returns
+/// the checkpoint.bytes counter at every step end and at the run's end.
+std::vector<double> observed_run(int n_steps, const std::string& dir)
+{
+    constexpr int kRanks = 8;
+    auto& metrics = telemetry::MetricsRegistry::global();
+    telemetry::RunTracer tracer(kRanks);
+    telemetry::LiveSampler sampler(kRanks);
+    telemetry::AttributionLedger ledger(kRanks);
+    auto policy = core::make_mandyn_policy(core::reference_a100_turbulence_table());
+    sim::RunHooks hooks;
+    tracer.attach(hooks);
+    sampler.attach(hooks);
+    ledger.attach(hooks);
+    checkpoint::StateRegistry registry;
+    const auto add = [&registry](const char* name, auto* component) {
+        registry.add(
+            name, [component](checkpoint::StateWriter& w) { component->save_state(w); },
+            [component](const checkpoint::StateReader& r) { component->restore_state(r); });
+    };
+    add("policy", policy.get());
+    add("runtracer", &tracer);
+    add("sampler", &sampler);
+    add("anomaly", &sampler.anomaly());
+    add("ledger", &ledger);
+
+    // A commit lands after its step's hooks: each reading covers the
+    // commits before it.
+    std::vector<double> written;
+    hooks.append({.after_step = [&](int) {
+        written.push_back(metrics.value("checkpoint.bytes"));
+    }});
+    sim::RunConfig cfg;
+    cfg.n_ranks = kRanks;
+    cfg.n_steps = n_steps;
+    cfg.n_threads = 1;
+    cfg.setup_s = 45.0;
+    cfg.enable_rank0_trace = true;
+    cfg.checkpoint_every = 5;
+    cfg.checkpoint_dir = dir;
+    cfg.config_hash = "benchhashbenchhash";
+    cfg.checkpoint_participants = &registry;
+    core::run_with_policy(sim::mini_hpc(), shared_trace(), cfg, *policy, hooks);
+    written.push_back(metrics.value("checkpoint.bytes"));
+    return written;
+}
+
+/// 41 steps, --checkpoint-every 5: commits at steps 5, 10, ..., 40.
+void BM_CommitGrowingRun(benchmark::State& state)
+{
+    const std::string dir = make_temp_dir();
+    auto& registry = telemetry::MetricsRegistry::global();
+    const double write_s0 = registry.value("checkpoint.write_seconds");
+    const double writes0 = registry.value("checkpoint.writes");
+    std::vector<double> written;
+    for (auto _ : state) {
+        written = observed_run(41, dir);
+        benchmark::DoNotOptimize(written);
+    }
+    std::vector<double> commits;
+    for (std::size_t i = 1; i < written.size(); ++i) {
+        if (written[i] != written[i - 1]) commits.push_back(written[i] - written[i - 1]);
+    }
+    if (commits.size() >= 2) {
+        double total = 0.0;
+        for (const double bytes : commits) total += bytes;
+        state.counters["commits"] = static_cast<double>(commits.size());
+        state.counters["bytes_per_commit"] = total / static_cast<double>(commits.size());
+        state.counters["first_commit_bytes"] = commits.front();
+        state.counters["second_commit_bytes"] = commits[1];
+        state.counters["last_commit_bytes"] = commits.back();
+        const double writes = registry.value("checkpoint.writes") - writes0;
+        state.counters["commit_ms"] =
+            1e3 * (registry.value("checkpoint.write_seconds") - write_s0) / writes;
+    }
+    remove_dir(dir);
+}
+
 } // namespace
 
 BENCHMARK(BM_SerializeSections)->Arg(8)->Unit(benchmark::kMicrosecond);
@@ -168,5 +255,6 @@ BENCHMARK(BM_CommitCheckpoint)->Arg(8)->Arg(64)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ReadLatest)->Arg(8)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_RunBaseline)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RunWithCheckpointing)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CommitGrowingRun)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

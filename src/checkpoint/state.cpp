@@ -1,7 +1,9 @@
 #include "checkpoint/state.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cstring>
+#include <type_traits>
 
 namespace gsph::checkpoint {
 
@@ -159,49 +161,54 @@ void StateWriter::put_str(std::string_view key, std::string_view value)
 
 void StateWriter::put_f64_vec(std::string_view key, const std::vector<double>& values)
 {
-    begin_line(key);
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        if (i) out_.push_back(' ');
-        append_f64(out_, values[i]);
-    }
-    out_.push_back('\n');
+    put_vec(key, values);
 }
 
 void StateWriter::put_i64_vec(std::string_view key,
                               const std::vector<std::int64_t>& values)
 {
-    begin_line(key);
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        if (i) out_.push_back(' ');
-        append_int(out_, values[i]);
-    }
-    out_.push_back('\n');
+    put_vec(key, values);
 }
 
 void StateWriter::put_u64_vec(std::string_view key,
                               const std::vector<std::uint64_t>& values)
 {
+    put_vec(key, values);
+}
+
+template <typename T>
+void StateWriter::put_vec(std::string_view key, const std::vector<T>& values,
+                          std::size_t from, std::size_t to)
+{
+    to = std::min(to, values.size());
     begin_line(key);
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        if (i) out_.push_back(' ');
-        append_int(out_, values[i]);
+    for (std::size_t i = from; i < to; ++i) {
+        if (i != from) out_.push_back(' ');
+        if constexpr (std::is_floating_point_v<T>) {
+            append_f64(out_, values[i]);
+        }
+        else {
+            append_int(out_, values[i]);
+        }
     }
     out_.push_back('\n');
 }
 
-void StateWriter::put_vec(std::string_view key, const EncodeCache& cached,
-                          const EncodeCache& tail)
-{
-    begin_line(key);
-    out_.append(cached.text_);
-    if (cached.size_ != 0 && tail.size_ != 0) out_.push_back(' ');
-    out_.append(tail.text_);
-    out_.push_back('\n');
-}
+template void StateWriter::put_vec(std::string_view, const std::vector<double>&,
+                                   std::size_t, std::size_t);
+template void StateWriter::put_vec(std::string_view, const std::vector<std::int32_t>&,
+                                   std::size_t, std::size_t);
+template void StateWriter::put_vec(std::string_view, const std::vector<std::uint32_t>&,
+                                   std::size_t, std::size_t);
+template void StateWriter::put_vec(std::string_view, const std::vector<std::int64_t>&,
+                                   std::size_t, std::size_t);
+template void StateWriter::put_vec(std::string_view, const std::vector<std::uint64_t>&,
+                                   std::size_t, std::size_t);
 
-void StateWriter::put_lines(const EncodeCache& cached)
+StateWriter& StateWriter::log()
 {
-    out_.append(cached.text_);
+    if (!log_) log_ = std::make_unique<StateWriter>();
+    return *log_;
 }
 
 std::string StateWriter::take()
@@ -211,40 +218,9 @@ std::string StateWriter::take()
     return out;
 }
 
-void EncodeCache::separate()
+std::string StateWriter::take_log()
 {
-    if (size_ != 0) text_.push_back(' ');
-    ++size_;
-}
-
-void EncodeCache::push_f64(double value)
-{
-    separate();
-    append_f64(text_, value);
-}
-
-void EncodeCache::push_i64(std::int64_t value)
-{
-    separate();
-    append_int(text_, value);
-}
-
-void EncodeCache::push_u64(std::uint64_t value)
-{
-    separate();
-    append_int(text_, value);
-}
-
-void EncodeCache::push_lines(const StateWriter& lines)
-{
-    text_.append(lines.str());
-    ++size_;
-}
-
-void EncodeCache::clear()
-{
-    text_.clear();
-    size_ = 0;
+    return log_ ? log_->take() : std::string();
 }
 
 StateReader::StateReader(std::string_view section, std::string_view payload)

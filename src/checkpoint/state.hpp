@@ -20,6 +20,7 @@
 ///   * f64/i64/u64 vectors -> space-separated scalar encodings on one line
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -36,37 +37,6 @@ public:
     explicit CheckpointError(const std::string& what) : std::runtime_error(what) {}
 };
 
-class StateWriter;
-
-/// What a checkpoint participant keeps between saves, so that a save encodes
-/// only what was recorded since the previous one: the encoded text of the
-/// first size() entries of something that only grows.  An entry is one
-/// vector item (push_f64/push_i64/push_u64, written out by
-/// StateWriter::put_vec) or a group of whole lines (push_lines, written out
-/// by StateWriter::put_lines).  Cache only entries that can no longer
-/// change; an owner whose cached entries changed, or that was cleared or
-/// restored, calls clear().
-class EncodeCache {
-public:
-    /// Entries encoded so far.
-    std::size_t size() const { return size_; }
-
-    void push_f64(double value);
-    void push_i64(std::int64_t value);
-    void push_u64(std::uint64_t value);
-    void push_lines(const StateWriter& lines);
-
-    void clear();
-
-private:
-    friend class StateWriter;
-    /// The separator before every vector item but the first.
-    void separate();
-
-    std::string text_;
-    std::size_t size_ = 0;
-};
-
 /// Serializes one section's state as ordered `key=value` lines.
 class StateWriter {
 public:
@@ -78,23 +48,32 @@ public:
     void put_f64_vec(std::string_view key, const std::vector<double>& values);
     void put_i64_vec(std::string_view key, const std::vector<std::int64_t>& values);
     void put_u64_vec(std::string_view key, const std::vector<std::uint64_t>& values);
-    /// `key=` followed by the items of `cached` and then those of `tail`,
-    /// which holds entries that may still change and is encoded for this
-    /// save only: the line put_*_vec writes for the same values.
-    void put_vec(std::string_view key, const EncodeCache& cached,
-                 const EncodeCache& tail = {});
-    /// The lines held by `cached`, verbatim.
-    void put_lines(const EncodeCache& cached);
+    /// Items [from, to) of `values` (to clamped to values.size()), encoded
+    /// as put_*_vec encodes them.  T is double or a 32- or 64-bit integer.
+    template <typename T>
+    void put_vec(std::string_view key, const std::vector<T>& values, std::size_t from = 0,
+                 std::size_t to = static_cast<std::size_t>(-1));
+
+    /// The writer of this section's log records.  What it holds when the
+    /// checkpoint commits is appended to the checkpoint's log, and every
+    /// later read of that checkpoint, or of one a resumed run commits, hands
+    /// it back ahead of the section text, in one StateReader.  So a
+    /// participant writes each record once, at the first save after it was
+    /// made, under a key no other record of its section uses.
+    StateWriter& log();
 
     /// The serialized section payload.
     const std::string& str() const { return out_; }
     /// Moves the payload out, leaving the writer empty.
     std::string take();
+    /// Moves the log records out (empty when log() was never called).
+    std::string take_log();
 
 private:
     /// Appends `key=`; each put_* then encodes its value straight into out_.
     void begin_line(std::string_view key);
     std::string out_;
+    std::unique_ptr<StateWriter> log_;
 };
 
 /// Parses and validates a section payload written by StateWriter.  All

@@ -325,6 +325,7 @@ FleetResult run_fleet(const FleetConfig& config)
     std::optional<checkpoint::CheckpointWriter> ckpt_writer;
     if (config.checkpoint_every > 0 && !config.checkpoint_dir.empty()) {
         ckpt_writer.emplace(config.checkpoint_dir, config.config_hash);
+        if (config.resume) ckpt_writer->carry(*config.resume);
     }
 
     // ---- round loop -----------------------------------------------------

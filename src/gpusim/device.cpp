@@ -205,12 +205,6 @@ void GpuDevice::transition_to(double mhz)
     ++unpublished_transitions_;
 }
 
-void GpuDevice::clear_traces()
-{
-    clock_trace_.clear();
-    clock_text_ = {};
-}
-
 KernelResult GpuDevice::execute(const KernelWork& work)
 {
     ++unpublished_batches_;
@@ -410,36 +404,6 @@ void GpuDevice::idle(double seconds)
     record(now_s_, current_clock_mhz_);
 }
 
-void GpuDevice::save_series(checkpoint::StateWriter& writer, const std::string& key,
-                            const util::TimeSeries& series, SeriesText& text)
-{
-    for (std::size_t i = text.times.size(); i < series.size(); ++i) {
-        text.times.push_f64(series[i].time);
-        text.values.push_f64(series[i].value);
-    }
-    writer.put_vec(key + ".t", text.times);
-    writer.put_vec(key + ".v", text.values);
-}
-
-namespace {
-
-void restore_series(const checkpoint::StateReader& reader, const std::string& key,
-                    util::TimeSeries& series)
-{
-    const std::vector<double> times = reader.get_f64_vec(key + ".t");
-    const std::vector<double> values = reader.get_f64_vec(key + ".v");
-    if (times.size() != values.size()) {
-        throw checkpoint::CheckpointError("gpu trace '" + key +
-                                          "': time/value length mismatch");
-    }
-    series.clear();
-    for (std::size_t i = 0; i < times.size(); ++i) {
-        series.append(times[i], values[i]);
-    }
-}
-
-} // namespace
-
 void GpuDevice::save_state(checkpoint::StateWriter& writer) const
 {
     writer.put_bool("native_dvfs", policy_ == ClockPolicy::kNativeDvfs);
@@ -453,7 +417,18 @@ void GpuDevice::save_state(checkpoint::StateWriter& writer) const
     writer.put_f64("last_power_w", last_power_w_);
     writer.put_f64("governor.cap_mhz", governor_.cap_mhz());
     writer.put_f64("governor.current_mhz", governor_.current_mhz());
-    save_series(writer, "clock_trace", clock_trace_, clock_text_);
+    if (logged_samples_ < clock_trace_.size()) {
+        std::vector<double> times, values;
+        for (std::size_t i = logged_samples_; i < clock_trace_.size(); ++i) {
+            times.push_back(clock_trace_[i].time);
+            values.push_back(clock_trace_[i].value);
+        }
+        const std::string chunk = "clock_trace." + std::to_string(logged_chunks_++) + ".";
+        writer.log().put_f64_vec(chunk + "t", times);
+        writer.log().put_f64_vec(chunk + "v", values);
+        logged_samples_ = clock_trace_.size();
+    }
+    writer.put_u64("clock_trace.chunks", logged_chunks_);
 }
 
 void GpuDevice::restore_state(const checkpoint::StateReader& reader)
@@ -472,8 +447,21 @@ void GpuDevice::restore_state(const checkpoint::StateReader& reader)
     unpublished_cap_sets_ = 0;
     governor_.restore(reader.get_f64("governor.cap_mhz"),
                       reader.get_f64("governor.current_mhz"));
-    clock_text_ = {};
-    restore_series(reader, "clock_trace", clock_trace_);
+    clock_trace_.clear();
+    logged_chunks_ = reader.get_u64("clock_trace.chunks");
+    for (std::size_t k = 0; k < logged_chunks_; ++k) {
+        const std::string chunk = "clock_trace." + std::to_string(k) + ".";
+        const std::vector<double> times = reader.get_f64_vec(chunk + "t");
+        const std::vector<double> values = reader.get_f64_vec(chunk + "v");
+        if (times.size() != values.size()) {
+            throw checkpoint::CheckpointError("gpu trace '" + chunk +
+                                              "': time/value length mismatch");
+        }
+        for (std::size_t i = 0; i < times.size(); ++i) {
+            clock_trace_.append(times[i], values[i]);
+        }
+    }
+    logged_samples_ = clock_trace_.size();
 }
 
 } // namespace gsph::gpusim

@@ -127,13 +127,14 @@ public:
     // --- tracing (paper Fig. 9) -------------------------------------------
     void enable_tracing(bool on) { tracing_ = on; }
     const util::TimeSeries& clock_trace() const { return clock_trace_; }
-    void clear_traces();
 
     // --- checkpointing ----------------------------------------------------
     /// Serialize / overwrite all mutable device state (clock mode, energy
     /// accumulator with its Kahan compensation, governor clocks, clock
     /// trace).  The spec and tracing flag are construction-time
-    /// configuration and not saved.
+    /// configuration and not saved.  The clock trace only grows: each save
+    /// logs the samples appended since the previous one as chunk k
+    /// (`clock_trace.<k>.t`, `.v`), and the text holds the chunk count.
     /// restore_state drops the unpublished counts: the metrics registry's
     /// own checkpoint section already holds the totals of the restored run.
     void save_state(checkpoint::StateWriter& writer) const;
@@ -158,14 +159,6 @@ private:
     void record(double time, double clock_mhz);
     void account(double dt, double power_w);
 
-    /// The clock trace's checkpoint text (save_state).  The trace only grows,
-    /// so a save encodes only the samples appended since the previous one.
-    struct SeriesText {
-        checkpoint::EncodeCache times, values;
-    };
-    static void save_series(checkpoint::StateWriter& writer, const std::string& key,
-                            const util::TimeSeries& series, SeriesText& text);
-
     GpuDeviceSpec spec_;
     int index_;
     PowerModel power_model_;
@@ -186,7 +179,9 @@ private:
 
     bool tracing_ = false;
     util::TimeSeries clock_trace_{"clock_mhz"};
-    mutable SeriesText clock_text_;
+    /// Clock-trace samples and chunks earlier saves logged.
+    mutable std::size_t logged_samples_ = 0;
+    mutable std::size_t logged_chunks_ = 0;
 };
 
 } // namespace gsph::gpusim

@@ -163,13 +163,18 @@ RunResult run_instrumented(const SystemSpec& system, const WorkloadTrace& trace,
     // and setup-phase side effects, so any state those touched (device time,
     // counters, accounting) is replaced wholesale — the basis of the
     // bit-identical-resume guarantee.
+    // Step start times only grow: each is logged once, as step_start.<i>.
+    std::size_t logged_step_starts = 0;
     auto collect_sections = [&](int completed_steps) {
         std::vector<checkpoint::Section> sections;
         {
             checkpoint::StateWriter w;
             w.put_i64("step", completed_steps);
             w.put_f64("loop_start_s", result.loop_start_s);
-            w.put_f64_vec("step_start_times", result.step_start_times);
+            for (; logged_step_starts < result.step_start_times.size(); ++logged_step_starts) {
+                w.log().put_f64("step_start." + std::to_string(logged_step_starts),
+                                result.step_start_times[logged_step_starts]);
+            }
             for (int f = 0; f < sph::kSphFunctionCount; ++f) {
                 const auto& a = result.per_function[static_cast<std::size_t>(f)];
                 const std::string prefix = "fn." + std::to_string(f) + ".";
@@ -189,7 +194,7 @@ RunResult run_instrumented(const SystemSpec& system, const WorkloadTrace& trace,
                 w.put_f64(prefix + "pmt_joules",
                           pmt_start[static_cast<std::size_t>(n)].joules);
             }
-            sections.push_back({"driver", w.take()});
+            sections.push_back({"driver", w.take(), w.take_log()});
         }
         for (int n = 0; n < cluster.n_nodes(); ++n) cluster.node(n).save_state(sections);
         {
@@ -218,14 +223,11 @@ RunResult run_instrumented(const SystemSpec& system, const WorkloadTrace& trace,
                     std::to_string(n_steps) + "-step run");
             }
             result.loop_start_s = r.get_f64("loop_start_s");
-            result.step_start_times = r.get_f64_vec("step_start_times");
-            if (result.step_start_times.size() !=
-                static_cast<std::size_t>(start_step)) {
-                throw checkpoint::CheckpointError(
-                    "driver: step_start_times has " +
-                    std::to_string(result.step_start_times.size()) +
-                    " entries for " + std::to_string(start_step) + " steps");
+            for (int i = 0; i < start_step; ++i) {
+                result.step_start_times.push_back(
+                    r.get_f64("step_start." + std::to_string(i)));
             }
+            logged_step_starts = result.step_start_times.size();
             for (int f = 0; f < sph::kSphFunctionCount; ++f) {
                 auto& a = result.per_function[static_cast<std::size_t>(f)];
                 const std::string prefix = "fn." + std::to_string(f) + ".";
@@ -266,6 +268,7 @@ RunResult run_instrumented(const SystemSpec& system, const WorkloadTrace& trace,
                 "run_instrumented: checkpoint_every > 0 needs checkpoint_dir");
         }
         ckpt_writer.emplace(config.checkpoint_dir, config.config_hash);
+        if (config.resume) ckpt_writer->carry(*config.resume);
     }
 
     // One phased loop per function call, at every thread count: all

@@ -58,7 +58,7 @@ void Node::save_state(std::vector<checkpoint::Section>& sections) const
     for (const auto& g : gpus_) {
         checkpoint::StateWriter w;
         g->save_state(w);
-        sections.push_back({"gpu." + std::to_string(g->index()), w.take()});
+        sections.push_back({"gpu." + std::to_string(g->index()), w.take(), w.take_log()});
     }
     checkpoint::StateWriter cpu;
     cpu_.save_state(cpu);

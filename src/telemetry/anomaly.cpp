@@ -71,7 +71,6 @@ void AnomalyDetector::fire(AlertKind kind, int step, double value, double baseli
                            double threshold, const std::string& message)
 {
     last_fired_step_[static_cast<int>(kind)] = step;
-    ++fired_[static_cast<int>(kind)];
     MetricsRegistry::global()
         .counter(std::string("alerts.") + to_string(kind))
         .inc();
@@ -143,11 +142,6 @@ void AnomalyDetector::observe_call_latency(double seconds)
     }
 }
 
-std::size_t AnomalyDetector::alert_count(AlertKind kind) const
-{
-    return static_cast<std::size_t>(fired_[static_cast<int>(kind)]);
-}
-
 Json AnomalyDetector::alerts_json() const
 {
     Json arr = Json::array();
@@ -166,9 +160,8 @@ void AnomalyDetector::save_state(checkpoint::StateWriter& writer) const
     writer.put_i64("steps_observed", steps_observed_);
     writer.put_i64("last_clock_change_step", last_clock_change_step_);
     for (int k = 0; k < 4; ++k) {
-        const std::string prefix = "kind." + std::to_string(k) + ".";
-        writer.put_i64(prefix + "last_fired_step", last_fired_step_[k]);
-        writer.put_u64(prefix + "fired", fired_[k]);
+        writer.put_i64("kind." + std::to_string(k) + ".last_fired_step",
+                       last_fired_step_[k]);
     }
     writer.put_u64("alerts", alerts_.size());
     for (std::size_t i = 0; i < alerts_.size(); ++i) {
@@ -195,9 +188,8 @@ void AnomalyDetector::restore_state(const checkpoint::StateReader& reader)
     last_clock_change_step_ =
         static_cast<int>(reader.get_i64("last_clock_change_step"));
     for (int k = 0; k < 4; ++k) {
-        const std::string prefix = "kind." + std::to_string(k) + ".";
-        last_fired_step_[k] = static_cast<int>(reader.get_i64(prefix + "last_fired_step"));
-        fired_[k] = reader.get_u64(prefix + "fired");
+        last_fired_step_[k] = static_cast<int>(
+            reader.get_i64("kind." + std::to_string(k) + ".last_fired_step"));
     }
     alerts_.clear();
     const std::uint64_t n = reader.get_u64("alerts");

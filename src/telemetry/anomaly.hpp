@@ -95,8 +95,9 @@ public:
     /// is retained.
     void observe_call_latency(double seconds);
 
+    /// The first config().max_alerts alerts; the registry's alerts.<kind>
+    /// counters count every one.
     const std::vector<Alert>& alerts() const { return alerts_; }
-    std::size_t alert_count(AlertKind kind) const;
     int steps_observed() const { return steps_observed_; }
     const AnomalyConfig& config() const { return config_; }
 
@@ -107,7 +108,7 @@ public:
     Json alerts_json() const; ///< array of Alert::to_json()
 
     /// Checkpoint every deterministic field (baselines, cooldowns, alert
-    /// records, counts); restore(save) then further observe_step calls is
+    /// records); restore(save) then further observe_step calls is
     /// bit-identical to never having stopped.
     void save_state(checkpoint::StateWriter& writer) const;
     void restore_state(const checkpoint::StateReader& reader);
@@ -132,11 +133,9 @@ private:
     Baseline edp_;
     int steps_observed_ = 0;
     int last_clock_change_step_ = -1;
-    /// Per-AlertKind cooldown/totals.  Sized for the full enum so
-    /// alert_count(kSloBurnRate) is safe, but the detector itself only
-    /// fires (and checkpoints) its own four kinds.
+    /// Per-AlertKind cooldown.  Sized for the full enum, but the detector
+    /// itself only fires (and checkpoints) its own four kinds.
     int last_fired_step_[5] = {-1, -1, -1, -1, -1};
-    std::uint64_t fired_[5] = {0, 0, 0, 0, 0};
     std::atomic<std::uint64_t> pending_stalls_{0}; ///< calls past threshold
     std::vector<Alert> alerts_;
 };

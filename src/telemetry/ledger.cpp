@@ -5,6 +5,7 @@
 #include "util/atomic_file.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
@@ -167,6 +168,100 @@ void describe_decision(Members& m, const AuditedDecision& d)
     m.number("realized_edp", d.realized_edp);
     if (d.resolved && r.predicted_edp > 0.0) {
         m.number("prediction_error", (d.realized_edp - r.predicted_edp) / r.predicted_edp);
+    }
+}
+
+[[noreturn]] void malformed(const std::string& why)
+{
+    throw checkpoint::CheckpointError("ledger: " + why);
+}
+
+/// `values` after checking it holds `expected` entries.
+template <typename Values>
+Values sized(Values values, std::uint64_t expected, const std::string& key)
+{
+    if (values.size() != expected) {
+        malformed(key + " has " + std::to_string(values.size()) + " entries for " +
+                  std::to_string(expected));
+    }
+    return values;
+}
+
+int checked_int(std::int64_t value, const std::string& key)
+{
+    if (value < INT_MIN || value > INT_MAX) malformed(key + " holds " + std::to_string(value));
+    return static_cast<int>(value);
+}
+
+/// Appends the decisions stored by column under `prefix` to `out`; their
+/// strings are ids into `strings`.
+void append_decisions(const checkpoint::StateReader& reader, const std::string& prefix,
+                      const std::vector<std::string>& strings,
+                      std::vector<AuditedDecision>& out)
+{
+    const std::vector<std::int64_t> ids = reader.get_i64_vec(prefix + "id");
+    const std::size_t n = ids.size();
+    const auto column = [&](auto values, const char* key, std::uint64_t expected) {
+        return sized(std::move(values), expected, prefix + key);
+    };
+    const auto total = [&](const std::vector<std::uint64_t>& counts, const char* key) {
+        std::uint64_t sum = 0;
+        for (const std::uint64_t c : counts) {
+            if (c > UINT32_MAX) malformed(prefix + key + " holds " + std::to_string(c));
+            sum += c;
+        }
+        return sum;
+    };
+    const auto steps = column(reader.get_i64_vec(prefix + "step"), "step", n);
+    const auto policies = column(reader.get_u64_vec(prefix + "policy"), "policy", n);
+    const auto ranks = column(reader.get_i64_vec(prefix + "rank"), "rank", n);
+    const auto functions = column(reader.get_i64_vec(prefix + "fn"), "fn", n);
+    const auto n_candidates = column(reader.get_u64_vec(prefix + "ncand"), "ncand", n);
+    const auto chosen = column(reader.get_f64_vec(prefix + "chosen"), "chosen", n);
+    const auto predicted = column(reader.get_f64_vec(prefix + "predicted"), "predicted", n);
+    const auto traces = column(reader.get_u64_vec(prefix + "trace"), "trace", n);
+    const auto resolved = column(reader.get_u64_vec(prefix + "resolved"), "resolved", n);
+    const auto realized = column(reader.get_f64_vec(prefix + "realized"), "realized", n);
+    const auto n_inputs = column(reader.get_u64_vec(prefix + "ninputs"), "ninputs", n);
+    const auto candidates =
+        column(reader.get_f64_vec(prefix + "cand"), "cand", total(n_candidates, "ncand"));
+    const std::uint64_t inputs = total(n_inputs, "ninputs");
+    const auto input_names = column(reader.get_u64_vec(prefix + "input"), "input", inputs);
+    const auto input_values = column(reader.get_f64_vec(prefix + "value"), "value", inputs);
+
+    const auto string = [&](std::uint64_t id, const char* key) -> const std::string& {
+        if (id >= strings.size()) {
+            malformed(prefix + key + " index " + std::to_string(id) +
+                      " is past the string table");
+        }
+        return strings[id];
+    };
+    const auto small = [&](std::int64_t v, const char* key) {
+        return checked_int(v, prefix + key);
+    };
+    std::size_t next_candidate = 0;
+    std::size_t next_input = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        AuditedDecision& d = out.emplace_back();
+        d.id = ids[i];
+        d.step = small(steps[i], "step");
+        d.record.policy = string(policies[i], "policy");
+        d.record.rank = small(ranks[i], "rank");
+        d.record.function = small(functions[i], "fn");
+        const auto first = candidates.begin() + static_cast<std::ptrdiff_t>(next_candidate);
+        next_candidate += n_candidates[i];
+        d.record.candidate_mhz.assign(
+            first, candidates.begin() + static_cast<std::ptrdiff_t>(next_candidate));
+        d.record.chosen_mhz = chosen[i];
+        d.record.predicted_edp = predicted[i];
+        d.record.trace_id = string(traces[i], "trace");
+        if (resolved[i] > 1) malformed(prefix + "resolved holds " + std::to_string(resolved[i]));
+        d.resolved = resolved[i] == 1;
+        d.realized_edp = realized[i];
+        for (std::uint64_t k = 0; k < n_inputs[i]; ++k, ++next_input) {
+            d.record.inputs.emplace_back(string(input_names[next_input], "input"),
+                                         input_values[next_input]);
+        }
     }
 }
 
@@ -535,35 +630,44 @@ void AttributionLedger::save_state(checkpoint::StateWriter& writer) const
     writer.put_i64("n_ranks", n_ranks_);
     writer.put_i64("steps_completed", steps_completed_);
     writer.put_i64("next_decision_id", next_decision_id_);
-    writer.put_u64("buckets", buckets_.size());
-    std::size_t i = 0;
+    // Buckets by column, in key order.
+    std::vector<std::int64_t> rank, function, phase, calls;
+    std::vector<double> freq, energy, time;
     for (const auto& [key, cell] : buckets_) {
-        const std::string prefix = "bucket." + std::to_string(i) + ".";
-        writer.put_i64(prefix + "rank", key.rank);
-        writer.put_i64(prefix + "function", key.function);
-        writer.put_i64(prefix + "phase", key.phase);
-        writer.put_f64(prefix + "freq_mhz", cell.freq_mhz);
-        writer.put_f64(prefix + "energy_j", cell.energy_j);
-        writer.put_f64(prefix + "time_s", cell.time_s);
-        writer.put_i64(prefix + "calls", cell.calls);
-        ++i;
+        rank.push_back(key.rank);
+        function.push_back(key.function);
+        phase.push_back(key.phase);
+        freq.push_back(cell.freq_mhz);
+        energy.push_back(cell.energy_j);
+        time.push_back(cell.time_s);
+        calls.push_back(cell.calls);
     }
-    // A decision's lines change only while a pending_ entry points at it,
-    // and an entry is only ever set to the decision just appended: the
-    // lines of the decisions before the first pending one are kept between
-    // saves.
+    writer.put_i64_vec("bucket.rank", rank);
+    writer.put_i64_vec("bucket.fn", function);
+    writer.put_i64_vec("bucket.phase", phase);
+    writer.put_f64_vec("bucket.freq_mhz", freq);
+    writer.put_f64_vec("bucket.energy_j", energy);
+    writer.put_f64_vec("bucket.time_s", time);
+    writer.put_i64_vec("bucket.calls", calls);
+    // A decision changes only while a pending_ entry points at it, and an
+    // entry is only ever set to the decision just appended: the decisions
+    // before the first pending one are settled, and logged once.
     std::size_t settled = decisions_.size();
     for (const std::int64_t p : pending_) {
         if (p >= 0) settled = std::min(settled, static_cast<std::size_t>(p));
     }
-    for (std::size_t d = saved_decisions_.size(); d < settled; ++d) {
-        checkpoint::StateWriter lines;
-        put_decision_locked(lines, d);
-        saved_decisions_.push_lines(lines);
+    checkpoint::StateWriter& log = writer.log();
+    if (logged_decisions_ < settled) {
+        put_decisions_locked(log, "dec." + std::to_string(logged_chunks_++) + ".",
+                             logged_decisions_, settled);
+        logged_decisions_ = settled;
     }
-    writer.put_u64("decisions", decisions_.size());
-    writer.put_lines(saved_decisions_);
-    for (std::size_t d = settled; d < decisions_.size(); ++d) put_decision_locked(writer, d);
+    put_decisions_locked(writer, "tail.", logged_decisions_, decisions_.size());
+    for (; logged_strings_ < strings_.size(); ++logged_strings_) {
+        log.put_str("str." + std::to_string(logged_strings_), strings_[logged_strings_]);
+    }
+    writer.put_u64("strings", strings_.size());
+    writer.put_u64("chunks", logged_chunks_);
     // Pending-decision indices, shifted by one so "none" (-1) encodes as 0.
     std::vector<std::uint64_t> pending(pending_.size());
     for (std::size_t k = 0; k < pending_.size(); ++k) {
@@ -572,32 +676,57 @@ void AttributionLedger::save_state(checkpoint::StateWriter& writer) const
     writer.put_u64_vec("pending", pending);
 }
 
-void AttributionLedger::put_decision_locked(checkpoint::StateWriter& writer,
-                                            std::size_t d) const
+std::uint32_t AttributionLedger::string_id_locked(const std::string& s) const
 {
-    const AuditedDecision& dec = decisions_[d];
-    const std::string prefix = "decision." + std::to_string(d) + ".";
-    writer.put_i64(prefix + "id", dec.id);
-    writer.put_i64(prefix + "step", dec.step);
-    writer.put_str(prefix + "policy", dec.record.policy);
-    writer.put_i64(prefix + "rank", dec.record.rank);
-    writer.put_i64(prefix + "function", dec.record.function);
-    writer.put_f64_vec(prefix + "candidate_mhz", dec.record.candidate_mhz);
-    writer.put_f64(prefix + "chosen_mhz", dec.record.chosen_mhz);
-    writer.put_f64(prefix + "predicted_edp", dec.record.predicted_edp);
-    // Written only when set: older checkpoints (and untraced runs)
-    // simply lack the key, and restore tolerates that via has().
-    if (!dec.record.trace_id.empty()) {
-        writer.put_str(prefix + "trace_id", dec.record.trace_id);
+    const auto [it, added] =
+        string_ids_.try_emplace(s, static_cast<std::uint32_t>(strings_.size()));
+    if (added) strings_.push_back(s);
+    return it->second;
+}
+
+void AttributionLedger::put_decisions_locked(checkpoint::StateWriter& writer,
+                                             const std::string& prefix, std::size_t from,
+                                             std::size_t to) const
+{
+    std::vector<std::int64_t> id, step, rank, function;
+    std::vector<std::uint64_t> policy, trace, resolved, n_candidates, n_inputs, input_name;
+    std::vector<double> candidate, chosen, predicted, realized, input_value;
+    for (std::size_t d = from; d < to; ++d) {
+        const AuditedDecision& dec = decisions_[d];
+        const DecisionRecord& r = dec.record;
+        id.push_back(dec.id);
+        step.push_back(dec.step);
+        policy.push_back(string_id_locked(r.policy));
+        rank.push_back(r.rank);
+        function.push_back(r.function);
+        n_candidates.push_back(r.candidate_mhz.size());
+        candidate.insert(candidate.end(), r.candidate_mhz.begin(), r.candidate_mhz.end());
+        chosen.push_back(r.chosen_mhz);
+        predicted.push_back(r.predicted_edp);
+        trace.push_back(string_id_locked(r.trace_id));
+        resolved.push_back(dec.resolved ? 1 : 0);
+        realized.push_back(dec.realized_edp);
+        n_inputs.push_back(r.inputs.size());
+        for (const auto& [name, value] : r.inputs) {
+            input_name.push_back(string_id_locked(name));
+            input_value.push_back(value);
+        }
     }
-    writer.put_bool(prefix + "resolved", dec.resolved);
-    writer.put_f64(prefix + "realized_edp", dec.realized_edp);
-    writer.put_u64(prefix + "inputs", dec.record.inputs.size());
-    for (std::size_t k = 0; k < dec.record.inputs.size(); ++k) {
-        const std::string ip = prefix + "input." + std::to_string(k) + ".";
-        writer.put_str(ip + "name", dec.record.inputs[k].first);
-        writer.put_f64(ip + "value", dec.record.inputs[k].second);
-    }
+    writer.put_i64_vec(prefix + "id", id);
+    writer.put_i64_vec(prefix + "step", step);
+    writer.put_u64_vec(prefix + "policy", policy);
+    writer.put_i64_vec(prefix + "rank", rank);
+    writer.put_i64_vec(prefix + "fn", function);
+    writer.put_u64_vec(prefix + "ncand", n_candidates);
+    writer.put_f64_vec(prefix + "cand", candidate);
+    writer.put_f64_vec(prefix + "chosen", chosen);
+    writer.put_f64_vec(prefix + "predicted", predicted);
+    writer.put_u64_vec(prefix + "trace", trace);
+    writer.put_u64_vec(prefix + "resolved", resolved);
+    writer.put_f64_vec(prefix + "realized", realized);
+    writer.put_u64_vec(prefix + "ninputs", n_inputs);
+    writer.put_u64_vec(prefix + "input", input_name);
+    writer.put_f64_vec(prefix + "value", input_value);
 }
 
 void AttributionLedger::restore_state(const checkpoint::StateReader& reader)
@@ -615,48 +744,43 @@ void AttributionLedger::restore_state(const checkpoint::StateReader& reader)
     // rank restarts unprimed: its first before-hook primes it there again.
     ranks_.assign(ranks_.size(), RankState{});
     buckets_.clear();
-    const std::uint64_t n_buckets = reader.get_u64("buckets");
-    for (std::uint64_t i = 0; i < n_buckets; ++i) {
-        const std::string prefix = "bucket." + std::to_string(i) + ".";
-        const int rank = static_cast<int>(reader.get_i64(prefix + "rank"));
-        const int function = static_cast<int>(reader.get_i64(prefix + "function"));
-        const int phase = static_cast<int>(reader.get_i64(prefix + "phase"));
-        const double freq = reader.get_f64(prefix + "freq_mhz");
-        Cell& cell = cell_locked(rank, function,
-                                 static_cast<LedgerPhase>(phase), freq);
-        cell.energy_j = reader.get_f64(prefix + "energy_j");
-        cell.time_s = reader.get_f64(prefix + "time_s");
-        cell.calls = static_cast<long>(reader.get_i64(prefix + "calls"));
+    const std::vector<std::int64_t> ranks = reader.get_i64_vec("bucket.rank");
+    const std::size_t n_buckets = ranks.size();
+    const auto functions = sized(reader.get_i64_vec("bucket.fn"), n_buckets, "bucket.fn");
+    const auto phases = sized(reader.get_i64_vec("bucket.phase"), n_buckets, "bucket.phase");
+    const auto freqs =
+        sized(reader.get_f64_vec("bucket.freq_mhz"), n_buckets, "bucket.freq_mhz");
+    const auto energies =
+        sized(reader.get_f64_vec("bucket.energy_j"), n_buckets, "bucket.energy_j");
+    const auto times = sized(reader.get_f64_vec("bucket.time_s"), n_buckets, "bucket.time_s");
+    const auto calls = sized(reader.get_i64_vec("bucket.calls"), n_buckets, "bucket.calls");
+    for (std::size_t i = 0; i < n_buckets; ++i) {
+        Cell& cell = cell_locked(checked_int(ranks[i], "bucket.rank"),
+                                 checked_int(functions[i], "bucket.fn"),
+                                 static_cast<LedgerPhase>(checked_int(phases[i], "bucket.phase")),
+                                 freqs[i]);
+        cell.energy_j = energies[i];
+        cell.time_s = times[i];
+        cell.calls = static_cast<long>(calls[i]);
+    }
+
+    strings_.clear();
+    string_ids_.clear();
+    const std::uint64_t n_strings = reader.get_u64("strings");
+    for (std::uint64_t i = 0; i < n_strings; ++i) {
+        strings_.push_back(reader.get_str("str." + std::to_string(i)));
+        string_ids_.try_emplace(strings_.back(), static_cast<std::uint32_t>(i));
     }
     decisions_.clear();
-    saved_decisions_.clear();
-    const std::uint64_t n_decisions = reader.get_u64("decisions");
-    decisions_.reserve(n_decisions);
-    for (std::uint64_t d = 0; d < n_decisions; ++d) {
-        const std::string prefix = "decision." + std::to_string(d) + ".";
-        AuditedDecision dec;
-        dec.id = reader.get_i64(prefix + "id");
-        dec.step = static_cast<int>(reader.get_i64(prefix + "step"));
-        dec.record.policy = reader.get_str(prefix + "policy");
-        dec.record.rank = static_cast<int>(reader.get_i64(prefix + "rank"));
-        dec.record.function =
-            static_cast<int>(reader.get_i64(prefix + "function"));
-        dec.record.candidate_mhz = reader.get_f64_vec(prefix + "candidate_mhz");
-        dec.record.chosen_mhz = reader.get_f64(prefix + "chosen_mhz");
-        dec.record.predicted_edp = reader.get_f64(prefix + "predicted_edp");
-        if (reader.has(prefix + "trace_id")) {
-            dec.record.trace_id = reader.get_str(prefix + "trace_id");
-        }
-        dec.resolved = reader.get_bool(prefix + "resolved");
-        dec.realized_edp = reader.get_f64(prefix + "realized_edp");
-        const std::uint64_t n_inputs = reader.get_u64(prefix + "inputs");
-        for (std::uint64_t k = 0; k < n_inputs; ++k) {
-            const std::string ip = prefix + "input." + std::to_string(k) + ".";
-            dec.record.inputs.emplace_back(reader.get_str(ip + "name"),
-                                           reader.get_f64(ip + "value"));
-        }
-        decisions_.push_back(std::move(dec));
+    const std::uint64_t chunks = reader.get_u64("chunks");
+    for (std::uint64_t k = 0; k < chunks; ++k) {
+        append_decisions(reader, "dec." + std::to_string(k) + ".", strings_, decisions_);
     }
+    logged_strings_ = strings_.size();
+    logged_decisions_ = decisions_.size();
+    logged_chunks_ = chunks;
+    append_decisions(reader, "tail.", strings_, decisions_);
+
     const std::vector<std::uint64_t> pending = reader.get_u64_vec("pending");
     if (pending.size() != pending_.size()) {
         throw checkpoint::CheckpointError(
@@ -664,6 +788,11 @@ void AttributionLedger::restore_state(const checkpoint::StateReader& reader)
             " entries, expected " + std::to_string(pending_.size()));
     }
     for (std::size_t k = 0; k < pending_.size(); ++k) {
+        if (pending[k] > decisions_.size()) {
+            throw checkpoint::CheckpointError("ledger: pending holds decision " +
+                                              std::to_string(pending[k] - 1) + " of " +
+                                              std::to_string(decisions_.size()));
+        }
         pending_[k] = static_cast<std::int64_t>(pending[k]) - 1;
     }
 }

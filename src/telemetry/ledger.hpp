@@ -44,6 +44,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace gsph::telemetry {
@@ -119,8 +120,16 @@ public:
 
     /// Checkpoint the buckets and decisions; a resumed run's JSONL is
     /// byte-identical to an uninterrupted one's.  Each step end sweeps every
-    /// rank's window shut, so the per-rank windows are not saved.
+    /// rank's window shut, so the per-rank windows are not saved.  Buckets
+    /// (`bucket.*`) and decisions are stored by column, the decisions'
+    /// strings (policy, trace id, input names)
+    /// as ids into one table (`str.<i>`).  A decision no pending window can
+    /// change any more is settled: each save logs the strings and settled
+    /// decisions new since the previous one, as chunk k (`dec.<k>.*`), and
+    /// the section text holds the rest (`tail.*`).
     void save_state(checkpoint::StateWriter& writer) const;
+    /// Replace the buckets and decisions with a save_state() payload, and
+    /// count its strings and chunks as logged.
     void restore_state(const checkpoint::StateReader& reader);
 
 private:
@@ -161,8 +170,11 @@ private:
     void sweep_locked(RankState& rs, int rank, int function, LedgerPhase phase,
                       bool count_call);
     Cell& cell_locked(int rank, int function, LedgerPhase phase, double freq_mhz);
-    /// The checkpoint lines of decisions_[d].
-    void put_decision_locked(checkpoint::StateWriter& writer, std::size_t d) const;
+    /// Id of `s` in the checkpoint's string table, added on first use.
+    std::uint32_t string_id_locked(const std::string& s) const;
+    /// Decisions [from, to) by column, each key prefixed with `prefix`.
+    void put_decisions_locked(checkpoint::StateWriter& writer, const std::string& prefix,
+                              std::size_t from, std::size_t to) const;
 
     int n_ranks_;
     mutable std::mutex mutex_;
@@ -173,8 +185,13 @@ private:
     /// decision awaiting its realized window (-1: none).
     std::vector<std::int64_t> pending_;
     std::int64_t next_decision_id_ = 0;
-    /// Checkpoint lines of the settled decisions (save_state).
-    mutable checkpoint::EncodeCache saved_decisions_;
+    /// The checkpoint's string table (save_state), in first-use order.
+    mutable std::vector<std::string> strings_;
+    mutable std::unordered_map<std::string, std::uint32_t> string_ids_;
+    /// Strings, settled decisions and decision chunks earlier saves logged.
+    mutable std::size_t logged_strings_ = 0;
+    mutable std::size_t logged_decisions_ = 0;
+    mutable std::size_t logged_chunks_ = 0;
     int steps_completed_ = 0;
     bool sink_installed_ = false;
     // The registry counters the constructor creates; the registry never

@@ -7,7 +7,6 @@
 #include <climits>
 #include <cstring>
 #include <stdexcept>
-#include <type_traits>
 
 namespace gsph::telemetry {
 
@@ -63,27 +62,21 @@ int checked_int(std::int64_t value, const char* key)
     return static_cast<int>(value);
 }
 
-/// Encodes values[cache.size(), end) onto `cache`.
-template <typename T>
-void extend(checkpoint::EncodeCache& cache, const std::vector<T>& values, std::size_t end)
+/// `values` after checking it holds `expected` entries.
+template <typename Values>
+Values column(Values values, std::size_t expected, const std::string& key, const char* per)
 {
-    for (std::size_t i = cache.size(); i < end; ++i) {
-        if constexpr (std::is_floating_point_v<T>) {
-            cache.push_f64(values[i]);
-        }
-        else if constexpr (std::is_signed_v<T>) {
-            cache.push_i64(values[i]);
-        }
-        else {
-            cache.push_u64(values[i]);
-        }
+    if (values.size() != expected) {
+        malformed(key + " has " + std::to_string(values.size()) + " entries for " +
+                  std::to_string(expected) + " " + per);
     }
+    return values;
 }
 
 template <typename T>
-void extend(checkpoint::EncodeCache& cache, const std::vector<T>& values)
+void append(std::vector<T>& to, const std::vector<T>& from)
 {
-    extend(cache, values, values.size());
+    to.insert(to.end(), from.begin(), from.end());
 }
 
 } // namespace
@@ -306,41 +299,39 @@ void SpanTracer::save_state(checkpoint::StateWriter& writer) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     const Columns& c = columns_;
-    SavedText& saved = saved_;
+    Logged& logged = logged_;
+    checkpoint::StateWriter& log = writer.log();
 
-    for (std::size_t s = saved.strings.size(); s < c.strings.size(); ++s) {
-        checkpoint::StateWriter line;
-        line.put_str("str." + std::to_string(s), c.strings[s]);
-        saved.strings.push_lines(line);
+    for (; logged.strings < c.strings.size(); ++logged.strings) {
+        log.put_str("str." + std::to_string(logged.strings), c.strings[logged.strings]);
     }
-    writer.put_u64("strings", c.strings.size());
-    writer.put_lines(saved.strings);
-    writer.put_str("ev.ph", c.phase); // "BECiM" letters encode as themselves
-    extend(saved.name, c.name);
-    writer.put_vec("ev.name", saved.name);
-    extend(saved.category, c.category);
-    writer.put_vec("ev.cat", saved.category);
-    extend(saved.pid, c.pid);
-    writer.put_vec("ev.pid", saved.pid);
-    extend(saved.tid, c.tid);
-    writer.put_vec("ev.tid", saved.tid);
-    extend(saved.run_time, c.run_time);
-    writer.put_vec("ev.t", saved.run_time);
     // The last run stays open: the next event may extend it.
     const std::size_t closed_runs = c.run_length.empty() ? 0 : c.run_length.size() - 1;
-    extend(saved.run_length, c.run_length, closed_runs);
-    checkpoint::EncodeCache open_run;
-    if (!c.run_length.empty()) open_run.push_u64(c.run_length.back());
-    writer.put_vec("ev.trun", saved.run_length, open_run);
-    extend(saved.value, c.value);
-    writer.put_vec("ev.cv", saved.value);
-    extend(saved.metadata, c.metadata);
-    writer.put_vec("ev.md", saved.metadata);
-    extend(saved.n_args, c.n_args);
-    writer.put_vec("ev.nargs", saved.n_args);
-    extend(saved.args, c.args);
-    writer.put_vec("ev.args", saved.args);
+    if (logged.events < c.phase.size()) {
+        const std::string chunk = "ev." + std::to_string(logged.chunks++) + ".";
+        // "BECiM" letters encode as themselves.
+        log.put_str(chunk + "ph", std::string_view(c.phase).substr(logged.events));
+        log.put_vec(chunk + "name", c.name, logged.events);
+        log.put_vec(chunk + "cat", c.category, logged.events);
+        log.put_vec(chunk + "pid", c.pid, logged.events);
+        log.put_vec(chunk + "tid", c.tid, logged.events);
+        log.put_vec(chunk + "nargs", c.n_args, logged.events);
+        log.put_vec(chunk + "t", c.run_time, logged.runs, closed_runs);
+        log.put_vec(chunk + "trun", c.run_length, logged.runs, closed_runs);
+        log.put_vec(chunk + "cv", c.value, logged.values);
+        log.put_vec(chunk + "md", c.metadata, logged.metadata);
+        log.put_vec(chunk + "args", c.args, logged.args);
+        logged.events = c.phase.size();
+        logged.runs = closed_runs;
+        logged.values = c.value.size();
+        logged.metadata = c.metadata.size();
+        logged.args = c.args.size();
+    }
 
+    writer.put_u64("strings", c.strings.size());
+    writer.put_u64("chunks", logged.chunks);
+    writer.put_f64("ev.t.open", c.run_time.empty() ? 0.0 : c.run_time.back());
+    writer.put_u64("ev.trun.open", c.run_length.empty() ? 0 : c.run_length.back());
     std::vector<std::int64_t> open;
     open.reserve(open_.size() * 3);
     for (const auto& [track, depth] : open_) {
@@ -367,32 +358,50 @@ void SpanTracer::restore_state(const checkpoint::StateReader& reader)
         return static_cast<std::uint32_t>(id);
     };
 
-    c.phase = reader.get_str("ev.ph");
-    const std::size_t n = c.phase.size();
-    const auto column = [](auto values, std::size_t expected, const char* key,
-                           const char* per) {
-        if (values.size() != expected) {
-            malformed(std::string(key) + " has " + std::to_string(values.size()) +
-                      " entries for " + std::to_string(expected) + " " + per);
+    // The chunks, each checked against its own phases, then joined.
+    std::vector<std::uint64_t> names, categories, metadata, n_args, args;
+    std::vector<std::int64_t> pids, tids;
+    const std::uint64_t chunks = reader.get_u64("chunks");
+    for (std::uint64_t k = 0; k < chunks; ++k) {
+        const std::string chunk = "ev." + std::to_string(k) + ".";
+        const std::string phase = reader.get_str(chunk + "ph");
+        const std::size_t n = phase.size();
+        const auto count_phase = [&](char p) {
+            return static_cast<std::size_t>(std::count(phase.begin(), phase.end(), p));
+        };
+        const auto u64 = [&](const char* key, std::size_t expected, const char* per) {
+            return column(reader.get_u64_vec(chunk + key), expected, chunk + key, per);
+        };
+        const auto i64 = [&](const char* key) {
+            return column(reader.get_i64_vec(chunk + key), n, chunk + key, "events");
+        };
+        c.phase += phase;
+        append(names, u64("name", n, "events"));
+        append(categories, u64("cat", n, "events"));
+        append(pids, i64("pid"));
+        append(tids, i64("tid"));
+        const std::vector<std::uint64_t> chunk_n_args = u64("nargs", n, "events");
+        append(n_args, chunk_n_args);
+        const std::vector<std::uint64_t> lengths = reader.get_u64_vec(chunk + "trun");
+        append(c.run_length, lengths);
+        append(c.run_time, column(reader.get_f64_vec(chunk + "t"), lengths.size(),
+                                  chunk + "t", "timestamp runs"));
+        append(c.value, column(reader.get_f64_vec(chunk + "cv"), count_phase('C'),
+                               chunk + "cv", "counter events"));
+        append(metadata, u64("md", count_phase('M'), "metadata events"));
+        std::uint64_t pairs = 0;
+        for (const std::uint64_t a : chunk_n_args) {
+            if (a > UINT32_MAX) malformed(chunk + "nargs holds " + std::to_string(a));
+            pairs += a;
         }
-        return values;
-    };
-    const auto count_phase = [&](char phase) {
-        return static_cast<std::size_t>(std::count(c.phase.begin(), c.phase.end(), phase));
-    };
-    const auto names = column(reader.get_u64_vec("ev.name"), n, "ev.name", "events");
-    const auto categories = column(reader.get_u64_vec("ev.cat"), n, "ev.cat", "events");
-    const auto pids = column(reader.get_i64_vec("ev.pid"), n, "ev.pid", "events");
-    const auto tids = column(reader.get_i64_vec("ev.tid"), n, "ev.tid", "events");
-    c.run_length = reader.get_u64_vec("ev.trun");
-    c.run_time = column(reader.get_f64_vec("ev.t"), c.run_length.size(), "ev.t",
-                        "timestamp runs");
-    c.value = column(reader.get_f64_vec("ev.cv"), count_phase('C'), "ev.cv", "counter events");
-    const auto metadata =
-        column(reader.get_u64_vec("ev.md"), count_phase('M'), "ev.md", "metadata events");
-    const auto n_args = column(reader.get_u64_vec("ev.nargs"), n, "ev.nargs", "events");
-    const auto args = reader.get_u64_vec("ev.args");
+        append(args, u64("args", 2 * pairs, "args keys and values"));
+    }
+    if (const std::uint64_t open_run = reader.get_u64("ev.trun.open"); open_run != 0) {
+        c.run_length.push_back(open_run);
+        c.run_time.push_back(reader.get_f64("ev.t.open"));
+    }
 
+    const std::size_t n = c.phase.size();
     std::size_t covered = 0;
     for (const std::uint64_t length : c.run_length) {
         if (length == 0 || length > n - covered) {
@@ -405,7 +414,6 @@ void SpanTracer::restore_state(const checkpoint::StateReader& reader)
                   std::to_string(n) + " events");
     }
 
-    std::size_t next_arg = 0;
     for (std::size_t i = 0; i < n; ++i) {
         if (std::string_view("BECiM").find(c.phase[i]) == std::string_view::npos) {
             malformed("event " + std::to_string(i) + " has unknown phase '" +
@@ -415,14 +423,7 @@ void SpanTracer::restore_state(const checkpoint::StateReader& reader)
         c.category.push_back(string_id(categories[i], "ev.cat"));
         c.pid.push_back(checked_int(pids[i], "ev.pid"));
         c.tid.push_back(checked_int(tids[i], "ev.tid"));
-        if (n_args[i] > (args.size() - next_arg) / 2) {
-            malformed("ev.args holds fewer key/value pairs than ev.nargs counts");
-        }
         c.n_args.push_back(static_cast<std::uint32_t>(n_args[i]));
-        next_arg += 2 * n_args[i];
-    }
-    if (next_arg != args.size()) {
-        malformed("ev.args holds more key/value pairs than ev.nargs counts");
     }
     for (const std::uint64_t id : metadata) c.metadata.push_back(string_id(id, "ev.md"));
     for (const std::uint64_t id : args) c.args.push_back(string_id(id, "ev.args"));
@@ -440,18 +441,19 @@ void SpanTracer::restore_state(const checkpoint::StateReader& reader)
         open[{pid, tid}] = depth;
     }
 
+    Logged logged;
+    logged.strings = c.strings.size();
+    logged.events = n;
+    logged.runs = c.run_length.empty() ? 0 : c.run_length.size() - 1;
+    logged.values = c.value.size();
+    logged.metadata = c.metadata.size();
+    logged.args = c.args.size();
+    logged.chunks = chunks;
+
     std::lock_guard<std::mutex> lock(mutex_);
     columns_ = std::move(c);
-    saved_ = {};
+    logged_ = logged;
     open_ = std::move(open);
-}
-
-void SpanTracer::clear()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    columns_ = {};
-    saved_ = {};
-    open_.clear();
 }
 
 } // namespace gsph::telemetry

@@ -23,10 +23,9 @@
 /// the events visit them (name, category, each arg key and value, then the
 /// 'M' name), which makes the table the checkpoint's table.  Recording,
 /// save_state, restore_state and to_chrome_json all work on these columns;
-/// events() builds TraceEvent copies on demand.  save_state keeps the
-/// encoded text of the string table and of every id and time column between
-/// saves, and encodes only the events recorded since the previous save; the
-/// phase column needs no encoding, since each phase letter encodes as itself.
+/// events() builds TraceEvent copies on demand.  save_state logs the strings
+/// and events recorded since the previous save once, as one chunk of
+/// columns, so a save costs what was recorded since the last one.
 ///
 /// Thread safety: every call takes one mutex, so recording calls may arrive
 /// from ThreadPool workers.  Events from one thread keep their program
@@ -109,21 +108,19 @@ public:
     bool write_file(const std::string& path) const;
 
     /// Checkpoint every recorded event and the open-span depths, by column.
-    /// Strings go into a table (`strings`, `str.<i>`) and the columns hold
-    /// indices into it.  One entry per event: `ev.ph`, `ev.name`, `ev.cat`,
-    /// `ev.pid`, `ev.tid`, `ev.nargs`.  One per run of events with a
-    /// bit-equal timestamp: `ev.t` and its run length `ev.trun`.  One per
-    /// 'C' event: `ev.cv`; one per 'M' event: `ev.md`.  Then the key/value
-    /// pairs of every event's args (`ev.args`) and the (pid, tid, depth)
-    /// triples of the open-span depths (`open`).  The last run of bit-equal
-    /// timestamps is encoded afresh at every save, since the next event may
-    /// extend it; everything else is encoded once.
+    /// Strings go into a table (`str.<i>`) and the columns hold indices into
+    /// it.  Each save logs the strings and events new since the previous
+    /// one as chunk k (`ev.<k>.*`): per event `ph`, `name`, `cat`, `pid`,
+    /// `tid`, `nargs`; per closed run of events with a bit-equal timestamp
+    /// `t` and its run length `trun`; per 'C' event `cv`; per 'M' event `md`;
+    /// and the key/value pairs of the events' args (`args`).  The section
+    /// text holds the table size (`strings`), the chunk count (`chunks`),
+    /// the last run (`ev.t.open`, `ev.trun.open`), which the next event may
+    /// extend, and the (pid, tid, depth) triples of the open spans (`open`).
     void save_state(checkpoint::StateWriter& writer) const;
-    /// Replace this tracer's contents with a save_state() payload.  Throws
-    /// CheckpointError on a malformed payload.
+    /// Replace this tracer's contents with a save_state() payload, and count
+    /// all of it as logged.  Throws CheckpointError on a malformed payload.
     void restore_state(const checkpoint::StateReader& reader);
-
-    void clear();
 
 private:
     /// The recorded events, one vector per checkpoint column.
@@ -155,10 +152,10 @@ private:
         const std::uint32_t* args; ///< n_args key/value id pairs
         std::uint32_t n_args;
     };
-    /// Encoded text of the columns' final entries (save_state).
-    struct SavedText {
-        checkpoint::EncodeCache strings, name, category, pid, tid, run_time,
-            run_length, value, metadata, n_args, args;
+    /// How much of each column earlier saves logged, and in how many chunks.
+    struct Logged {
+        std::size_t strings = 0, events = 0, runs = 0, values = 0, metadata = 0,
+                    args = 0, chunks = 0;
     };
 
     /// Id of `s` in the string table, added on first use (caller holds mutex_).
@@ -175,7 +172,7 @@ private:
 
     mutable std::mutex mutex_;
     Columns columns_;
-    mutable SavedText saved_;
+    mutable Logged logged_;
     std::map<std::pair<int, int>, int> open_; ///< (pid,tid) -> open span depth
 };
 

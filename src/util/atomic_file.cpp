@@ -22,7 +22,36 @@ void fsync_parent_dir(const std::string& path)
     ::close(fd);
 }
 
+/// Writes all of `content` to `fd` at `offset`, retrying short writes.
+bool write_all_at(int fd, std::uint64_t offset, const std::string& content)
+{
+    const char* data = content.data();
+    std::size_t remaining = content.size();
+    while (remaining > 0) {
+        const ssize_t n = ::pwrite(fd, data, remaining, static_cast<off_t>(offset));
+        if (n < 0) {
+            if (errno == EINTR) continue;
+            return false;
+        }
+        data += n;
+        offset += static_cast<std::uint64_t>(n);
+        remaining -= static_cast<std::size_t>(n);
+    }
+    return true;
+}
+
 } // namespace
+
+bool write_file_at(const std::string& path, std::uint64_t offset, const std::string& content)
+{
+    const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT, 0644);
+    if (fd < 0) return false;
+    const bool ok =
+        write_all_at(fd, offset, content) &&
+        ::ftruncate(fd, static_cast<off_t>(offset + content.size())) == 0 &&
+        ::fsync(fd) == 0;
+    return ::close(fd) == 0 && ok;
+}
 
 bool atomic_write_file(const std::string& path, const std::string& content)
 {
@@ -32,18 +61,10 @@ bool atomic_write_file(const std::string& path, const std::string& content)
     const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd < 0) return false;
 
-    const char* data = content.data();
-    std::size_t remaining = content.size();
-    while (remaining > 0) {
-        const ssize_t n = ::write(fd, data, remaining);
-        if (n < 0) {
-            if (errno == EINTR) continue;
-            ::close(fd);
-            ::unlink(tmp.c_str());
-            return false;
-        }
-        data += n;
-        remaining -= static_cast<std::size_t>(n);
+    if (!write_all_at(fd, 0, content)) {
+        ::close(fd);
+        ::unlink(tmp.c_str());
+        return false;
     }
     if (::fsync(fd) != 0 || ::close(fd) != 0) {
         ::unlink(tmp.c_str());

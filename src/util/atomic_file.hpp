@@ -11,6 +11,7 @@
 /// complete new one, and the fsync before the rename guarantees the new
 /// bytes are durable before they become visible under the final name.
 
+#include <cstdint>
 #include <string>
 
 namespace gsph::util {
@@ -21,5 +22,12 @@ namespace gsph::util {
 /// parent directory so the rename itself is durable.  Returns false on any
 /// I/O failure (the temp file is unlinked on a failed attempt).
 bool atomic_write_file(const std::string& path, const std::string& content);
+
+/// Write `content` at byte `offset` of `path` (created if missing), cut the
+/// file off after it, and fsync it: the bytes before `offset` stay as they
+/// are.  A created file's directory entry is durable only once the parent
+/// directory is fsynced, as atomic_write_file does for its own file.
+/// Returns false on any I/O failure.
+bool write_file_at(const std::string& path, std::uint64_t offset, const std::string& content);
 
 } // namespace gsph::util

@@ -3,7 +3,8 @@
 /// boundary.  This test takes the checkpoint at every boundary of a few
 /// representative runs and one contended fleet, moves every instance of one
 /// (section, key) shape at a time up and then down, resumes, and compares
-/// every output with the unmoved resume of the same checkpoint.
+/// every output with the unmoved resume of the same checkpoint.  The keys of
+/// the log records a section holds are audited as its text's are.
 ///
 /// A shape is *rejected* at a boundary when every move makes the resume
 /// throw, *changes* when some move changes an output, and is *unchanged*
@@ -71,10 +72,6 @@ const std::map<std::string, std::string>& allow_list()
         "the audited series stay shorter";
     static const std::map<std::string, std::string> list = {
         {"anomaly:edp.abs_dev", alerts},
-        {"anomaly:kind.N.fired",
-         "alert_count()'s per-kind totals, which the registry's alerts.<kind> "
-         "counters repeat in every output; kept so that alert_count() covers the "
-         "whole run after a resume"},
         {"anomaly:last_clock_change_step", alerts},
         {"anomaly:power.abs_dev", alerts},
         {"anomaly:steps_observed", alerts},
@@ -226,9 +223,11 @@ struct Line {
     std::string value;
 };
 
-/// A snapshot taken apart into lines, with every shape's instances.
+/// A snapshot taken apart into lines, with every shape's instances.  Each
+/// section's lines are its log records, then its text.
 struct ParsedSnapshot {
     std::vector<std::vector<Line>> sections;
+    std::vector<std::size_t> log_lines; ///< per section: lines from the log
     /// "section shape:key shape" -> (section, line) of every instance.
     std::map<std::string, std::vector<std::pair<std::size_t, std::size_t>>> shapes;
 };
@@ -239,27 +238,38 @@ ParsedSnapshot parse(const checkpoint::Snapshot& snap)
     for (std::size_t s = 0; s < snap.sections.size(); ++s) {
         const checkpoint::Section& section = snap.sections[s];
         std::vector<Line>& lines = parsed.sections.emplace_back();
-        std::size_t begin = 0;
-        while (begin < section.data.size()) {
-            const std::size_t end = section.data.find('\n', begin);
-            const std::string_view line =
-                std::string_view(section.data).substr(begin, end - begin);
-            const std::size_t eq = line.find('=');
-            lines.push_back({std::string(line.substr(0, eq)),
-                             std::string(line.substr(eq + 1))});
-            parsed.shapes[shape_of(section.name) + ":" + shape_of(lines.back().key)]
-                .emplace_back(s, lines.size() - 1);
-            begin = end + 1;
+        for (const std::string* text : {&section.log, &section.data}) {
+            std::size_t begin = 0;
+            while (begin < text->size()) {
+                const std::size_t end = text->find('\n', begin);
+                const std::string_view line = std::string_view(*text).substr(begin, end - begin);
+                const std::size_t eq = line.find('=');
+                lines.push_back({std::string(line.substr(0, eq)),
+                                 std::string(line.substr(eq + 1))});
+                parsed.shapes[shape_of(section.name) + ":" + shape_of(lines.back().key)]
+                    .emplace_back(s, lines.size() - 1);
+                begin = end + 1;
+            }
+            if (text == &section.log) parsed.log_lines.push_back(lines.size());
         }
     }
     return parsed;
 }
 
-std::string join(const std::vector<Line>& lines)
+/// Lines [from, to) as key=value text.
+std::string join(const std::vector<Line>& lines, std::size_t from, std::size_t to)
 {
     std::string data;
-    for (const Line& line : lines) data += line.key + "=" + line.value + "\n";
+    for (std::size_t i = from; i < to; ++i) data += lines[i].key + "=" + lines[i].value + "\n";
     return data;
+}
+
+/// Section `s` of `parsed` put back together into `section`.
+void join(const ParsedSnapshot& parsed, std::size_t s, checkpoint::Section& section)
+{
+    const std::vector<Line>& lines = parsed.sections[s];
+    section.log = join(lines, 0, parsed.log_lines[s]);
+    section.data = join(lines, parsed.log_lines[s], lines.size());
 }
 
 // ---- outputs -------------------------------------------------------------------
@@ -538,8 +548,10 @@ void audit_snapshot(const checkpoint::Snapshot& snap,
     const Outputs reference = resume(snap);
     ParsedSnapshot parsed = parse(snap);
     for (std::size_t s = 0; s < snap.sections.size(); ++s) {
-        ASSERT_EQ(join(parsed.sections[s]), snap.sections[s].data)
-            << snap.sections[s].name;
+        checkpoint::Section joined;
+        join(parsed, s, joined);
+        ASSERT_EQ(joined.log, snap.sections[s].log) << snap.sections[s].name;
+        ASSERT_EQ(joined.data, snap.sections[s].data) << snap.sections[s].name;
     }
     checkpoint::Snapshot work = snap;
     // Whether moving every instance of `shapes` changes an output; nullopt
@@ -559,9 +571,7 @@ void audit_snapshot(const checkpoint::Snapshot& snap,
             originals.push_back(value);
             value = moved(originals.back(), up);
         }
-        for (const std::size_t s : touched) {
-            work.sections[s].data = join(parsed.sections[s]);
-        }
+        for (const std::size_t s : touched) join(parsed, s, work.sections[s]);
         std::optional<bool> changes;
         try {
             changes = resume(work) != reference;
@@ -572,7 +582,7 @@ void audit_snapshot(const checkpoint::Snapshot& snap,
             parsed.sections[instances[i].first][instances[i].second].value =
                 std::move(originals[i]);
         }
-        for (const std::size_t s : touched) work.sections[s].data = snap.sections[s].data;
+        for (const std::size_t s : touched) work.sections[s] = snap.sections[s];
         return changes;
     };
     const auto verdict = [&](const std::vector<std::string>& shapes) {

@@ -19,6 +19,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 namespace gsph::checkpoint {
 namespace {
 
@@ -89,10 +91,12 @@ TEST(CheckpointIo, LatestWinsAndOldDataFilesArePruned)
     const Snapshot snap = read_latest(dir.path());
     EXPECT_EQ(snap.step, 8);
     // keep_last=2: only the two newest data files survive the last commit.
-    EXPECT_TRUE(slurp(dir.path() + "/checkpoint-000002.gsc").empty());
-    EXPECT_TRUE(slurp(dir.path() + "/checkpoint-000004.gsc").empty());
-    EXPECT_FALSE(slurp(dir.path() + "/checkpoint-000006.gsc").empty());
-    EXPECT_FALSE(slurp(dir.path() + "/checkpoint-000008.gsc").empty());
+    // The writer's files carry its generation, 1 in an empty directory.
+    EXPECT_TRUE(slurp(dir.path() + "/checkpoint-1-000002.gsc").empty());
+    EXPECT_TRUE(slurp(dir.path() + "/checkpoint-1-000004.gsc").empty());
+    EXPECT_FALSE(slurp(dir.path() + "/checkpoint-1-000006.gsc").empty());
+    EXPECT_FALSE(slurp(dir.path() + "/checkpoint-1-000008.gsc").empty());
+    EXPECT_FALSE(slurp(dir.path() + "/log-1.gsl").empty());
 }
 
 TEST(CheckpointIo, PruningOrdersDataFilesByStepPastSixDigits)
@@ -112,8 +116,8 @@ TEST(CheckpointIo, PruningOrdersDataFilesByStepPastSixDigits)
         if (name != kManifestName) kept.push_back(name);
     }
     std::sort(kept.begin(), kept.end());
-    EXPECT_EQ(kept, (std::vector<std::string>{"checkpoint-1000001.gsc",
-                                              "checkpoint-1000002.gsc"}));
+    EXPECT_EQ(kept, (std::vector<std::string>{"checkpoint-1-1000001.gsc",
+                                              "checkpoint-1-1000002.gsc", "log-1.gsl"}));
     EXPECT_EQ(read_latest(dir.path()).step, 1000002);
 }
 
@@ -211,6 +215,250 @@ TEST(CheckpointIo, InterruptedRewriteLeavesPreviousCheckpointValid)
                                         "greensph-checkpoint 1\ngarbage"));
     const Snapshot snap = read_latest(dir.path());
     EXPECT_EQ(snap.step, 2);
+}
+
+/// `key` of the manifest (or of its first section entry) set to `value`.
+void set_manifest_number(const std::string& dir, const std::string& key,
+                         const telemetry::Json& value)
+{
+    const std::string path = dir + "/" + kManifestName;
+    telemetry::Json manifest = telemetry::Json::parse(slurp(path));
+    if (key == "bytes") {
+        telemetry::Json sections = telemetry::Json::array();
+        for (const telemetry::Json& entry : manifest.at("sections").items()) {
+            telemetry::Json copy = entry;
+            if (sections.size() == 0) copy["bytes"] = value;
+            sections.push_back(std::move(copy));
+        }
+        manifest["sections"] = std::move(sections);
+    }
+    else {
+        manifest[key] = value;
+    }
+    ASSERT_TRUE(util::atomic_write_file(path, manifest.dump(2) + "\n"));
+}
+
+TEST(CheckpointIo, ManifestNumbersMustBeIntegralAndInRange)
+{
+    // Each would be cast from double unchecked: undefined past the target
+    // type's range, and a fraction would truncate.
+    const std::vector<telemetry::Json> bad = {-1, 1e300, 2.5, -1e300, "4"};
+    for (const std::string key : {"format_version", "step", "log_bytes", "bytes"}) {
+        for (const telemetry::Json& value : bad) {
+            if (key == "format_version" && value.is_number() && value.as_number() == -1) {
+                continue; // an integer: refused as an unsupported version instead
+            }
+            TempDir dir;
+            CheckpointWriter writer(dir.path(), "h");
+            writer.write(4, sample_sections());
+            set_manifest_number(dir.path(), key, value);
+            try {
+                read_latest(dir.path());
+                ADD_FAILURE() << key << " = " << value.dump() << " accepted";
+            }
+            catch (const CheckpointError& e) {
+                EXPECT_NE(std::string(e.what()).find("'" + key + "'"), std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+}
+
+/// Sections with log records: a growing `events` record list and a
+/// section that logs nothing.
+std::vector<Section> logged_sections(int first, int count)
+{
+    StateWriter events;
+    for (int i = first; i < first + count; ++i) {
+        events.log().put_i64("event." + std::to_string(i), 10 * i);
+    }
+    events.put_i64("events", first + count);
+    StateWriter plain;
+    plain.put_str("name", "rank 0");
+    return {{"events", events.take(), events.take_log()}, {"plain", plain.take()}};
+}
+
+/// The events a snapshot's `events` section restores, checked against its
+/// count.
+std::vector<std::int64_t> logged_events(const Snapshot& snap)
+{
+    const StateReader reader = snap.reader("events");
+    std::vector<std::int64_t> out;
+    for (std::int64_t i = 0; i < reader.get_i64("events"); ++i) {
+        out.push_back(reader.get_i64("event." + std::to_string(i)));
+    }
+    EXPECT_EQ(reader.keys_with_prefix("event.").size(), out.size());
+    return out;
+}
+
+std::string log_path(const std::string& dir)
+{
+    const auto manifest = telemetry::Json::parse(slurp(dir + "/" + kManifestName));
+    return dir + "/" + manifest.at("log_file").as_string();
+}
+
+TEST(CheckpointIo, LogRecordsAreWrittenOnceAndReadBackAheadOfTheText)
+{
+    TempDir dir;
+    CheckpointWriter writer(dir.path(), "h");
+    writer.write(2, logged_sections(0, 3));
+    const std::size_t first_log = slurp(log_path(dir.path())).size();
+    writer.write(4, logged_sections(3, 2));
+    writer.write(6, logged_sections(5, 0));
+
+    const Snapshot snap = read_latest(dir.path());
+    EXPECT_EQ(logged_events(snap), (std::vector<std::int64_t>{0, 10, 20, 30, 40}));
+    EXPECT_EQ(snap.find("plain")->log, "");
+    EXPECT_EQ(snap.reader("plain").get_str("name"), "rank 0");
+    // The log grew by the two new records only; a commit with nothing new
+    // left it as it was.
+    const std::string log = slurp(log_path(dir.path()));
+    EXPECT_LT(log.size() - first_log, first_log);
+    EXPECT_EQ(log.find("event.0="), log.rfind("event.0="));
+}
+
+TEST(CheckpointIo, BytesPastTheCommittedLengthAreNeitherReadNorCarried)
+{
+    // A commit whose manifest never landed may have appended records: they
+    // are not part of the checkpoint.
+    TempDir dir;
+    CheckpointWriter writer(dir.path(), "h");
+    writer.write(2, logged_sections(0, 2));
+    const std::string path = log_path(dir.path());
+    const std::string torn = "record events 13 00000000\nevent.9=90\n";
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::app);
+        out << torn;
+    }
+    const Snapshot snap = read_latest(dir.path());
+    EXPECT_EQ(logged_events(snap), (std::vector<std::int64_t>{0, 10}));
+
+    // A resumed writer's log starts with the committed records only.
+    CheckpointWriter resumed(dir.path(), "h");
+    resumed.carry(snap);
+    resumed.write(4, logged_sections(2, 1));
+    const std::string resumed_log = slurp(log_path(dir.path()));
+    EXPECT_NE(log_path(dir.path()), path);
+    EXPECT_EQ(resumed_log.find("event.9"), std::string::npos) << resumed_log;
+    EXPECT_EQ(logged_events(read_latest(dir.path())),
+              (std::vector<std::int64_t>{0, 10, 20}));
+    // The earlier generation's log is pruned with its data files.
+    EXPECT_TRUE(slurp(path).empty());
+}
+
+TEST(CheckpointIo, FlippedLogByteIsRejectedNamingItsSection)
+{
+    TempDir dir;
+    CheckpointWriter writer(dir.path(), "h");
+    writer.write(2, logged_sections(0, 2));
+    writer.write(4, logged_sections(2, 2));
+    const std::string path = log_path(dir.path());
+    std::string log = slurp(path);
+    const auto pos = log.find("event.1=10");
+    ASSERT_NE(pos, std::string::npos);
+    log[pos + 8] ^= 0x01;
+    ASSERT_TRUE(util::atomic_write_file(path, log));
+    try {
+        read_latest(dir.path());
+        FAIL() << "expected CheckpointError";
+    }
+    catch (const CheckpointError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("CRC"), std::string::npos) << what;
+        EXPECT_NE(what.find("'events'"), std::string::npos) << what;
+    }
+
+    // A record of a section the manifest does not list is rejected too.
+    log[pos + 8] ^= 0x01;
+    const auto name = log.find("record events");
+    log.replace(name, 13, "record eventz");
+    ASSERT_TRUE(util::atomic_write_file(path, log));
+    EXPECT_THROW(read_latest(dir.path()), CheckpointError);
+}
+
+TEST(CheckpointIo, LogShorterThanTheManifestSaysIsRejected)
+{
+    TempDir dir;
+    CheckpointWriter writer(dir.path(), "h");
+    writer.write(2, logged_sections(0, 3));
+    const std::string path = log_path(dir.path());
+    const std::string log = slurp(path);
+    ASSERT_TRUE(util::atomic_write_file(path, log.substr(0, log.size() - 1)));
+    try {
+        read_latest(dir.path());
+        FAIL() << "expected CheckpointError";
+    }
+    catch (const CheckpointError& e) {
+        EXPECT_NE(std::string(e.what()).find("committed bytes"), std::string::npos)
+            << e.what();
+    }
+    // The largest length a manifest can state is refused before anything
+    // that long is allocated.
+    ASSERT_TRUE(util::atomic_write_file(path, log));
+    set_manifest_number(dir.path(), "log_bytes", 9007199254740992.0);
+    EXPECT_THROW(read_latest(dir.path()), CheckpointError);
+    std::filesystem::remove(path);
+    EXPECT_THROW(read_latest(dir.path()), CheckpointError);
+}
+
+TEST(CheckpointIo, FreshWriterLeavesAnOlderCheckpointReadableUntilItsManifestLands)
+{
+    TempDir dir;
+    {
+        CheckpointWriter old_run(dir.path(), "h");
+        old_run.write(2, logged_sections(0, 2));
+        old_run.write(4, logged_sections(2, 2));
+    }
+    // A fresh run in the same directory whose manifest cannot be written:
+    // its first commit writes its log and the data file of the very step
+    // the old manifest names, then fails.
+    const std::string blocker =
+        dir.path() + "/" + kManifestName + ".tmp." + std::to_string(::getpid());
+    ASSERT_TRUE(std::filesystem::create_directory(blocker));
+    CheckpointWriter fresh(dir.path(), "h");
+    EXPECT_THROW(fresh.write(4, logged_sections(0, 1)), CheckpointError);
+    Snapshot snap = read_latest(dir.path());
+    EXPECT_EQ(snap.step, 4);
+    EXPECT_EQ(logged_events(snap), (std::vector<std::int64_t>{0, 10, 20, 30}));
+
+    // Once it lands, the checkpoint is the fresh run's alone, the failed
+    // commit's records included, and the old run's files are pruned.
+    std::filesystem::remove(blocker);
+    fresh.write(6, logged_sections(1, 1));
+    snap = read_latest(dir.path());
+    EXPECT_EQ(snap.step, 6);
+    EXPECT_EQ(logged_events(snap), (std::vector<std::int64_t>{0, 10}));
+    std::vector<std::string> files;
+    for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
+        files.push_back(entry.path().filename().string());
+    }
+    std::sort(files.begin(), files.end());
+    EXPECT_EQ(files, (std::vector<std::string>{"MANIFEST.json", "checkpoint-2-000004.gsc",
+                                               "checkpoint-2-000006.gsc", "log-2.gsl"}));
+}
+
+TEST(CheckpointIo, ResumeIntoAnotherDirectoryCarriesEveryRecord)
+{
+    TempDir first;
+    CheckpointWriter writer(first.path(), "h");
+    writer.write(2, logged_sections(0, 2));
+    writer.write(4, logged_sections(2, 1));
+    const Snapshot snap = read_latest(first.path());
+
+    TempDir second;
+    CheckpointWriter resumed(second.path(), "h");
+    resumed.carry(snap);
+    // Records of a section the resumed run does not checkpoint are dropped.
+    std::vector<Section> sections = logged_sections(3, 2);
+    sections.pop_back();
+    resumed.write(6, sections);
+    const Snapshot carried = read_latest(second.path());
+    EXPECT_EQ(carried.step, 6);
+    EXPECT_EQ(logged_events(carried), (std::vector<std::int64_t>{0, 10, 20, 30, 40}));
+    EXPECT_EQ(carried.find("plain"), nullptr);
+    // The first directory still holds its own checkpoint.
+    EXPECT_EQ(logged_events(read_latest(first.path())),
+              (std::vector<std::int64_t>{0, 10, 20}));
 }
 
 TEST(CheckpointIo, StateRegistrySaveRestoreAndMissingSection)

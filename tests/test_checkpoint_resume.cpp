@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -512,6 +513,75 @@ TEST(CheckpointResumeCounters, ResumedRunEndsWithTheUninterruptedCounts)
             EXPECT_EQ(counted_run(resumed), reference);
         }
     }
+}
+
+// ---- bytes per commit ------------------------------------------------------
+
+/// The bytes of every commit (data file plus log growth) of an
+/// observe-shaped run: 8 ranks of ManDyn with the span tracer, the live
+/// sampler and the ledger attached, rank 0's clock trace on, checkpointed
+/// every 2 steps for `n_steps` steps.
+std::vector<double> commit_bytes(int n_steps)
+{
+    constexpr int kRanks = 8;
+    TempDir dir;
+    telemetry::MetricsRegistry& metrics = telemetry::MetricsRegistry::global();
+    metrics.reset();
+    telemetry::RunTracer tracer(kRanks);
+    telemetry::LiveSampler sampler(kRanks);
+    telemetry::AttributionLedger ledger(kRanks);
+    auto policy = core::make_mandyn_policy(core::reference_a100_turbulence_table());
+    sim::RunHooks hooks;
+    tracer.attach(hooks);
+    sampler.attach(hooks);
+    ledger.attach(hooks);
+    checkpoint::StateRegistry registry;
+    registry.add(
+        "policy", [&](checkpoint::StateWriter& w) { policy->save_state(w); },
+        [&](const checkpoint::StateReader& r) { policy->restore_state(r); });
+    registry.add(
+        "runtracer", [&](checkpoint::StateWriter& w) { tracer.save_state(w); },
+        [&](const checkpoint::StateReader& r) { tracer.restore_state(r); });
+    add_plane_participants(registry, sampler);
+    registry.add(
+        "ledger", [&](checkpoint::StateWriter& w) { ledger.save_state(w); },
+        [&](const checkpoint::StateReader& r) { ledger.restore_state(r); });
+
+    // A step's commit lands after its after-step hooks: the counter read at
+    // one step end covers the commits before it.
+    std::vector<double> written;
+    hooks.append({.after_step = [&](int) {
+        written.push_back(metrics.value("checkpoint.bytes"));
+    }});
+    sim::RunConfig c;
+    c.n_ranks = kRanks;
+    c.n_steps = n_steps;
+    c.setup_s = 2.0;
+    c.enable_rank0_trace = true;
+    c.checkpoint_every = 2;
+    c.checkpoint_dir = dir.path();
+    c.config_hash = "test";
+    c.checkpoint_participants = &registry;
+    core::run_with_policy(sim::mini_hpc(), trace(), c, *policy, hooks);
+    written.push_back(metrics.value("checkpoint.bytes"));
+
+    std::vector<double> commits;
+    for (std::size_t i = 1; i < written.size(); ++i) {
+        if (written[i] != written[i - 1]) commits.push_back(written[i] - written[i - 1]);
+    }
+    return commits;
+}
+
+TEST(CheckpointBytes, ACommitCostsWhatTheStepsSinceTheLastOneRecorded)
+{
+    // Records that only grow are logged once, so bytes per commit no longer
+    // depend on the step index: the last of 19 commits is within 10% of the
+    // second (the first also logs the set-up phase).
+    const std::vector<double> commits = commit_bytes(40);
+    ASSERT_EQ(commits.size(), 19u);
+    EXPECT_GT(commits[1], 0.0);
+    EXPECT_LE(std::abs(commits.back() - commits[1]), 0.1 * commits[1])
+        << "second commit " << commits[1] << " B, last " << commits.back() << " B";
 }
 
 TEST(CheckpointResumeErrors, ResumeRejectsRankCountMismatch)

@@ -191,52 +191,52 @@ TEST(CheckpointState, IntegerGettersParseTheWholeToken)
     EXPECT_THROW(r.get_u64_vec("i64min"), CheckpointError);
 }
 
-TEST(CheckpointState, CachedColumnsWriteWhatPutVecWrites)
+TEST(CheckpointState, VectorRangesWriteWhatPutVecWrites)
 {
     const std::vector<double> f = {1.5, -0.0, bits_to_double(0x7ff80000deadbeefULL)};
     const std::vector<std::int64_t> i = {0, -1, std::numeric_limits<std::int64_t>::min()};
     const std::vector<std::uint64_t> u = {7, 0, 0xffffffffffffffffULL};
+    const std::vector<std::int32_t> i32 = {-5, std::numeric_limits<std::int32_t>::min()};
+    const std::vector<std::uint32_t> u32 = {9, 0xffffffffu};
     StateWriter plain;
-    plain.put_f64_vec("f", f);
+    plain.put_f64_vec("f", {f[1], f[2]});
     plain.put_i64_vec("i", i);
-    plain.put_u64_vec("u", u);
+    plain.put_u64_vec("u", {u[0]});
     plain.put_u64_vec("empty", {});
-    plain.put_str("line.0", "a b%");
-    plain.put_u64("line.1", 3);
+    plain.put_i64_vec("i32", {i32[0], i32[1]});
+    plain.put_u64_vec("u32", {u32[1]});
 
-    // Cache the first entries, then write the rest as an uncached tail.
-    EncodeCache cf, ci, cu, lines, tf, ti, tu;
-    cf.push_f64(f[0]);
-    cf.push_f64(f[1]);
-    tf.push_f64(f[2]);
-    ci.push_i64(i[0]);
-    ti.push_i64(i[1]);
-    ti.push_i64(i[2]);
-    for (const std::uint64_t v : u) cu.push_u64(v);
-    StateWriter entry;
-    entry.put_str("line.0", "a b%");
-    lines.push_lines(entry);
-    entry = StateWriter();
-    entry.put_u64("line.1", 3);
-    lines.push_lines(entry);
-    EXPECT_EQ(cf.size(), 2u);
-    EXPECT_EQ(lines.size(), 2u);
+    StateWriter ranged;
+    ranged.put_vec("f", f, 1);
+    ranged.put_vec("i", i, 0, 99); // `to` past the end stops at the end
+    ranged.put_vec("u", u, 0, 1);
+    ranged.put_vec("empty", u, 2, 2);
+    ranged.put_vec("i32", i32);
+    ranged.put_vec("u32", u32, 1);
+    EXPECT_EQ(ranged.str(), plain.str());
+    EXPECT_EQ(ranged.take(), plain.str());
+    EXPECT_TRUE(ranged.str().empty());
+}
 
-    StateWriter cached;
-    cached.put_vec("f", cf, tf);
-    cached.put_vec("i", ci, ti);
-    cached.put_vec("u", cu, EncodeCache());
-    cached.put_vec("empty", EncodeCache());
-    cached.put_lines(lines);
-    EXPECT_EQ(cached.str(), plain.str());
+TEST(CheckpointState, LogRecordsAreTakenApartFromTheText)
+{
+    StateWriter writer;
+    EXPECT_EQ(writer.take_log(), ""); // no log() call, no records
+    writer.put_i64("count", 2);
+    writer.log().put_str("record.0", "a b");
+    writer.log().put_f64("record.1", 0.5);
+    writer.put_bool("flag", true);
+    EXPECT_EQ(writer.str(), "count=2\nflag=1\n");
+    const std::string records = writer.take_log();
+    EXPECT_EQ(records, "record.0=a b\nrecord.1=x3fe0000000000000\n");
+    EXPECT_EQ(writer.take_log(), "");
 
-    const std::string taken = cached.take();
-    EXPECT_EQ(taken, plain.str());
-    EXPECT_TRUE(cached.str().empty());
-    cf.clear();
-    EXPECT_EQ(cf.size(), 0u);
-    cached.put_vec("f", cf, tf);
-    EXPECT_EQ(cached.str(), "f=x7ff80000deadbeef\n");
+    // A restore reads the records ahead of the text, as one section.
+    const StateReader reader("s", records + writer.take());
+    EXPECT_EQ(reader.get_str("record.0"), "a b");
+    EXPECT_EQ(reader.get_f64("record.1"), 0.5);
+    EXPECT_EQ(reader.get_i64("count"), 2);
+    EXPECT_TRUE(writer.str().empty());
 }
 
 TEST(CheckpointState, KeysWithPrefixInFileOrder)

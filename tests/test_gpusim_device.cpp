@@ -143,8 +143,6 @@ TEST(Device, TracingRecordsClockSamples)
     dev.idle(0.2);
     EXPECT_FALSE(dev.clock_trace().empty());
     EXPECT_GT(dev.clock_trace().size(), 5u);
-    dev.clear_traces();
-    EXPECT_TRUE(dev.clock_trace().empty());
 }
 
 /// The governed execute and idle tick loops as they were before a batch
@@ -394,51 +392,84 @@ void trace_governed(GpuDevice& dev)
     dev.enable_tracing(true);
 }
 
-std::string saved(const GpuDevice& dev)
+/// A device's saves into one checkpoint writer, as a resume reads them: the
+/// log records of every save so far, then the last save's text.
+class DeviceSaves {
+public:
+    /// Saves `dev`; returns the clock-trace samples this save logged.
+    std::size_t save(const GpuDevice& dev)
+    {
+        checkpoint::StateWriter writer;
+        dev.save_state(writer);
+        const std::string records = writer.take_log();
+        log_ += records;
+        text_ = writer.take();
+        const checkpoint::StateReader logged("gpu.0", records);
+        const std::string times = "clock_trace." + std::to_string(chunks_) + ".t";
+        if (!logged.has(times)) return 0;
+        ++chunks_;
+        return logged.get_f64_vec(times).size();
+    }
+    std::string section() const { return log_ + text_; }
+
+private:
+    std::string log_, text_;
+    std::size_t chunks_ = 0;
+};
+
+/// The state a device restored from `section` holds: its save's text, but
+/// for the chunk count, and its clock trace, bit for bit.
+std::string restored_state(const std::string& section)
 {
+    GpuDevice dev(a100_sxm4_80g());
+    trace_governed(dev);
+    dev.restore_state(checkpoint::StateReader("gpu.0", section));
     checkpoint::StateWriter writer;
     dev.save_state(writer);
-    return writer.take();
+    std::string out = writer.take_log() + writer.take();
+    out.erase(out.find("clock_trace.chunks="));
+    for (const util::Sample& s : dev.clock_trace().samples()) {
+        out += checkpoint::encode_f64(s.time) + checkpoint::encode_f64(s.value);
+    }
+    return out;
 }
 
 TEST(Device, TraceSavesMatchAFreshSave)
 {
-    // Saves at several points encode only the samples appended since the
-    // last one; each must equal the one save of a device that never saved.
+    // Saves at several points log only the samples appended since the last
+    // one; together they restore what the one save of a device that never
+    // saved restores.
     GpuDevice dev(a100_sxm4_80g());
     trace_governed(dev);
+    DeviceSaves saves;
     int done = 0;
     for (const int ops : {0, 1, 4, 7}) {
+        const std::size_t before = dev.clock_trace().size();
         drive(dev, done, done + ops);
         done += ops;
+        ASSERT_EQ(saves.save(dev), dev.clock_trace().size() - before) << done << " ops";
         GpuDevice fresh(a100_sxm4_80g());
         trace_governed(fresh);
         drive(fresh, 0, done);
-        ASSERT_EQ(saved(dev), saved(fresh)) << done << " ops";
+        DeviceSaves fresh_save;
+        fresh_save.save(fresh);
+        ASSERT_EQ(restored_state(saves.section()), restored_state(fresh_save.section()))
+            << done << " ops";
     }
     ASSERT_GT(dev.clock_trace().size(), 20u);
 
-    // clear_traces drops the saved text with the samples.
-    dev.clear_traces();
-    drive(dev, done, done + 3);
-    GpuDevice cleared(a100_sxm4_80g());
-    trace_governed(cleared);
-    drive(cleared, 0, done);
-    cleared.clear_traces();
-    drive(cleared, done, done + 3);
-    EXPECT_EQ(saved(dev), saved(cleared));
-    done += 3;
-
-    // A restored device drops the text its own saves kept, and continues
-    // as the original does.
+    // A restored device counts the samples it restored as logged, whatever
+    // its own saves logged before, and continues as the original does.
     GpuDevice restored(a100_sxm4_80g());
     trace_governed(restored);
     drive(restored, 0, 2);
-    saved(restored);
-    restored.restore_state(checkpoint::StateReader("gpu.0", saved(dev)));
+    DeviceSaves().save(restored);
+    restored.restore_state(checkpoint::StateReader("gpu.0", saves.section()));
+    DeviceSaves resumed = saves;
     drive(dev, done, done + 5);
     drive(restored, done, done + 5);
-    EXPECT_EQ(saved(restored), saved(dev));
+    EXPECT_EQ(resumed.save(restored), saves.save(dev));
+    EXPECT_EQ(resumed.section(), saves.section());
 }
 
 /// The registry's kernel-batch, clock-transition and cap-set totals.
@@ -493,7 +524,9 @@ TEST(Device, RestoreDropsCountsFromBeforeTheRestore)
     const Published before = published();
     {
         GpuDevice dev(a100_sxm4_80g());
-        const std::string fresh = saved(dev);
+        DeviceSaves saves;
+        saves.save(dev);
+        const std::string fresh = saves.section();
         dev.set_clock_policy(ClockPolicy::kNativeDvfs);
         dev.execute(big_kernel());
         dev.idle(0.2);

@@ -418,6 +418,76 @@ TEST(CliOptions, ConfigHashesArePinned)
               "02d8068e3804832a");
 }
 
+/// CI's kill-resume smoke, as tier-1 runs it: a run with every observer
+/// that checkpoints (trace, ledger, sampler, profiler) is killed after the
+/// step-4 commit and resumed at another --threads.  The Chrome trace and the
+/// ledger, restored from their log records and then recorded live, must be
+/// byte-identical to an uninterrupted run's, and so must the summary minus
+/// provenance.  Then a flipped byte in the data file, or in the log's
+/// committed records, must make --resume fail.
+class ObservedKillResume : public testing::TestWithParam<const char*> {};
+
+TEST_P(ObservedKillResume, OutputsMatchAndEitherCorruptionIsRefused)
+{
+    TempDir dir;
+    const std::string policy = GetParam();
+    const auto run = [&](const std::string& tag, const std::vector<std::string>& extra) {
+        std::vector<std::string> args = {
+            "--summary-json", dir.path() + "/" + tag + ".json", "--trace-json",
+            dir.path() + "/" + tag + "_trace.json", "--ledger",
+            dir.path() + "/" + tag + "_ledger.jsonl", "--sample-every", "0.5",
+            "--metrics-json", dir.path() + "/" + tag + "_metrics.json", "--log-level", "off"};
+        args.insert(args.begin(), extra.begin(), extra.end());
+        return run_cli(args);
+    };
+    const std::vector<std::string> defining = {
+        "run", "--policy", policy, "--ranks", "2", "--steps", "8", "--nside", "8",
+        "--threads", "4", "--checkpoint-every", "2"};
+    const auto with = [&](std::vector<std::string> args, std::vector<std::string> more) {
+        args.insert(args.end(), more.begin(), more.end());
+        return args;
+    };
+    const std::string ckpt = dir.path() + "/ck";
+    ASSERT_TRUE(exited_zero(run("ref", with(defining, {"--checkpoint-dir", dir.path() + "/ck_ref"}))));
+    const int status = run("resumed", with(defining, {"--checkpoint-dir", ckpt, "--fault-spec",
+                                                      "kill-at-step:step=4"}));
+    ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL) << status;
+    EXPECT_TRUE(slurp(dir.path() + "/resumed_trace.json").empty());
+    EXPECT_TRUE(slurp(dir.path() + "/resumed_ledger.jsonl").empty());
+
+    ASSERT_TRUE(exited_zero(run("resumed", {"run", "--resume", ckpt, "--threads", "1"})));
+    const std::string trace = slurp(dir.path() + "/ref_trace.json");
+    const std::string ledger = slurp(dir.path() + "/ref_ledger.jsonl");
+    ASSERT_FALSE(trace.empty());
+    ASSERT_FALSE(ledger.empty());
+    EXPECT_EQ(slurp(dir.path() + "/resumed_trace.json"), trace);
+    EXPECT_EQ(slurp(dir.path() + "/resumed_ledger.jsonl"), ledger);
+    EXPECT_EQ(summary_members(dir.path() + "/resumed.json"),
+              summary_members(dir.path() + "/ref.json"));
+
+    // The middle byte of the data file, and of the log's committed length.
+    const auto manifest = telemetry::Json::parse(slurp(ckpt + "/MANIFEST.json"));
+    const std::string data_file = manifest.at("data_file").as_string();
+    const auto log_bytes = static_cast<std::size_t>(manifest.at("log_bytes").as_number());
+    for (const auto& [file, flip] :
+         {std::pair{data_file, slurp(ckpt + "/" + data_file).size() / 2},
+          std::pair{manifest.at("log_file").as_string(), log_bytes / 2}}) {
+        const std::string path = ckpt + "/" + file;
+        std::string bytes = slurp(path);
+        ASSERT_GT(bytes.size(), flip) << file;
+        bytes[flip] ^= 0x01;
+        spill(path, bytes);
+        EXPECT_TRUE(exited_nonzero(
+            run_cli({"run", "--resume", ckpt, "--log-level", "off"})))
+            << "corrupted " << file << " accepted";
+        bytes[flip] ^= 0x01;
+        spill(path, bytes);
+    }
+    EXPECT_TRUE(exited_zero(run_cli({"run", "--resume", ckpt, "--log-level", "off"})));
+}
+
+INSTANTIATE_TEST_SUITE_P(Cli, ObservedKillResume, testing::Values("mandyn", "online"));
+
 /// Produce a real killed-run checkpoint directory for the rejection tests.
 void make_killed_checkpoint(const TempDir& dir, const std::string& ckpt_dir)
 {

@@ -192,17 +192,12 @@ std::string jsonl(const AttributionLedger& ledger, const Json& header = {})
     return text;
 }
 
-std::string saved(const AttributionLedger& ledger)
-{
-    checkpoint::StateWriter writer;
-    ledger.save_state(writer);
-    return writer.take();
-}
-
 /// A ManDyn run whose ledger saves at the listed before-hook calls (call k
-/// is the k-th before_function hook of the run).  Each save lands after the
-/// policy's decision for that call and before the after-hook that resolves
-/// it, so one decision is still pending.  Returns the saves and a final one.
+/// is the k-th before_function hook of the run), into one checkpoint
+/// writer.  Each save lands after the policy's decision for that call and
+/// before the after-hook that resolves it, so one decision is still
+/// pending.  Returns the saves and a final one, each as a resume reads it:
+/// the log records of every save so far, then its text.
 std::vector<std::string> ledger_saves(const std::set<int>& at_calls)
 {
     MetricsRegistry::global().reset();
@@ -210,14 +205,36 @@ std::vector<std::string> ledger_saves(const std::set<int>& at_calls)
     sim::RunHooks hooks;
     ledger.attach(hooks);
     std::vector<std::string> saves;
+    std::string log;
+    const auto save = [&] {
+        checkpoint::StateWriter writer;
+        ledger.save_state(writer);
+        log += writer.take_log();
+        saves.push_back(log + writer.take());
+    };
     int call = 0;
     hooks.append({.before_function = [&](int, gpusim::GpuDevice&, sph::SphFunction) {
-        if (at_calls.count(call++) != 0) saves.push_back(saved(ledger));
+        if (at_calls.count(call++) != 0) save();
     }});
     auto policy = core::make_mandyn_policy(tuned().table, tuned().audit);
     core::run_with_policy(sim::mini_hpc(), trace(), cfg(2), *policy, hooks);
-    saves.push_back(saved(ledger));
+    save();
     return saves;
+}
+
+/// What a ledger restored from `section` holds: its JSONL and the
+/// pending-decision indices.
+std::string restored_state(const std::string& section)
+{
+    const checkpoint::StateReader reader("ledger", section);
+    AttributionLedger restored(2);
+    restored.restore_state(reader);
+    std::string out = jsonl(restored) + "pending";
+    for (const std::uint64_t p : reader.get_u64_vec("pending")) {
+        out += ' ';
+        out += std::to_string(p);
+    }
+    return out;
 }
 
 // ------------------------------------------------------------ attribution ---
@@ -396,11 +413,14 @@ TEST(AttributionLedger, CheckpointRoundTripIsBitExact)
 
     checkpoint::StateWriter saved;
     ledger.save_state(saved);
+    const std::string section = saved.take_log() + saved.str();
     AttributionLedger restored(2);
-    restored.restore_state(checkpoint::StateReader("ledger", saved.str()));
+    restored.restore_state(checkpoint::StateReader("ledger", section));
 
+    // The restored ledger counts its decisions as logged.
     checkpoint::StateWriter again;
     restored.save_state(again);
+    EXPECT_EQ(again.take_log(), "");
     EXPECT_EQ(again.str(), saved.str());
 
     // The user-visible artifact must survive the round trip byte for byte.
@@ -418,14 +438,16 @@ TEST(AttributionLedger, CheckpointRoundTripIsBitExact)
 
     AttributionLedger wrong_shape(3);
     EXPECT_THROW(
-        wrong_shape.restore_state(checkpoint::StateReader("ledger", saved.str())),
+        wrong_shape.restore_state(checkpoint::StateReader("ledger", section)),
         checkpoint::CheckpointError);
 }
 
 TEST(AttributionLedger, SavesKeepSettledDecisionsAndMatchAFreshSave)
 {
-    // Saves with a decision pending, spread over the run: each must equal
-    // the one save of a ledger that never saved before that point.
+    // Saves with a decision pending, spread over the run: each logs the
+    // decisions settled since the one before, and together they restore
+    // what the one save of a ledger that never saved before that point
+    // restores.
     const std::set<int> points = {0, 1, 5, 26, 27, 60, 120};
     const std::vector<std::string> saves = ledger_saves(points);
     ASSERT_EQ(saves.size(), points.size() + 1);
@@ -433,17 +455,26 @@ TEST(AttributionLedger, SavesKeepSettledDecisionsAndMatchAFreshSave)
     for (const int point : points) {
         const std::vector<std::string> fresh = ledger_saves({point});
         ASSERT_EQ(fresh.size(), 2u);
-        EXPECT_EQ(saves[i], fresh[0]) << "save at call " << point;
-        EXPECT_EQ(saves.back(), fresh[1]) << "final save after call " << point;
+        EXPECT_EQ(restored_state(saves[i]), restored_state(fresh[0]))
+            << "save at call " << point;
+        EXPECT_EQ(restored_state(saves.back()), restored_state(fresh[1]))
+            << "final save after call " << point;
         ++i;
     }
-    EXPECT_EQ(saves.back(), ledger_saves({}).back());
+    EXPECT_EQ(restored_state(saves.back()), restored_state(ledger_saves({}).back()));
+    EXPECT_GT(checkpoint::StateReader("ledger", saves.back()).get_u64("chunks"),
+              points.size() / 2);
 
-    // A restore drops the text earlier saves kept: same bytes again.
+    // A restore replaces what earlier saves logged: the restored ledger
+    // logs nothing and saves the same text again.
     AttributionLedger restored(2);
     for (const std::size_t k : {6u, 3u}) {
         restored.restore_state(checkpoint::StateReader("ledger", saves[k]));
-        EXPECT_EQ(saved(restored), saves[k]) << "save " << k;
+        checkpoint::StateWriter again;
+        restored.save_state(again);
+        EXPECT_EQ(again.take_log(), "") << "save " << k;
+        EXPECT_EQ(again.take(), saves[k].substr(saves[k].find("n_ranks=")))
+            << "save " << k;
     }
 }
 

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <memory>
 #include <random>
 #include <set>
 #include <stdexcept>
@@ -62,8 +63,8 @@ std::string reference_chrome_json(const std::vector<TraceEvent>& events)
 }
 
 /// The tracer as it was before it stored events by column: a TraceEvent per
-/// event, interned into columns afresh at every save.  Kept as the
-/// reference that SpanTracer's saves and renders must match byte for byte.
+/// event.  Kept as the reference that SpanTracer's restored saves and
+/// renders must match.
 class ReferenceTracer {
 public:
     using Args = std::vector<std::pair<std::string, std::string>>;
@@ -130,68 +131,6 @@ public:
     }
 
     const std::vector<TraceEvent>& events() const { return events_; }
-
-    void save_state(checkpoint::StateWriter& writer) const
-    {
-        std::vector<std::string_view> table;
-        std::unordered_map<std::string_view, std::uint64_t> index;
-        const auto intern = [&](const std::string& s) {
-            const auto [it, inserted] = index.try_emplace(s, table.size());
-            if (inserted) table.push_back(s);
-            return it->second;
-        };
-        std::string phases;
-        std::vector<std::uint64_t> names, categories, n_args, args, time_runs, metadata;
-        std::vector<std::int64_t> pids, tids;
-        std::vector<double> times, values;
-        std::uint64_t last_time_bits = 0;
-        for (const TraceEvent& e : events_) {
-            phases.push_back(e.phase);
-            names.push_back(intern(e.name));
-            categories.push_back(intern(e.category));
-            pids.push_back(e.pid);
-            tids.push_back(e.tid);
-            n_args.push_back(e.args.size());
-            for (const auto& [key, value] : e.args) {
-                args.push_back(intern(key));
-                args.push_back(intern(value));
-            }
-            std::uint64_t bits = 0;
-            std::memcpy(&bits, &e.time_s, sizeof(bits));
-            if (!time_runs.empty() && bits == last_time_bits) {
-                ++time_runs.back();
-            }
-            else {
-                times.push_back(e.time_s);
-                time_runs.push_back(1);
-                last_time_bits = bits;
-            }
-            if (e.phase == 'C') values.push_back(e.counter_value);
-            if (e.phase == 'M') metadata.push_back(intern(e.metadata));
-        }
-        writer.put_u64("strings", table.size());
-        for (std::size_t i = 0; i < table.size(); ++i) {
-            writer.put_str("str." + std::to_string(i), table[i]);
-        }
-        writer.put_str("ev.ph", phases);
-        writer.put_u64_vec("ev.name", names);
-        writer.put_u64_vec("ev.cat", categories);
-        writer.put_i64_vec("ev.pid", pids);
-        writer.put_i64_vec("ev.tid", tids);
-        writer.put_f64_vec("ev.t", times);
-        writer.put_u64_vec("ev.trun", time_runs);
-        writer.put_f64_vec("ev.cv", values);
-        writer.put_u64_vec("ev.md", metadata);
-        writer.put_u64_vec("ev.nargs", n_args);
-        writer.put_u64_vec("ev.args", args);
-        std::vector<std::int64_t> open;
-        for (const auto& [track, depth] : open_) {
-            open.push_back(track.first);
-            open.push_back(track.second);
-            open.push_back(depth);
-        }
-        writer.put_i64_vec("open", open);
-    }
 
 private:
     std::vector<TraceEvent> events_;
@@ -335,18 +274,62 @@ private:
     const int tids_[3] = {0, 1, 3};
 };
 
-std::string save(const SpanTracer& tracer)
+/// The saves of one tracer into one checkpoint writer, as a resume reads
+/// them: the log records of every save so far, then the last save's text.
+class Saves {
+public:
+    /// Saves `tracer`; returns the events this save logged.
+    std::size_t save(const SpanTracer& tracer)
+    {
+        checkpoint::StateWriter writer;
+        tracer.save_state(writer);
+        const std::string records = writer.take_log();
+        log_ += records;
+        text_ = writer.take();
+        const checkpoint::StateReader logged("runtracer", records);
+        const std::string phases = "ev." + std::to_string(chunks_) + ".ph";
+        if (!logged.has(phases)) return 0;
+        ++chunks_;
+        return logged.get_str(phases).size();
+    }
+    /// What a restore reads.
+    std::string section() const { return log_ + text_; }
+    /// A tracer restored from section().
+    std::unique_ptr<SpanTracer> restored() const
+    {
+        auto tracer = std::make_unique<SpanTracer>();
+        tracer->restore_state(checkpoint::StateReader("runtracer", section()));
+        return tracer;
+    }
+
+private:
+    std::string log_, text_;
+    std::size_t chunks_ = 0;
+};
+
+/// Every field of every event, doubles bit for bit.
+std::string dump(const std::vector<TraceEvent>& events)
 {
-    checkpoint::StateWriter writer;
-    tracer.save_state(writer);
-    return writer.take();
+    std::string out;
+    for (const TraceEvent& e : events) {
+        out += std::string(1, e.phase) + "|" + e.name + "|" + e.category + "|" +
+               std::to_string(e.pid) + "|" + std::to_string(e.tid) + "|" +
+               checkpoint::encode_f64(e.time_s) + "|" +
+               checkpoint::encode_f64(e.counter_value) + "|" + e.metadata;
+        for (const auto& [key, value] : e.args) out += "|" + key + "=" + value;
+        out += "\n";
+    }
+    return out;
 }
 
-std::string save(const ReferenceTracer& tracer)
+/// Open-span depths on every track RandomStream records on.
+std::string open_spans(const SpanTracer& tracer)
 {
-    checkpoint::StateWriter writer;
-    tracer.save_state(writer);
-    return writer.take();
+    std::string out;
+    for (const int pid : {0, 1, 7, -1}) {
+        for (const int tid : {0, 1, 3}) out += std::to_string(tracer.open_spans(pid, tid)) + " ";
+    }
+    return out;
 }
 
 /// Every event kind, both category cases, a repeated args key, strings that
@@ -472,10 +455,11 @@ TEST(SpanTracer, CheckpointRoundTripsEveryField)
     tracer.begin(5, 0, "left open", 4.0, "step", {{"why", "checkpointed mid-span"}});
     checkpoint::StateWriter writer;
     tracer.save_state(writer);
+    const std::string section = writer.take_log() + writer.str();
 
     SpanTracer restored;
     restored.begin(9, 9, "discarded by the restore", 0.0);
-    restored.restore_state(checkpoint::StateReader("runtracer", writer.str()));
+    restored.restore_state(checkpoint::StateReader("runtracer", section));
     EXPECT_EQ(restored.to_chrome_json(), tracer.to_chrome_json());
     EXPECT_EQ(restored.event_count(), tracer.event_count());
     EXPECT_EQ(restored.open_spans(5, 0), 1);
@@ -484,11 +468,13 @@ TEST(SpanTracer, CheckpointRoundTripsEveryField)
     restored.end(5, 0, 5.0);
     EXPECT_THROW(restored.end(5, 0, 6.0), std::logic_error);
 
-    // Saving the restored tracer gives the same section back.
+    // A restored tracer counts what it restored as logged: its save logs
+    // nothing and gives the same section text back.
     checkpoint::StateWriter again;
     SpanTracer second;
-    second.restore_state(checkpoint::StateReader("runtracer", writer.str()));
+    second.restore_state(checkpoint::StateReader("runtracer", section));
     second.save_state(again);
+    EXPECT_EQ(again.take_log(), "");
     EXPECT_EQ(again.str(), writer.str());
 }
 
@@ -499,12 +485,18 @@ TEST(SpanTracer, SavesAndRenderMatchTheEventTracerOnRandomStreams)
         RandomStream stream(seed);
         SpanTracer tracer;
         ReferenceTracer reference;
-        // Saves at several points: each encodes only what is new, and each
-        // must equal a save that encodes everything.
+        Saves saves;
+        // Saves at several points: each logs only what is new, and all of
+        // them restore every event.
         for (const int n : {0, 1, 7, 40, 3, 150}) {
+            const std::size_t before = tracer.event_count();
             stream.record(n, tracer, reference);
-            ASSERT_EQ(save(tracer), save(reference));
+            ASSERT_EQ(saves.save(tracer), tracer.event_count() - before);
+            const auto restored = saves.restored();
+            ASSERT_EQ(dump(restored->events()), dump(reference.events()));
+            ASSERT_EQ(open_spans(*restored), open_spans(tracer));
             ASSERT_EQ(tracer.to_chrome_json(), reference_chrome_json(reference.events()));
+            ASSERT_EQ(restored->to_chrome_json(), tracer.to_chrome_json());
         }
         EXPECT_EQ(tracer.event_count(), reference.events().size());
     }
@@ -517,38 +509,42 @@ TEST(SpanTracer, RestoredTracerContinuesAsAnUninterruptedOne)
         RandomStream stream(seed);
         SpanTracer uninterrupted;
         ReferenceTracer reference;
+        Saves saves;
         stream.record(60, uninterrupted, reference);
-        const std::string first = save(uninterrupted);
+        saves.save(uninterrupted);
 
-        // A resumed run: restore into a tracer whose saves kept text of
-        // other events, then record the same events as the uninterrupted one.
+        // A resumed run: restore into a tracer whose own saves logged other
+        // events, then record the same events as the uninterrupted one.  A
+        // resumed writer's log starts with the restored records.
         SpanTracer resumed;
         ReferenceTracer discarded;
         RandomStream(seed + 500).record(30, resumed, discarded);
-        save(resumed);
-        resumed.restore_state(checkpoint::StateReader("runtracer", first));
+        Saves().save(resumed);
+        resumed.restore_state(checkpoint::StateReader("runtracer", saves.section()));
+        Saves resumed_saves = saves;
         ReferenceTracer resumed_reference = reference; // same open spans
         RandomStream after_a(seed + 1000);
         RandomStream after_b(seed + 1000);
         after_a.record(80, uninterrupted, reference);
         after_b.record(80, resumed, resumed_reference);
-        EXPECT_EQ(save(resumed), save(uninterrupted));
-        EXPECT_EQ(save(resumed), save(reference));
+        EXPECT_EQ(resumed_saves.save(resumed), saves.save(uninterrupted));
+        EXPECT_EQ(resumed_saves.section(), saves.section());
+        EXPECT_EQ(dump(resumed_saves.restored()->events()), dump(reference.events()));
         EXPECT_EQ(resumed.to_chrome_json(), uninterrupted.to_chrome_json());
-
-        // clear() drops the saved text along with the events.
-        resumed.clear();
-        EXPECT_EQ(save(resumed), save(ReferenceTracer()));
     }
 }
 
 TEST(SpanTracer, RestoreRejectsMalformedColumns)
 {
-    const std::string valid = "strings=2\nstr.0=a\nstr.1=\nev.ph=BC\nev.name=0 0\n"
-                              "ev.cat=1 1\nev.pid=0 0\nev.tid=0 0\n"
-                              "ev.t=x0000000000000000\nev.trun=2\n"
-                              "ev.cv=x3ff0000000000000\nev.md=\nev.nargs=1 0\n"
-                              "ev.args=0 1\nopen=0 0 1\n";
+    // Two events in two chunks; their one timestamp run is still open.
+    const std::string valid =
+        "str.0=a\nstr.1=\n"
+        "ev.0.ph=B\nev.0.name=0\nev.0.cat=1\nev.0.pid=0\nev.0.tid=0\nev.0.nargs=1\n"
+        "ev.0.t=\nev.0.trun=\nev.0.cv=\nev.0.md=\nev.0.args=0 1\n"
+        "ev.1.ph=C\nev.1.name=0\nev.1.cat=1\nev.1.pid=0\nev.1.tid=0\nev.1.nargs=0\n"
+        "ev.1.t=\nev.1.trun=\nev.1.cv=x3ff0000000000000\nev.1.md=\nev.1.args=\n"
+        "strings=2\nchunks=2\nev.t.open=x0000000000000000\nev.trun.open=2\n"
+        "open=0 0 1\n";
     SpanTracer tracer;
     tracer.restore_state(checkpoint::StateReader("runtracer", valid));
     EXPECT_EQ(tracer.to_chrome_json(),
@@ -564,23 +560,25 @@ TEST(SpanTracer, RestoreRejectsMalformedColumns)
         return payload.replace(at, line.size(), replacement);
     };
     const std::vector<std::string> broken = {
-        with("ev.ph=BC\n", "ev.ph=BQ\n"),               // unknown phase
-        with("ev.name=0 0\n", "ev.name=0 2\n"),         // past the string table
-        with("ev.pid=0 0\n", "ev.pid=0\n"),             // column too short
-        with("ev.cat=1 1\n", "ev.cat=1 1 1\n"),         // column too long
-        with("ev.tid=0 0\n", "ev.tid=0 4294967296\n"),  // not an int
-        with("ev.trun=2\n", "ev.trun=3\n"),             // runs past the events
-        with("ev.trun=2\n", "ev.trun=1\n"),             // runs short of the events
-        with("ev.t=x0000000000000000\nev.trun=2\n",
-             "ev.t=x0000000000000000 x0000000000000000\nev.trun=0 2\n"), // empty run
-        with("ev.t=x0000000000000000\n", "ev.t=\n"),    // run without a time
-        with("ev.cv=x3ff0000000000000\n", "ev.cv=\n"),  // counter without a value
-        with("ev.md=\n", "ev.md=0\n"),                  // metadata without an 'M' event
-        with("ev.args=0 1\n", "ev.args=0\n"),           // fewer pairs than counted
-        with("ev.args=0 1\n", "ev.args=0 1 1 0\n"),     // more pairs than counted
+        with("ev.0.ph=B\n", "ev.0.ph=Q\n"),             // unknown phase
+        with("ev.1.name=0\n", "ev.1.name=2\n"),         // past the string table
+        with("ev.0.pid=0\n", "ev.0.pid=\n"),            // column too short
+        with("ev.1.cat=1\n", "ev.1.cat=1 1\n"),         // column too long
+        with("ev.1.tid=0\n", "ev.1.tid=4294967296\n"),  // not an int
+        with("ev.trun.open=2\n", "ev.trun.open=3\n"),   // runs past the events
+        with("ev.trun.open=2\n", "ev.trun.open=1\n"),   // runs short of the events
+        with("ev.0.t=\nev.0.trun=\n",
+             "ev.0.t=x0000000000000000\nev.0.trun=0\n"), // empty run
+        with("ev.0.trun=\n", "ev.0.trun=1\n"),          // run without a time
+        with("ev.1.cv=x3ff0000000000000\n", "ev.1.cv=\n"), // counter without a value
+        with("ev.0.md=\n", "ev.0.md=0\n"),              // metadata without an 'M' event
+        with("ev.0.args=0 1\n", "ev.0.args=0\n"),       // fewer pairs than counted
+        with("ev.0.args=0 1\n", "ev.0.args=0 1 1 0\n"), // more pairs than counted
         with("open=0 0 1\n", "open=0 0\n"),             // not triples
         with("open=0 0 1\n", "open=0 0 -1\n"),          // negative depth
         with("str.1=\n", ""),                           // string table entry missing
+        with("chunks=2\n", "chunks=3\n"),               // chunk missing
+        with("chunks=2\n", "chunks=1\n"),               // open run past the chunks
     };
     for (const std::string& payload : broken) {
         SpanTracer victim;
@@ -588,16 +586,6 @@ TEST(SpanTracer, RestoreRejectsMalformedColumns)
                      checkpoint::CheckpointError)
             << payload;
     }
-}
-
-TEST(SpanTracer, ClearDropsEventsAndOpenSpans)
-{
-    SpanTracer tracer;
-    tracer.begin(0, 0, "a", 0.0);
-    tracer.clear();
-    EXPECT_EQ(tracer.event_count(), 0u);
-    EXPECT_EQ(tracer.open_spans(0, 0), 0);
-    EXPECT_THROW(tracer.end(0, 0, 1.0), std::logic_error);
 }
 
 TEST(RunTracer, RejectsNonPositiveRankCount)
@@ -672,7 +660,8 @@ TEST(RunTracer, CheckpointKeepsSpanArgs)
     tracer.save_state(writer);
 
     RunTracer restored(2);
-    restored.restore_state(checkpoint::StateReader("runtracer", writer.str()));
+    restored.restore_state(
+        checkpoint::StateReader("runtracer", writer.take_log() + writer.take()));
     const std::string json = restored.tracer().to_chrome_json();
     EXPECT_EQ(json, tracer.tracer().to_chrome_json());
     EXPECT_NE(json.find("\"trace_id\":\"4bf92f3577b34da6a3ce929d0e0e4736\""),
